@@ -9,6 +9,7 @@ here too.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 __all__ = [
@@ -20,7 +21,7 @@ __all__ = [
     "length_triple",
     "triple_compare_power",
     "radius_index",
-    "approximate",
+    "ln_enclosure",
     "log_lambda_enclosure",
 ]
 
@@ -331,8 +332,6 @@ def radius_index(n: int) -> int:
     if n < 1:
         raise ValueError("radius_index needs n >= 1")
     # float guess from the enclosure midpoint, then exact verification
-    import math
-
     lo, hi = _ENCLOSURE.bounds()
     guess = int(math.log(n) / math.log(float((lo + hi) / 2)))
     m = max(guess - 3, -1)
@@ -344,41 +343,49 @@ def radius_index(n: int) -> int:
     return m
 
 
-def approximate(x: CubicNumber, digits: int) -> str:
-    """Decimal string of x accurate to less than 10**-digits."""
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    lo, hi = x.enclosure(Fraction(1, 10 ** (digits + 1)))
-    mid = (lo + hi) / 2
-    scaled = mid * 10**digits
-    q = scaled.numerator // scaled.denominator
-    if 2 * (scaled.numerator - q * scaled.denominator) >= scaled.denominator:
-        q += 1
-    sign = "-" if q < 0 else ""
-    q = abs(q)
-    whole, frac = divmod(q, 10**digits)
-    return f"{sign}{whole}.{str(frac).zfill(digits)}"
+def _atanh_enclosure(t: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """Enclosure of atanh(t) for |t| <= 1/3: the series t^(2j+1)/(2j+1)
+    summed exactly until its tail, bounded by the geometric series
+    |t|^(2N+1) / ((2N+1)(1 - t^2)), drops below 2**-bits."""
+    t2 = t * t
+    power = t
+    total = Fraction(0)
+    j = 0
+    while True:
+        total += power / (2 * j + 1)
+        power *= t2
+        j += 1
+        tail = abs(power) / ((2 * j + 1) * (1 - t2))
+        if tail < Fraction(1, 1 << bits):
+            return total - tail, total + tail
+
+
+def ln_enclosure(y, bits: int = 80) -> tuple[Fraction, Fraction]:
+    """Rational enclosure of ln(y) for rational y > 0.
+
+    Writes y = m * 2**k with m in (1/2, 2), so that ln(y) = k ln(2) +
+    2 atanh((m - 1)/(m + 1)) with ln(2) = 2 atanh(1/3), and rounds the
+    result outward to multiples of 2**-bits; the width is at most
+    (4|k| + 6) * 2**-bits.
+    """
+    y = Fraction(y)
+    if y <= 0:
+        raise ValueError("ln needs y > 0")
+    k = y.numerator.bit_length() - y.denominator.bit_length()
+    m = y / Fraction(2) ** k
+    half_ln2 = _atanh_enclosure(Fraction(1, 3), bits)
+    at_lo, at_hi = _atanh_enclosure((m - 1) / (m + 1), bits)
+    lo = 2 * (min(k * x for x in half_ln2) + at_lo)
+    hi = 2 * (max(k * x for x in half_ln2) + at_hi)
+    q = 1 << bits
+    return Fraction(math.floor(lo * q), q), Fraction(math.ceil(hi * q), q)
 
 
 def log_lambda_enclosure(y, bits: int = 80) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of log base L of y (y rational > 1).
-
-    Interval arithmetic does the work; the endpoints are widened by 1e-9
-    to absorb the final binary-to-float conversion.
-    """
-    from mpmath import iv
-
+    """Rational enclosure of log base L of y (y rational > 0): an enclosure
+    of ln(y) divided outward by one of ln(L) over the isolating interval."""
     _ENCLOSURE.refine(bits)
-    old_prec = iv.prec
-    try:
-        iv.prec = bits + 30
-        # the enclosure endpoints are dyadic, hence exact at this precision
-        lam = iv.mpf([_ENCLOSURE.num_lo, _ENCLOSURE.num_hi]) / iv.mpf(1 << _ENCLOSURE.k)
-        y = Fraction(y)
-        yv = iv.mpf(y.numerator) / iv.mpf(y.denominator)
-        res = iv.log(yv) / iv.log(lam)
-        a, b = float(res.a), float(res.b)
-    finally:
-        iv.prec = old_prec
-    slack = Fraction(1, 10**9)
-    return Fraction(a) - slack, Fraction(b) + slack
+    lam_lo, lam_hi = _ENCLOSURE.bounds()
+    den = (ln_enclosure(lam_lo, bits)[0], ln_enclosure(lam_hi, bits)[1])  # ln(L) > 0
+    quotients = [x / d for x in ln_enclosure(y, bits) for d in den]
+    return min(quotients), max(quotients)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cubic import ln_enclosure
 from .errors import CapExceeded
 from .words import LETTERS, invert, multiply
 from .wreath import is_trivial, level_action
@@ -61,23 +62,8 @@ class GrowthTable:
 def _entropy_enclosure(ball: int, n: int) -> tuple[Fraction, Fraction]:
     if n == 0:
         return Fraction(0), Fraction(0)
-    lo, hi = _log_enclosure(ball)
+    lo, hi = ln_enclosure(ball)
     return lo / n, hi / n
-
-
-def _log_enclosure(n: int) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of ln(n), via interval arithmetic."""
-    from mpmath import iv
-
-    old = iv.prec
-    try:
-        iv.prec = 80
-        r = iv.log(iv.mpf(n))
-        a, b = float(r.a), float(r.b)
-    finally:
-        iv.prec = old
-    slack = Fraction(1, 10**9)
-    return Fraction(a) - slack, Fraction(b) + slack
 
 
 class _SignatureEquality:

@@ -17,7 +17,7 @@ from math import lcm
 
 from . import cubic
 from .cubic import CubicNumber, lambda_length, length_triple, triple_compare_power
-from .errors import CapExceeded, PreconditionError
+from .errors import CapExceeded, GrigError, PreconditionError
 from .words import (
     BCD,
     a_parity,
@@ -274,105 +274,87 @@ class CertificateFailure:
         }
 
 
-class _RadiusViolation(Exception):
+class RadiusViolation(GrigError):
+    """A word left the open ball the certificate needs at some level."""
+
     def __init__(self, failure: CertificateFailure):
         self.failure = failure
+        super().__init__(str(failure))
+
+
+def _ball_step(w: str, n: int) -> tuple[str, int, tuple[str, ...]]:
+    """One step of the recursive ball argument: (rule, exponent added, words
+    to certify at level n - 1), or RadiusViolation.
+
+    The word must lie in the open L^(n-1)-ball, is replaced by its minimal
+    conjugate, and is either a base case, split (parity 0: the splitting is
+    injective one level down, so the order is the lcm of the component
+    orders), or squared and split (parity 1: one component, one more
+    factor of two).
+    """
+    if n <= 0:
+        m = min_conjugate(w)
+        if m not in _BASE_EXPONENT or (n == -1 and m not in _LETTERS_SET):
+            bound = "L^-1" if n == 0 else "L^-2"
+            raise RadiusViolation(CertificateFailure(w, n, lambda_length(w), bound))
+        return "base-case", _BASE_EXPONENT[m], ()
+    if triple_compare_power(length_triple(w), n - 1) >= 0:
+        raise RadiusViolation(CertificateFailure(w, n, lambda_length(w), f"L^{n - 1}"))
+    m = min_conjugate(w)
+    if m in _LETTERS_SET:
+        return "letter-case", _BASE_EXPONENT[m], ()
+    if a_parity(m) == 0:
+        return "inactive-split", 0, split(m)
+    return "active-square", 1, split(multiply(m, m))[:1]
+
+
+# memo of certify_exponent: (word, level) -> (exponent, tree depth), level > 0
+_exponent_memo: dict[tuple[str, int], tuple[int, int]] = {}
+
+
+def certify_exponent(w: str, n: int) -> tuple[int, int]:
+    """(exponent, tree depth) of the certificate for the reduced word w at
+    level n, memoized; the order of w divides 2**exponent at this level.
+
+    Raises RadiusViolation, whose ``failure`` is the CertificateFailure
+    that ``certify_torsion`` returns for the same input.
+    """
+    key = (w, n)
+    hit = _exponent_memo.get(key)
+    if hit is not None:
+        return hit
+    _rule, added, children = _ball_step(w, n)
+    exponent = depth = 0
+    for child in children:
+        e, d = certify_exponent(child, n - 1)
+        exponent = max(exponent, e)
+        depth = max(depth, d)
+    result = (exponent + added, depth + 1)
+    if n > 0:
+        _exponent_memo[key] = result
+    return result
 
 
 def certify_torsion(w: str, n: int):
     """Torsion certificate for w at approximant level n, or a failure report.
 
-    Mirrors the recursive ball argument: at each level the word must lie in
-    the open L^(n-1)-ball, is replaced by its minimal conjugate, and is
-    either resolved as a base case, split (parity 0, both components one
-    level down), or squared and split (parity 1, one component down).
+    The tree records each step of the ball argument (see ``_ball_step``);
+    every node's exponent is the one ``certify_exponent`` gives it.
     """
     if n < -1:
         raise ValueError("level must be >= -1")
     w = reduce_word(w)
     try:
-        root = _certify_node(w, n)
-    except _RadiusViolation as exc:
+        exponent, _depth = certify_exponent(w, n)
+    except RadiusViolation as exc:
         return exc.failure
-    return TorsionCertificate(word=w, level=n, exponent=root.exponent, root=root)
+    return TorsionCertificate(word=w, level=n, exponent=exponent, root=_certificate_tree(w, n))
 
 
-def _base_node(w: str, n: int) -> CertificateNode:
-    mc = min_conjugate(w)
-    if mc not in _BASE_EXPONENT or (n == -1 and mc not in _LETTERS_SET):
-        bound = "L^-1" if n == 0 else "L^-2"
-        raise _RadiusViolation(
-            CertificateFailure(word=w, level=n, lambda_length=lambda_length(w), radius=bound)
-        )
-    return CertificateNode(
-        word=w,
-        level=n,
-        rule="base-case",
-        exponent=_BASE_EXPONENT[mc],
-        lambda_length=lambda_length(w),
-    )
-
-
-def _certify_node(w: str, n: int) -> CertificateNode:
-    if n <= 0:
-        return _base_node(w, n)
-    llen = lambda_length(w)
-    if triple_compare_power(length_triple(w), n - 1) >= 0:
-        raise _RadiusViolation(
-            CertificateFailure(word=w, level=n, lambda_length=llen, radius=f"L^{n - 1}")
-        )
-    m = min_conjugate(w)
-    if m in _LETTERS_SET:
-        return CertificateNode(w, n, "letter-case", _BASE_EXPONENT[m], llen)
-    if a_parity(m) == 0:
-        w0, w1 = split(m)
-        k0 = _certify_node(w0, n - 1)
-        k1 = _certify_node(w1, n - 1)
-        # the splitting is injective one level down, so the order of m is
-        # the lcm of the component orders
-        return CertificateNode(w, n, "inactive-split", max(k0.exponent, k1.exponent), llen, (k0, k1))
-    y0, _y1 = split(multiply(m, m))
-    child = _certify_node(y0, n - 1)
-    return CertificateNode(w, n, "active-square", child.exponent + 1, llen, (child,))
-
-
-# fast exponent-only path for bulk verification; memo maps (word, level) to
-# (exponent, tree depth)
-_exponent_memo: dict[tuple[str, int], tuple[int, int]] = {}
-
-
-def certify_exponent(w: str, n: int) -> tuple[int, int]:
-    """(exponent, recursion depth) of the certificate, without tree capture.
-
-    Raises CapExceeded-like _RadiusViolation wrapped as CertificateFailure
-    via ``certify_torsion``; this fast path assumes the caller keeps inputs
-    inside the certified radius and lets the violation propagate.
-    """
-    if n <= 0:
-        node = _base_node(w, n)
-        return node.exponent, 1
-    key = (w, n)
-    hit = _exponent_memo.get(key)
-    if hit is not None:
-        return hit
-    if triple_compare_power(length_triple(w), n - 1) >= 0:
-        raise _RadiusViolation(
-            CertificateFailure(word=w, level=n, lambda_length=lambda_length(w), radius=f"L^{n - 1}")
-        )
-    m = min_conjugate(w)
-    if m in _LETTERS_SET:
-        result = (_BASE_EXPONENT[m], 1)
-    elif a_parity(m) == 0:
-        w0, w1 = split(m)
-        e0, d0 = certify_exponent(w0, n - 1)
-        e1, d1 = certify_exponent(w1, n - 1)
-        result = (max(e0, e1), max(d0, d1) + 1)
-    else:
-        y0, _y1 = split(multiply(m, m))
-        e, d = certify_exponent(y0, n - 1)
-        result = (e + 1, d + 1)
-    _exponent_memo[key] = result
-    return result
+def _certificate_tree(w: str, n: int) -> CertificateNode:
+    rule, _added, children = _ball_step(w, n)
+    kids = tuple(_certificate_tree(c, n - 1) for c in children)
+    return CertificateNode(w, n, rule, certify_exponent(w, n)[0], lambda_length(w), kids)
 
 
 @dataclass
@@ -405,7 +387,8 @@ def verify_nball_proposition(n: int, words=None, level: int | None = None) -> NB
     """Certify torsion for every word of word length <= n at level i(n).
 
     ``words`` overrides the exhaustive free-product ball (e.g. for random
-    sampling); ``level`` overrides the computed radius index.
+    sampling) and is reduced word by word; ``level`` overrides the computed
+    radius index.
     """
     from .words import iter_ball_free
 
@@ -415,12 +398,14 @@ def verify_nball_proposition(n: int, words=None, level: int | None = None) -> NB
         level = cubic.radius_index(n)
     if words is None:
         words = iter_ball_free(n)
+    else:
+        words = map(reduce_word, words)
     report = NBallReport(radius=n, level=level, word_count=0, max_exponent=0, max_depth=0)
     for w in words:
         report.word_count += 1
         try:
             e, d = certify_exponent(w, level)
-        except _RadiusViolation as exc:
+        except RadiusViolation as exc:
             report.failures.append(exc.failure)
             continue
         report.max_exponent = max(report.max_exponent, e)

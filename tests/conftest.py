@@ -1,7 +1,7 @@
-import random
-
 from hypothesis import strategies as st
 
+# the criterion streams in test_acceptance draw from the library generator
+from grigorchuk.reports import random_reduced_word as random_reduced
 from grigorchuk.words import BCD, LETTERS
 
 raw_words = st.text(alphabet=LETTERS, max_size=24)
@@ -19,17 +19,4 @@ def reduced_words(draw, max_size=24):
             out.append("a")
         else:
             out.append(draw(st.sampled_from(LETTERS)))
-    return "".join(out)
-
-
-def random_reduced(length: int, rng: random.Random) -> str:
-    out = []
-    for _ in range(length):
-        last = out[-1] if out else ""
-        if last == "a":
-            out.append(rng.choice(BCD))
-        elif last:
-            out.append("a")
-        else:
-            out.append(rng.choice(LETTERS))
     return "".join(out)

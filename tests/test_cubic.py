@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +15,7 @@ from grigorchuk.cubic import (
     compare_power_to_int,
     lambda_length,
     length_triple,
+    ln_enclosure,
     log_lambda_enclosure,
     radius_index,
     triple_compare_power,
@@ -114,6 +118,41 @@ def test_log_lambda_enclosure_of_4():
     assert hi - lo < Fraction(1, 10**6)
     # rounds to 6.60 at two decimals
     assert Fraction(6595, 1000) < lo < hi < Fraction(6605, 1000)
+
+
+positive_rationals = st.fractions(
+    min_value=Fraction(1, 10**6), max_value=10**6, max_denominator=10**6
+)
+
+
+@given(positive_rationals, positive_rationals)
+def test_ln_enclosure_is_additive(p, q):
+    lo, hi = ln_enclosure(p * q)
+    p_lo, p_hi = ln_enclosure(p)
+    q_lo, q_hi = ln_enclosure(q)
+    assert lo <= hi
+    assert lo <= p_hi + q_hi and p_lo + q_lo <= hi
+
+
+def test_ln_enclosure_rejects_nonpositive():
+    with pytest.raises(ValueError):
+        ln_enclosure(0)
+
+
+def test_log_checks_run_without_mpmath():
+    import grigorchuk
+
+    script = (
+        "import sys; sys.modules['mpmath'] = None\n"
+        "from grigorchuk import reports\n"
+        "cfg = reports.CheckConfig(radius_exhaustive=100, radius_random=5, growth_maxn=5)\n"
+        "for check in (reports.check_radius_index, reports.check_growth_cross):\n"
+        "    assert check(cfg).status == 'pass', check\n"
+    )
+    src = os.path.dirname(os.path.dirname(grigorchuk.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_enclosure_contains_value():

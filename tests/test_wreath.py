@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import reduced_words
-from grigorchuk.cubic import LAMBDA_INV, lambda_length
-from grigorchuk.errors import PreconditionError
-from grigorchuk.words import BCD, a_parity, invert, min_conjugate, multiply
+from grigorchuk.cubic import LAMBDA_INV, lambda_length, radius_index
+from grigorchuk.errors import GrigError, PreconditionError
+from grigorchuk.words import BCD, a_parity, invert, iter_ball_free, min_conjugate, multiply
 from grigorchuk.wreath import (
     CertificateFailure,
+    RadiusViolation,
+    certify_exponent,
     certify_torsion,
     is_trivial,
     lemma_split_contraction_check,
@@ -146,6 +148,87 @@ def test_certificate_radius_failure():
     result = certify_torsion("abab", 2)
     assert isinstance(result, CertificateFailure)
     assert result.level == 2
+
+
+# compact JSON of certify_torsion("abadacab", 9): pins the tree format and shape
+ABADACAB_9_JSON = (
+    '{"word": "abadacab", "level": 9, "exponent": 4, '
+    '"tree": {"word": "abadacab", "level": 9, "rule": "inactive-split", '
+    '"exponent": 4, "lambda_length": "1 + 2*L + 0*L^2", '
+    '"children": [{"word": "caba", "level": 8, "rule": "inactive-split", '
+    '"exponent": 3, "lambda_length": "0 + -1*L + 2*L^2", '
+    '"children": [{"word": "ca", "level": 7, "rule": "active-square", '
+    '"exponent": 3, "lambda_length": "-1 + -1*L + 2*L^2", '
+    '"children": [{"word": "da", "level": 6, "rule": "active-square", '
+    '"exponent": 2, "lambda_length": "0 + 3*L + -2*L^2", '
+    '"children": [{"word": "b", "level": 5, "rule": "letter-case", '
+    '"exponent": 1, "lambda_length": "3 + -2*L + 0*L^2", '
+    '"children": []}]}]}, {"word": "ad", "level": 7, '
+    '"rule": "active-square", "exponent": 2, '
+    '"lambda_length": "0 + 3*L + -2*L^2", "children": [{"word": "b", '
+    '"level": 6, "rule": "letter-case", "exponent": 1, '
+    '"lambda_length": "3 + -2*L + 0*L^2", "children": []}]}]}, '
+    '{"word": "ab", "level": 8, "rule": "active-square", "exponent": 4, '
+    '"lambda_length": "1 + 0*L + 0*L^2", "children": [{"word": "ca", '
+    '"level": 7, "rule": "active-square", "exponent": 3, '
+    '"lambda_length": "-1 + -1*L + 2*L^2", "children": [{"word": "da", '
+    '"level": 6, "rule": "active-square", "exponent": 2, '
+    '"lambda_length": "0 + 3*L + -2*L^2", "children": [{"word": "b", '
+    '"level": 5, "rule": "letter-case", "exponent": 1, '
+    '"lambda_length": "3 + -2*L + 0*L^2", "children": []}]}]}]}]}}'
+)
+
+
+def test_certificate_json_is_pinned():
+    assert certify_torsion("abadacab", 9).to_json() == ABADACAB_9_JSON
+
+
+def _tree_depth(node):
+    return 1 + max((_tree_depth(c) for c in node.children), default=0)
+
+
+def _tree_exponent(node):
+    """Exponent recomputed from the rules recorded in the tree."""
+    kids = [_tree_exponent(c) for c in node.children]
+    if node.rule == "inactive-split":
+        return max(kids)
+    if node.rule == "active-square":
+        return kids[0] + 1
+    return node.exponent
+
+
+def test_certificate_tree_agrees_with_certify_exponent():
+    pairs = failures = 0
+    for n in (10, 12):
+        for level in (radius_index(n), radius_index(n) - 3):
+            for w in iter_ball_free(n):
+                pairs += 1
+                cert = certify_torsion(w, level)
+                try:
+                    expected = certify_exponent(w, level)
+                except RadiusViolation as exc:
+                    failures += 1
+                    assert isinstance(cert, CertificateFailure)
+                    assert cert.to_dict() == exc.failure.to_dict()
+                    continue
+                assert cert.exponent == expected[0]
+                assert (_tree_exponent(cert.root), _tree_depth(cert.root)) == expected
+    assert (pairs, failures) == (9704, 4158)
+
+
+def test_certify_exponent_radius_violation_is_public():
+    with pytest.raises(GrigError) as info:
+        certify_exponent("abababab", 2)
+    assert isinstance(info.value, RadiusViolation)
+    assert info.value.failure == certify_torsion("abababab", 2)
+
+
+def test_verify_nball_reduces_supplied_words():
+    # aabab = bab and abbab = b, both inside the 4-ball
+    rep = verify_nball_proposition(4, words=["aabab", "abbab"])
+    assert rep.ok
+    assert rep.to_dict() == verify_nball_proposition(4, words=["bab", "b"]).to_dict()
+    assert rep.max_exponent == certify_exponent("bab", rep.level)[0]
 
 
 def test_verify_nball_small():
