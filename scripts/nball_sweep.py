@@ -4,7 +4,7 @@
 For each radius n, certifies every reduced word of length <= n at level
 i(n) and prints the word count, the exponent histogram, and the running
 time.  Radii well past 20 stay tractable because exponent computation is
-memoized across the sweep.
+memoized by conjugacy class.
 
 Usage: python3 scripts/nball_sweep.py [--maxn 20] [--csv out.csv]
 """

@@ -8,7 +8,7 @@ unique, so string equality decides equality in the group.
 
 from __future__ import annotations
 
-from .errors import CapExceeded, WordParseError
+from .errors import CapExceeded, PreconditionError, WordParseError
 
 LETTERS = "abcd"
 BCD = "bcd"
@@ -108,11 +108,22 @@ def min_conjugate(w: str) -> str:
     cyclic reduction.  Rotations permute the same letter multiset, so they
     tie in weighted length and in word length; the lexicographic tie-break
     (a < b < c < d) picks the representative.
+
+    A cyclically reduced word of length >= 2 alternates a with a letter of
+    {b, c, d}, so its least rotation starts with a and is fixed by the least
+    rotation r of the inactive letters s: it is "a" + "a".join(r).  Only the
+    rotations of s that start at min(s) are candidates.  A word that is
+    not reduced raises PreconditionError.
     """
     w = cyclically_reduce(w)
     if len(w) <= 1:
         return w
-    return min(w[i:] + w[:i] for i in range(len(w)))
+    s = w[1::2] if w[0] == "a" else w[::2]
+    if "a" in s or 2 * w.count("a") != len(w):
+        raise PreconditionError(f"min_conjugate needs a reduced word: {w!r}")
+    first = min(s)
+    r = min([s[i:] + s[:i] for i, ch in enumerate(s) if ch == first])
+    return "a" + "a".join(r)
 
 
 def iter_ball_free(n: int):

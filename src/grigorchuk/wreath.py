@@ -11,6 +11,7 @@ parity kernel.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from math import lcm
@@ -282,25 +283,48 @@ class RadiusViolation(GrigError):
         super().__init__(str(failure))
 
 
-def _ball_step(w: str, n: int) -> tuple[str, int, tuple[str, ...]]:
-    """One step of the recursive ball argument: (rule, exponent added, words
-    to certify at level n - 1), or RadiusViolation.
+@functools.cache
+def _in_open_ball(na: int, nb: int, nc: int, nd: int, r: int) -> bool:
+    """True iff a word with these letter counts has length below L^r.
 
-    The word must lie in the open L^(n-1)-ball, is replaced by its minimal
-    conjugate, and is either a base case, split (parity 0: the splitting is
+    The length of a reduced word is the sum of its letter weights, so the
+    open-ball test depends only on the letter counts and the radius.
+    """
+    return triple_compare_power(length_triple("a" * na + "b" * nb + "c" * nc + "d" * nd), r) < 0
+
+
+def _ball_class(w: str, n: int) -> str:
+    """The minimal conjugate of w, once w passes the test the step at level
+    n makes of it; otherwise RadiusViolation naming w itself.
+
+    At level n > 0 the word must lie in the open L^(n-1)-ball; at level 0
+    or -1 its minimal conjugate must be a base case.
+    """
+    if n <= 0:
+        if n < -1:
+            raise ValueError("level must be >= -1")
+        m = min_conjugate(w)
+        if m not in _BASE_EXPONENT or (n == -1 and m not in _LETTERS_SET):
+            bound = "L^-1" if n == 0 else "L^-2"
+            raise RadiusViolation(CertificateFailure(w, n, lambda_length(w), bound))
+        return m
+    if not _in_open_ball(w.count("a"), w.count("b"), w.count("c"), w.count("d"), n - 1):
+        raise RadiusViolation(CertificateFailure(w, n, lambda_length(w), f"L^{n - 1}"))
+    return min_conjugate(w)
+
+
+def _class_step(m: str, n: int) -> tuple[str, int, tuple[str, ...]]:
+    """One step of the recursive ball argument from the minimal conjugate m
+    that ``_ball_class`` gave: (rule, exponent added, words to certify at
+    level n - 1).
+
+    The class is either a base case, split (parity 0: the splitting is
     injective one level down, so the order is the lcm of the component
     orders), or squared and split (parity 1: one component, one more
     factor of two).
     """
     if n <= 0:
-        m = min_conjugate(w)
-        if m not in _BASE_EXPONENT or (n == -1 and m not in _LETTERS_SET):
-            bound = "L^-1" if n == 0 else "L^-2"
-            raise RadiusViolation(CertificateFailure(w, n, lambda_length(w), bound))
         return "base-case", _BASE_EXPONENT[m], ()
-    if triple_compare_power(length_triple(w), n - 1) >= 0:
-        raise RadiusViolation(CertificateFailure(w, n, lambda_length(w), f"L^{n - 1}"))
-    m = min_conjugate(w)
     if m in _LETTERS_SET:
         return "letter-case", _BASE_EXPONENT[m], ()
     if a_parity(m) == 0:
@@ -308,22 +332,30 @@ def _ball_step(w: str, n: int) -> tuple[str, int, tuple[str, ...]]:
     return "active-square", 1, split(multiply(m, m))[:1]
 
 
-# memo of certify_exponent: (word, level) -> (exponent, tree depth), level > 0
+# memo of certify_exponent: (minimal conjugate, level) -> (exponent, tree
+# depth), level > 0; the radius test before it is cached on letter counts
+# by _in_open_ball
 _exponent_memo: dict[tuple[str, int], tuple[int, int]] = {}
 
 
 def certify_exponent(w: str, n: int) -> tuple[int, int]:
     """(exponent, tree depth) of the certificate for the reduced word w at
-    level n, memoized; the order of w divides 2**exponent at this level.
+    level n; the order of w divides 2**exponent at this level.
+
+    The radius test runs on w's letter counts (cached); everything after it
+    depends only on the minimal conjugate m of w, so the result is memoized
+    under (m, n) and computed once per conjugacy class.
 
     Raises RadiusViolation, whose ``failure`` is the CertificateFailure
-    that ``certify_torsion`` returns for the same input.
+    that ``certify_torsion`` returns for the same input, and ValueError for
+    levels below -1.
     """
-    key = (w, n)
+    m = _ball_class(w, n)
+    key = (m, n)
     hit = _exponent_memo.get(key)
     if hit is not None:
         return hit
-    _rule, added, children = _ball_step(w, n)
+    _rule, added, children = _class_step(m, n)
     exponent = depth = 0
     for child in children:
         e, d = certify_exponent(child, n - 1)
@@ -338,11 +370,10 @@ def certify_exponent(w: str, n: int) -> tuple[int, int]:
 def certify_torsion(w: str, n: int):
     """Torsion certificate for w at approximant level n, or a failure report.
 
-    The tree records each step of the ball argument (see ``_ball_step``);
-    every node's exponent is the one ``certify_exponent`` gives it.
+    The tree records each step of the ball argument (see ``_class_step``);
+    every node's exponent is the one ``certify_exponent`` gives it.  Levels
+    below -1 raise ValueError.
     """
-    if n < -1:
-        raise ValueError("level must be >= -1")
     w = reduce_word(w)
     try:
         exponent, _depth = certify_exponent(w, n)
@@ -352,7 +383,7 @@ def certify_torsion(w: str, n: int):
 
 
 def _certificate_tree(w: str, n: int) -> CertificateNode:
-    rule, _added, children = _ball_step(w, n)
+    rule, _added, children = _class_step(_ball_class(w, n), n)
     kids = tuple(_certificate_tree(c, n - 1) for c in children)
     return CertificateNode(w, n, rule, certify_exponent(w, n)[0], lambda_length(w), kids)
 
@@ -396,6 +427,8 @@ def verify_nball_proposition(n: int, words=None, level: int | None = None) -> NB
         raise ValueError("need n >= 2 for a nonnegative level")
     if level is None:
         level = cubic.radius_index(n)
+    if level < -1:
+        raise ValueError("level must be >= -1")
     if words is None:
         words = iter_ball_free(n)
     else:

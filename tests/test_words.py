@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 
 from conftest import raw_words, reduced_words
-from grigorchuk.errors import CapExceeded, WordParseError
+from grigorchuk.errors import CapExceeded, PreconditionError, WordParseError
 from grigorchuk.words import (
     a_parity,
     cyclically_reduce,
@@ -81,6 +81,33 @@ def test_min_conjugate_is_minimal_over_rotations(w):
     rotations = [c[i:] + c[:i] for i in range(max(len(c), 1))]
     assert m in rotations or (not c and m == "")
     assert all(lambda_length(m) <= lambda_length(r) for r in rotations)
+
+
+def _least_rotation(w):
+    c = cyclically_reduce(w)
+    return min(c[i:] + c[:i] for i in range(max(len(c), 1)))
+
+
+def test_min_conjugate_is_least_rotation_on_14_ball():
+    # a canonical class key: the least rotation of the cyclic reduction
+    count = 0
+    for w in iter_ball_free(14):
+        assert min_conjugate(w) == _least_rotation(w), w
+        count += 1
+    assert count == 10931
+
+
+@given(reduced_words(max_size=80))
+def test_min_conjugate_is_least_rotation(w):
+    m = min_conjugate(w)
+    assert m == _least_rotation(w)
+    assert min_conjugate(m) == m
+
+
+def test_min_conjugate_rejects_unreduced_words():
+    for w in ("aab", "abcb", "abbcab"):
+        with pytest.raises(PreconditionError):
+            min_conjugate(w)
 
 
 def test_ball_counts_follow_alternation_recurrence():

@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings
 
 from conftest import reduced_words
+from grigorchuk import wreath
 from grigorchuk.cubic import LAMBDA_INV, lambda_length, radius_index
 from grigorchuk.errors import GrigError, PreconditionError
 from grigorchuk.words import BCD, a_parity, invert, iter_ball_free, min_conjugate, multiply
@@ -229,6 +231,47 @@ def test_verify_nball_reduces_supplied_words():
     assert rep.ok
     assert rep.to_dict() == verify_nball_proposition(4, words=["bab", "b"]).to_dict()
     assert rep.max_exponent == certify_exponent("bab", rep.level)[0]
+
+
+def test_levels_below_minus_one_are_rejected():
+    # level -1 is the last level the ball argument defines
+    with pytest.raises(ValueError, match="level must be >= -1"):
+        certify_exponent("ad", -5)
+    with pytest.raises(ValueError, match="level must be >= -1"):
+        certify_torsion("ad", -5)
+    with pytest.raises(ValueError, match="level must be >= -1"):
+        verify_nball_proposition(5, level=-7)
+    # checked up front, not only when a word reaches the step
+    with pytest.raises(ValueError, match="level must be >= -1"):
+        verify_nball_proposition(5, words=[], level=-2)
+    assert verify_nball_proposition(2, level=-1).word_count == 11
+
+
+# SHA-256 of the compact JSON of every NBallReport below, captured before
+# certification was keyed on conjugacy classes; 44 118 failures, each naming
+# the word that left the ball rather than its minimal conjugate
+SUBLEVEL_REPORTS_SHA256 = "ba2cb9a093e6f04d0546f4d2b9f97394d1706db8b79084a1dabd2f918ac7c594"
+
+
+def test_sublevel_failure_output_is_pinned():
+    reports = [
+        verify_nball_proposition(n, level=level).to_dict()
+        for n in (2, 5, 10, 12)
+        for level in range(-1, radius_index(n) + 1)
+    ]
+    assert sum(len(r["failures"]) for r in reports) == 44118
+    text = json.dumps(reports, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == SUBLEVEL_REPORTS_SHA256
+
+
+def test_exponent_memo_is_keyed_by_minimal_conjugates():
+    verify_nball_proposition(12)
+    assert wreath._exponent_memo
+    assert all(min_conjugate(m) == m for m, _level in wreath._exponent_memo)
+    # one entry per class: the memo is far smaller than the 12-ball
+    level = radius_index(12)
+    top = {m for m, lv in wreath._exponent_memo if lv == level}
+    assert len(top) < sum(1 for _ in iter_ball_free(12)) / 4
 
 
 def test_verify_nball_small():
