@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 import time
 
-from . import cubic, growth, permgrp, presentations, reports, wreath
+from . import growth, presentations, reports, wreath
 from .cosets import (
     abelian_invariants,
     close_normally,
@@ -24,7 +23,7 @@ from .cosets import (
 )
 from .cubic import lambda_length, radius_index
 from .errors import CapExceeded, GrigError, WordParseError
-from .words import enumerate_ball_free, format_word, min_conjugate, parse_word, reduce_word
+from .words import enumerate_ball_free, format_word, min_conjugate, parse_word
 from .wreath import certify_torsion, order, split, verify_nball_proposition
 
 EXIT_OK = 0

@@ -9,7 +9,7 @@ quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CapExceeded
 from .permgrp import PermGroup, closure as perm_closure

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cubic import ln_enclosure
-from .errors import CapExceeded
 from .words import LETTERS, invert, multiply
 from .wreath import is_trivial, level_action
 
@@ -66,20 +65,19 @@ def _entropy_enclosure(ball: int, n: int) -> tuple[Fraction, Fraction]:
     return lo / n, hi / n
 
 
-class _SignatureEquality:
-    """Bucket candidates by their depth-8 tree action, confirm exactly.
+class _BucketedEquality:
+    """Bucket candidates by an exact invariant ``key``, confirm equality by
+    the word problem.
 
-    Signatures alone never decide equality; they only shrink the set of
-    exact word-problem comparisons."""
+    The key never decides equality; it only shrinks the set of exact
+    word-problem comparisons.  Subclasses define ``key``."""
 
-    def __init__(self, depth: int = SIGNATURE_DEPTH):
-        self.depth = depth
+    def __init__(self):
         self.buckets: dict[tuple[int, ...], list[str]] = {}
 
     def probe(self, w: str) -> bool:
         """True if w is new; records it if so."""
-        sig = level_action(w, self.depth)
-        bucket = self.buckets.setdefault(sig, [])
+        bucket = self.buckets.setdefault(self.key(w), [])
         for rep in bucket:
             if is_trivial(multiply(invert(rep), w)):
                 return False
@@ -87,28 +85,24 @@ class _SignatureEquality:
         return True
 
 
-class _PureEquality:
-    """Exact word-problem comparisons against all known representatives,
-    pre-filtered only by the elementary-abelian image (an exact invariant)."""
-
-    def __init__(self):
-        self.classes: dict[tuple[int, int, int], list[str]] = {}
+class _SignatureEquality(_BucketedEquality):
+    """Key: the depth-8 tree action."""
 
     @staticmethod
-    def _abelian_image(w: str) -> tuple[int, int, int]:
-        # image in the (Z/2)^3 abelianization with basis (a, b, d); c = b + d
+    def key(w: str) -> tuple[int, ...]:
+        return level_action(w, SIGNATURE_DEPTH)
+
+
+class _PureEquality(_BucketedEquality):
+    """Key: the image in the (Z/2)^3 abelianization with basis (a, b, d),
+    where c = b + d."""
+
+    @staticmethod
+    def key(w: str) -> tuple[int, int, int]:
         na = w.count("a") & 1
         nb = (w.count("b") + w.count("c")) & 1
         nd = (w.count("d") + w.count("c")) & 1
         return na, nb, nd
-
-    def probe(self, w: str) -> bool:
-        bucket = self.classes.setdefault(self._abelian_image(w), [])
-        for rep in bucket:
-            if is_trivial(multiply(invert(rep), w)):
-                return False
-        bucket.append(w)
-        return True
 
 
 def ball_grigorchuk(

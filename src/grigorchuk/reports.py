@@ -23,7 +23,7 @@ from .cosets import (
     todd_coxeter,
 )
 from .cubic import CubicNumber, LAMBDA, LAMBDA_INV, WEIGHT, lambda_length
-from .words import BCD, LETTERS, reduce_word
+from .words import BCD, LETTERS, min_conjugate
 from .wreath import lemma_split_contraction_check, order, split
 
 
@@ -139,8 +139,6 @@ def check_lemma_ineq(cfg: CheckConfig) -> CheckReport:
     rng = random.Random(cfg.seed)
     strong_checked = weak_checked = 0
     violations = []
-    from .words import min_conjugate
-
     while strong_checked < cfg.lemma_samples:
         w = random_reduced_word(rng.randint(0, 24), rng)
         rep = lemma_split_contraction_check(w)
@@ -393,7 +391,7 @@ def check_radius_index(cfg: CheckConfig) -> CheckReport:
             return None
         return m
 
-    for n in range(2, cfg.radius_exhaustive + 1):
+    for n in range(1, cfg.radius_exhaustive + 1):
         m = good(n)
         if m is None or (prev is not None and m < prev):
             bad.append(n)

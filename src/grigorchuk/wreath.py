@@ -23,7 +23,7 @@ from .words import (
     BCD,
     a_parity,
     format_word,
-    invert,
+    iter_ball_free,
     min_conjugate,
     multiply,
     reduce_word,
@@ -421,8 +421,6 @@ def verify_nball_proposition(n: int, words=None, level: int | None = None) -> NB
     sampling) and is reduced word by word; ``level`` overrides the computed
     radius index.
     """
-    from .words import iter_ball_free
-
     if n < 2 and level is None:
         raise ValueError("need n >= 2 for a nonnegative level")
     if level is None:

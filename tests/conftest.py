@@ -1,7 +1,5 @@
 from hypothesis import strategies as st
 
-# the criterion streams in test_acceptance draw from the library generator
-from grigorchuk.reports import random_reduced_word as random_reduced
 from grigorchuk.words import BCD, LETTERS
 
 raw_words = st.text(alphabet=LETTERS, max_size=24)

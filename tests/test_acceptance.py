@@ -1,52 +1,45 @@
 """Acceptance gate: ten numbered criteria, one printed pass/fail line each.
 
+Each criterion asserts on the ``reports.check_*`` builders that
+``grig check-all`` runs, with this module's seed and sample sizes, so every
+check exists once.  The witnesses are asserted to hold the full sample
+sizes, so a smaller configuration cannot pass silently.
+
 All numeric claims are exact (zero tolerance) unless a rational enclosure
 width is stated explicitly.  Criterion 2 is asserted twice over the
-exhaustive n-balls for n = 2, 5, 10, 20: once at a pinned table of levels
-i(n) = 2, 6, 9, 13, each checked against its defining bracket
-L^(i+1) <= n < L^(i+2) independently of radius_index, and once at the
-levels radius_index computes.  Both use the exponent bound i(n)+2.  An
-earlier statement of the claim pinned i(10) = 11 and the bound i(n)+1;
-exact arithmetic refutes both.  L^10 ~ 8.17 <= 10 < L^11 ~ 10.08 gives
-i(10) = 9, and ab has order 16 in the limit group, onto which every
-approximant maps, so the 2-ball needs exponent 4 > i(2)+1 = 3.  The
-pinned test asserts that tightness.
+exhaustive n-balls for n = 2, 5, 10, 20: once here at a pinned table of
+levels i(n) = 2, 6, 9, 13, each checked against its defining bracket
+L^(i+1) <= n < L^(i+2) independently of radius_index, and once by the
+builder at the levels radius_index computes.  Both use the exponent bound
+i(n)+2.  An earlier statement of the claim pinned i(10) = 11 and the bound
+i(n)+1; exact arithmetic refutes both.  L^10 ~ 8.17 <= 10 < L^11 ~ 10.08
+gives i(10) = 9, and ab has order 16 in the limit group, onto which every
+approximant maps, so the 2-ball needs exponent 4 > i(2)+1 = 3.  The pinned
+test asserts that tightness.
 """
 
-import random
 import time
-from fractions import Fraction
 
-from conftest import random_reduced
-from grigorchuk import cubic, growth, permgrp, presentations
-from grigorchuk.cosets import (
-    abelian_invariants,
-    close_normally,
-    quotient_group,
-    reidemeister_schreier,
-    todd_coxeter,
+import pytest
+
+from grigorchuk.cubic import compare_power_to_int, radius_index
+from grigorchuk.reports import (
+    CheckConfig,
+    check_core_lemma_corpus,
+    check_cosets,
+    check_growth_cross,
+    check_index_bounds,
+    check_lemma_ineq,
+    check_nball,
+    check_order_table,
+    check_radius_index,
+    check_splitting_identity,
+    check_weight_identities,
 )
-from grigorchuk.cubic import (
-    LAMBDA,
-    LAMBDA_INV,
-    WEIGHT,
-    CubicNumber,
-    compare_power_to_int,
-    lambda_length,
-    log_lambda_enclosure,
-    radius_index,
-)
-from grigorchuk.words import BCD, min_conjugate
-from grigorchuk.wreath import (
-    certify_exponent,
-    lemma_split_contraction_check,
-    order,
-    order_by_squaring,
-    split,
-    verify_nball_proposition,
-)
+from grigorchuk.wreath import certify_exponent, order, verify_nball_proposition
 
 SEED = 2025
+NBALL_RADII = (2, 5, 10, 20)
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> bool:
@@ -57,30 +50,32 @@ def report(criterion: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
+def passed(reports) -> bool:
+    return all(r.status == "pass" for r in reports)
+
+
+@pytest.fixture(scope="module")
+def nball_reports():
+    cfg = CheckConfig(
+        seed=SEED,
+        nball_radii=NBALL_RADII,
+        nball_random_max=30,
+        nball_random_samples=100_000,
+    )
+    return {r.check_id: r for r in check_nball(cfg)}
+
+
+@pytest.fixture(scope="module")
+def coset_reports():
+    return {r.check_id: r for r in check_cosets(CheckConfig())}
+
+
 def test_criterion_01_exact_metric_identities():
     t0 = time.perf_counter()
-    a, b, c, d = (WEIGHT[x] for x in "abcd")
-    ok = (
-        a + c == LAMBDA_INV
-        and a + d == LAMBDA**-2
-        and b == CubicNumber(1) - a
-        and b == LAMBDA**-3
-        and b == c + d
-    )
-    for xi in BCD:
-        x0, x1 = split(xi)
-        ok = ok and (
-            lambda_length(x0) + lambda_length(x1)
-            == LAMBDA_INV * (WEIGHT[xi] + WEIGHT["a"])
-        )
+    reps = [check_weight_identities(CheckConfig()), check_splitting_identity(CheckConfig())]
     elapsed = time.perf_counter() - t0
-    ok = ok and elapsed < 1.0
+    ok = passed(reps) and elapsed < 1.0
     assert report("01 exact metric identities", ok, f"{elapsed:.3f}s, zero tolerance")
-
-
-def _exhaustive_nball(n: int, level: int):
-    rep = verify_nball_proposition(n, level=level)
-    return rep
 
 
 def test_criterion_02_exhaustive_as_stated():
@@ -101,7 +96,7 @@ def test_criterion_02_exhaustive_as_stated():
     for n, lvl in stated_levels.items():
         computed = radius_index(n)
         bracket_ok = compare_power_to_int(lvl + 1, n) <= 0 < compare_power_to_int(lvl + 2, n)
-        rep = _exhaustive_nball(n, lvl)
+        rep = verify_nball_proposition(n, level=lvl)
         exp_ok = rep.ok and rep.max_exponent <= lvl + 2
         details.append(f"n={n}: i={computed} (stated {lvl}), max_exp={rep.max_exponent}")
         ok = ok and bracket_ok and computed == lvl and exp_ok
@@ -116,73 +111,46 @@ def test_criterion_02_exhaustive_as_stated():
     assert report("02 n-ball torsion (as stated)", ok, "; ".join(details))
 
 
-def test_criterion_02_exhaustive_computed_levels():
+def test_criterion_02_exhaustive_computed_levels(nball_reports):
     """Same sweep at the computed levels with the bound i(n)+2, which the
     recursion's base case (4-torsion at level 0) actually supports."""
-    ok = True
-    details = []
-    for n in (2, 5, 10, 20):
-        lvl = radius_index(n)
-        rep = _exhaustive_nball(n, lvl)
-        ok = ok and rep.ok and rep.max_exponent <= lvl + 2
-        details.append(f"n={n}: i={lvl}, words={rep.word_count}, max_exp={rep.max_exponent}")
+    wits = [nball_reports[f"nball-torsion-{n}"].witnesses for n in NBALL_RADII]
+    ok = passed(nball_reports[f"nball-torsion-{n}"] for n in NBALL_RADII)
+    details = [
+        f"n={w['radius']}: i={w['level']}, words={w['word_count']}, max_exp={w['max_exponent']}"
+        for w in wits
+    ]
     assert report("02 n-ball torsion (computed levels, bound i+2)", ok, "; ".join(details))
 
 
-def test_criterion_02_random_words():
-    rng = random.Random(SEED)
-    samples = 100_000
-    failures = 0
-    total = 0
-    for n in range(2, 31):
-        lvl = radius_index(n)
-        words = (random_reduced(rng.randint(0, n), rng) for _ in range(samples))
-        rep = verify_nball_proposition(n, words=words, level=lvl)
-        failures += len(rep.failures)
-        total += rep.word_count
-    ok = failures == 0
+def test_criterion_02_random_words(nball_reports):
+    rep = nball_reports["nball-torsion-random-30"]
+    wit = rep.witnesses
+    ok = rep.status == "pass" and wit["count"] == 2_900_000
     assert report(
-        "02 n-ball torsion (random)", ok, f"{total} words over n=2..30, {failures} failures"
+        "02 n-ball torsion (random)",
+        ok,
+        f"{wit['count']} words over n=2..30, {wit['failures']} failures",
     )
 
 
 def test_criterion_03_contraction_inequality():
-    rng = random.Random(SEED)
-    strong = 0
-    violations = 0
-    while strong < 10_000:
-        w = random_reduced(rng.randint(0, 24), rng)
-        if not lemma_split_contraction_check(w).weak_holds:
-            violations += 1
-        m = min_conjugate(w)
-        if m in BCD:
-            continue
-        if not lemma_split_contraction_check(m).strong_holds:
-            violations += 1
-        strong += 1
-    ok = violations == 0
+    rep = check_lemma_ineq(CheckConfig(seed=SEED, lemma_samples=10_000))
+    strong = rep.witnesses["strong_checked"]
+    ok = rep.status == "pass" and strong == 10_000
     assert report("03 contraction inequality", ok, f"{strong} minimal conjugates, exact")
 
 
 def test_criterion_04_order_table():
-    expected = {"a": 2, "b": 2, "c": 2, "d": 2, "ad": 4, "ac": 8, "ab": 16}
-    got = {w: order(w) for w in expected}
-    oracle = {w: order_by_squaring(w) for w in expected}
-    ok = got == expected and oracle == expected
-    assert report("04 order table", ok, f"{got}, oracle agrees")
+    rep = check_order_table(CheckConfig())
+    assert report("04 order table", rep.status == "pass", f"{rep.witnesses['computed']}, oracle agrees")
 
 
-def test_criterion_05_quotient_structure():
-    t0 = time.perf_counter()
-    base = presentations.gamma0_coxeter_presentation()
-    t16 = todd_coxeter(close_normally(base, ["abab"]))
-    iso = t16.index == 16 and permgrp.small_isomorphic(
-        quotient_group(t16), permgrp.z2_times_d8()
-    )
-    t4 = todd_coxeter(close_normally(base, ["ab"]))
-    t2 = todd_coxeter(presentations.gamma_presentation(0), presentations.xi_generators())
-    elapsed = time.perf_counter() - t0
-    ok = iso and t4.index == 4 and t2.index == 2 and elapsed < 3.0
+def test_criterion_05_quotient_structure(coset_reports):
+    reps = [coset_reports[i] for i in ("coset-index-16-iso", "coset-index-4", "coset-xi-index-2")]
+    elapsed = sum(r.wall_time for r in reps)
+    iso = coset_reports["coset-index-16-iso"].witnesses["isomorphic"]
+    ok = passed(reps) and elapsed < 3.0
     assert report(
         "05 quotient structure",
         ok,
@@ -190,77 +158,42 @@ def test_criterion_05_quotient_structure():
     )
 
 
-def test_criterion_06_h0_abelianization():
-    base = presentations.gamma0_coxeter_presentation()
-    table = todd_coxeter(close_normally(base, ["abab"]))
-    inv = abelian_invariants(reidemeister_schreier(base, table))
-    ok = inv.free_rank == 3 and inv.divisors == ()
-    assert report("06 subgroup abelianization", ok, f"invariants {inv}")
+def test_criterion_06_h0_abelianization(coset_reports):
+    reps = [coset_reports[i] for i in ("h0-abelianization", "abelianization-223")]
+    inv = coset_reports["h0-abelianization"].witnesses["invariants"]
+    assert report("06 subgroup abelianization", passed(reps), f"invariants {inv}")
 
 
 def test_criterion_07_index_bound_arithmetic():
-    ib = presentations.index_bounds(0)
-    ok = (ib.alpha, ib.beta) == (4, 0)
-    ok = ok and all(presentations.closed_form_check(n) for n in range(21))
-    assert report("07 index-bound closed forms", ok, "n <= 20, exact bignum")
+    rep = check_index_bounds(CheckConfig())
+    assert report("07 index-bound closed forms", rep.status == "pass", "n <= 20, exact bignum")
 
 
 def test_criterion_08_core_lemma():
-    violations = 0
-    applicable = 0
-    for G in permgrp.lemma_corpus().values():
-        for H in permgrp.enumerate_subgroups(G):
-            rep = permgrp.check_core_lemma(G, H)
-            if rep.applicable:
-                applicable += 1
-                if not rep.passed:
-                    violations += 1
-    A4 = permgrp.alternating_4()
-    H3 = permgrp.closure([permgrp.from_cycles(4, [(0, 1, 2)])])
-    a4rep = permgrp.check_core_lemma(A4, H3)
-    sharp = not a4rep.applicable and a4rep.core_index == 12
-    ok = violations == 0 and sharp
+    corpus, sharp = check_core_lemma_corpus(CheckConfig())
     assert report(
         "08 core-index bound",
-        ok,
-        f"{applicable} applicable pairs, {violations} violations; A4 core index 12",
+        passed([corpus, sharp]),
+        f"{corpus.witnesses['applicable_pairs']} applicable pairs, "
+        f"{len(corpus.witnesses['violations'])} violations; "
+        f"A4 core index {sharp.witnesses['core_index']}",
     )
 
 
 def test_criterion_09_growth_cross_validation():
-    sig = growth.ball_grigorchuk(8, use_signatures=True)
-    pure = growth.ball_grigorchuk(8, use_signatures=False)
-    sizes = sig.ball_sizes()
-    free_sizes = [growth.ball_free_product(n) for n in range(9)]
-    ok = (
-        sizes == pure.ball_sizes()
-        and sizes[1] == 5
-        and sizes[2] == 11
-        and all(g <= f for g, f in zip(sizes, free_sizes))
-    )
+    rep = check_growth_cross(CheckConfig(growth_maxn=8))
+    sizes = rep.witnesses["ball_sizes"]
+    ok = rep.status == "pass" and len(sizes) == 9
     assert report("09 growth cross-validation", ok, f"balls {sizes}")
 
 
 def test_criterion_10_radius_index_and_log():
-    rng = random.Random(SEED)
-    bad = 0
-    for n in range(1, 10_001):
-        m = radius_index(n)
-        if compare_power_to_int(m + 1, n) > 0 or compare_power_to_int(m + 2, n) <= 0:
-            bad += 1
-    for _ in range(500):
-        n = rng.randint(10_000, 1_000_000)
-        m = radius_index(n)
-        if compare_power_to_int(m + 1, n) > 0 or compare_power_to_int(m + 2, n) <= 0:
-            bad += 1
-    lo, hi = log_lambda_enclosure(4)
-    # "contains 6.60" read at two-decimal precision: the enclosure lies
-    # inside (6.595, 6.605), so it rounds to 6.60; the exact value is
-    # 6.59952..., so the literal point 6.60 is outside any tight enclosure
-    rounds = Fraction(6595, 1000) < lo < hi < Fraction(6605, 1000)
-    ok = bad == 0 and rounds and hi - lo < Fraction(1, 10**6)
+    cfg = CheckConfig(seed=SEED, radius_exhaustive=10_000, radius_random=500, radius_max=1_000_000)
+    rep = check_radius_index(cfg)
+    lo, hi = rep.witnesses["log_lambda_4"]
     assert report(
         "10 radius index exactness",
-        ok,
-        f"0 bracket violations, log_L(4) in [{float(lo):.7f}, {float(hi):.7f}]",
+        rep.status == "pass",
+        f"{len(rep.witnesses['violations'])} bracket violations, "
+        f"log_L(4) in [{lo:.7f}, {hi:.7f}]",
     )

@@ -179,3 +179,26 @@ def test_negative_control_tampered_weight(capsys, monkeypatch):
     rep = reports.check_weight_identities(reports.CheckConfig())
     assert rep.status == "fail"
     assert rep.witnesses["|a|+|c| = 1/L"] is False
+
+
+def test_negative_control_wrong_order(monkeypatch):
+    """A wrong order must trip the order table."""
+    from grigorchuk import reports
+
+    monkeypatch.setattr(reports, "order", lambda w: 2)
+    rep = reports.check_order_table(reports.CheckConfig())
+    assert rep.status == "fail"
+    assert rep.witnesses["computed"]["ab"] == 2
+
+
+def test_negative_control_nball_level_too_low(monkeypatch):
+    """At level 1 the word ab leaves the ball of the radius test, so the
+    2-ball check must report its failures."""
+    from grigorchuk import reports, wreath
+
+    real = wreath.cubic.radius_index
+    monkeypatch.setattr(wreath.cubic, "radius_index", lambda n: 1 if n == 2 else real(n))
+    (rep,) = reports.check_nball(reports.CheckConfig(nball_radii=(2,)))
+    assert rep.status == "fail"
+    assert rep.witnesses["level"] == 1
+    assert rep.witnesses["failures"]

@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from grigorchuk.cosets import (
@@ -8,7 +7,6 @@ from grigorchuk.cosets import (
     reidemeister_schreier,
     todd_coxeter,
 )
-from grigorchuk.errors import CapExceeded
 from grigorchuk.permgrp import small_isomorphic, z2_times_d8
 from grigorchuk.presentations import (
     Presentation,

@@ -2,7 +2,6 @@ import pytest
 
 from grigorchuk.errors import CapExceeded
 from grigorchuk.permgrp import (
-    PermGroup,
     alternating_4,
     check_core_lemma,
     closure,
