@@ -216,9 +216,12 @@ def todd_coxeter(
 
 
 def close_normally(presentation: Presentation, words) -> Presentation:
-    """Presentation of the quotient by the normal closure of ``words``."""
+    """Presentation of the quotient by the normal closure of ``words``;
+    raises ValueError on a word over an undeclared generator."""
     extra = tuple(w if isinstance(w, tuple) else relator_from_string(w) for w in words)
-    return Presentation(presentation.generators, presentation.relators + extra)
+    p = Presentation(presentation.generators, presentation.relators + extra)
+    p.validate()
+    return p
 
 
 def quotient_group(table: CosetTable) -> PermGroup:
@@ -342,7 +345,7 @@ def _simplify_single_occurrences(p: Presentation) -> Presentation:
 
 @dataclass(frozen=True)
 class AbelianInvariants:
-    divisors: tuple[int, ...]  # elementary divisors > 1, in a divisor chain
+    divisors: tuple[int, ...]  # invariant factors > 1, each dividing the next
     free_rank: int
 
     def __str__(self):
@@ -350,23 +353,22 @@ class AbelianInvariants:
         return " x ".join(parts) if parts else "trivial"
 
 
-def relation_matrix(p: Presentation) -> list[list[int]]:
+def relation_matrix(p: Presentation) -> list[dict[int, int]]:
+    """Sparse exponent-sum rows ``{generator column: exponent sum}``."""
+    column = {g: i for i, g in enumerate(p.generators)}
     rows = []
     for rel in p.relators:
-        row = [0] * len(p.generators)
+        row: dict[int, int] = {}
         for g, e in rel:
-            row[p.generators.index(g)] += e
+            j = column[g]
+            row[j] = row.get(j, 0) + e
         rows.append(row)
     return rows
 
 
 def abelian_invariants(p: Presentation) -> AbelianInvariants:
-    """Elementary divisors and free rank from the Smith normal form of the
+    """Invariant factors and free rank from the Smith normal form of the
     exponent-sum relation matrix."""
-    if not p.relators:
-        return AbelianInvariants((), len(p.generators))
-    D, _, _ = smith_normal_form(relation_matrix(p))
-    diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
-    rank = sum(1 for d in diag if d != 0)
-    divisors = tuple(d for d in diag if d > 1)
-    return AbelianInvariants(divisors, len(p.generators) - rank)
+    factors = smith_normal_form(relation_matrix(p))
+    divisors = tuple(d for d in factors if d > 1)
+    return AbelianInvariants(divisors, len(p.generators) - len(factors))

@@ -9,9 +9,10 @@ status is the worst individual one.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from . import cubic, growth, permgrp, presentations, wreath
@@ -55,7 +56,7 @@ class CheckConfig:
                 value = value.strip()
                 if key == "nball_radii":
                     cfg.nball_radii = tuple(int(x) for x in value.split(",") if x)
-                elif hasattr(cfg, key):
+                elif key in {f.name for f in fields(CheckConfig)}:
                     setattr(cfg, key, int(value))
                 else:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
@@ -97,9 +98,24 @@ def random_reduced_word(length: int, rng: random.Random) -> str:
     return "".join(out)
 
 
+def _timed(builder):
+    """Set the wall time of a builder's single report; builders of several
+    reports time each report themselves."""
+
+    @functools.wraps(builder)
+    def timed(cfg: CheckConfig) -> CheckReport:
+        t0 = time.perf_counter()
+        report = builder(cfg)
+        report.wall_time = time.perf_counter() - t0
+        return report
+
+    return timed
+
+
 # -- individual checks ------------------------------------------------------
 
 
+@_timed
 def check_weight_identities(cfg: CheckConfig) -> CheckReport:
     a, b, c, d = (WEIGHT[x] for x in "abcd")
     identities = {
@@ -118,6 +134,7 @@ def check_weight_identities(cfg: CheckConfig) -> CheckReport:
     )
 
 
+@_timed
 def check_splitting_identity(cfg: CheckConfig) -> CheckReport:
     wit = {}
     ok = True
@@ -135,6 +152,7 @@ def check_splitting_identity(cfg: CheckConfig) -> CheckReport:
     )
 
 
+@_timed
 def check_lemma_ineq(cfg: CheckConfig) -> CheckReport:
     rng = random.Random(cfg.seed)
     strong_checked = weak_checked = 0
@@ -165,6 +183,7 @@ def check_lemma_ineq(cfg: CheckConfig) -> CheckReport:
     )
 
 
+@_timed
 def check_order_table(cfg: CheckConfig) -> CheckReport:
     expected = {"a": 2, "b": 2, "c": 2, "d": 2, "ad": 4, "ac": 8, "ab": 16}
     got = {w: order(w) for w in expected}
@@ -311,6 +330,7 @@ def check_cosets(cfg: CheckConfig) -> list[CheckReport]:
     return out
 
 
+@_timed
 def check_index_bounds(cfg: CheckConfig) -> CheckReport:
     ok = all(presentations.closed_form_check(n) for n in range(21))
     ib0 = presentations.index_bounds(0)
@@ -358,8 +378,8 @@ def check_core_lemma_corpus(cfg: CheckConfig) -> list[CheckReport]:
     return [corpus_report, sharp]
 
 
+@_timed
 def check_growth_cross(cfg: CheckConfig) -> CheckReport:
-    t0 = time.perf_counter()
     sig = growth.ball_grigorchuk(cfg.growth_maxn, use_signatures=True)
     pure = growth.ball_grigorchuk(cfg.growth_maxn, use_signatures=False)
     free_counts = [growth.ball_free_product(n) for n in range(cfg.growth_maxn + 1)]
@@ -375,12 +395,11 @@ def check_growth_cross(cfg: CheckConfig) -> CheckReport:
         "bounded by the free-product counts",
         _status(ok),
         {"ball_sizes": sizes, "free_sizes": free_counts},
-        time.perf_counter() - t0,
     )
 
 
+@_timed
 def check_radius_index(cfg: CheckConfig) -> CheckReport:
-    t0 = time.perf_counter()
     rng = random.Random(cfg.seed)
     bad = []
     prev = None
@@ -412,7 +431,6 @@ def check_radius_index(cfg: CheckConfig) -> CheckReport:
             "log_lambda_4": [float(lo), float(hi)],
             "rounds_to_6.60": rounded_660,
         },
-        time.perf_counter() - t0,
     )
 
 
@@ -434,15 +452,8 @@ def check_all(cfg: CheckConfig | None = None) -> list[CheckReport]:
     cfg = cfg or CheckConfig()
     reports: list[CheckReport] = []
     for builder in _CHECK_BUILDERS:
-        t0 = time.perf_counter()
         result = builder(cfg)
-        elapsed = time.perf_counter() - t0
-        if isinstance(result, list):
-            reports.extend(result)
-        else:
-            if not result.wall_time:
-                result.wall_time = elapsed
-            reports.append(result)
+        reports.extend(result if isinstance(result, list) else [result])
     reports.sort(key=lambda r: r.check_id)
     return reports
 

@@ -1,129 +1,56 @@
-"""Integer Smith normal form with transformation matrices.
+"""Invariant factors of an integer matrix (Smith normal form, diagonal only).
 
-Plain row/column reduction with exact arbitrary-precision integers; the
-matrices here are small (at most a few hundred entries on each side).
+Sparse elimination over exact integers: rows are ``{column: value}``
+dicts, so the long, mostly unit-entry relation matrices of
+Reidemeister-Schreier presentations stay cheap.  No transforming matrices
+are kept (Sims, *Computation with Finitely Presented Groups*, ch. 8).
 """
 
 from __future__ import annotations
 
-
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+from math import gcd
 
 
-def smith_normal_form(matrix):
-    """Return (D, U, V) with U @ A @ V = D, U and V unimodular, and D
-    diagonal with d1 | d2 | ... nonnegative."""
-    A = [list(row) for row in matrix]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    U = _identity(m)
-    V = _identity(n)
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, k):  # row[dst] += k * row[src]
-        A[dst] = [x + k * y for x, y in zip(A[dst], A[src])]
-        U[dst] = [x + k * y for x, y in zip(U[dst], U[src])]
-
-    def add_col(dst, src, k):
-        for row in A:
-            row[dst] += k * row[src]
-        for row in V:
-            row[dst] += k * row[src]
-
-    def negate_row(i):
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
-
-    t = 0
-    while t < min(m, n):
-        # pick the nonzero entry of smallest magnitude as pivot; re-selecting
-        # it after every sweep keeps quotients small (each sweep is one
-        # Euclid step, so the pivot magnitude strictly decreases)
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] != 0 and (pivot is None or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        p = A[t][t]
-        for i in range(t + 1, m):
-            if A[i][t] != 0:
-                add_row(i, t, -(A[i][t] // p))
-        for j in range(t + 1, n):
-            if A[t][j] != 0:
-                add_col(j, t, -(A[t][j] // p))
-        if any(A[i][t] for i in range(t + 1, m)) or any(A[t][j] for j in range(t + 1, n)):
-            continue  # remainders are smaller than the pivot; re-select
-        if A[t][t] < 0:
-            negate_row(t)
-        # enforce divisibility of the remaining block by the pivot
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % A[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(t, offender, 1)
+def smith_normal_form(rows) -> list[int]:
+    """Return the nonzero invariant factors d1 | d2 | ... | dr (all
+    positive, r the rank) of the integer matrix whose rows are the given
+    ``{column: value}`` mappings; absent columns are zero."""
+    rows = [r for r in ({j: x for j, x in row.items() if x} for row in rows) if r]
+    diagonal = []
+    while rows:
+        # least-magnitude pivot, on ties from the shortest row: each
+        # unfinished sweep leaves a smaller entry, so this terminates
+        prow = min(rows, key=lambda r: (min(map(abs, r.values())), len(r)))
+        j = min(prow, key=lambda k: abs(prow[k]))
+        p = prow[j]
+        clear = True
+        for r in rows:
+            if r is not prow and j in r:
+                q = r[j] // p
+                for k, x in prow.items():
+                    y = r.get(k, 0) - q * x
+                    if y:
+                        r[k] = y
+                    else:
+                        del r[k]
+                clear = clear and j not in r
+        rows = [r for r in rows if r]
+        if not clear:
             continue
-        t += 1
-    D = [[A[i][j] if i == j else 0 for j in range(n)] for i in range(m)]
-    # A is diagonal at this point; assert to catch reduction bugs
-    for i in range(m):
-        for j in range(n):
-            if i != j and A[i][j] != 0:
-                raise AssertionError("Smith reduction left an off-diagonal entry")
-    return D, U, V
-
-
-def mat_mul(X, Y):
-    rows, inner, cols = len(X), len(Y), len(Y[0]) if Y else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        Xi = X[i]
-        for k in range(inner):
-            x = Xi[k]
-            if x:
-                Yk = Y[k]
-                Oi = out[i]
-                for j in range(cols):
-                    Oi[j] += x * Yk[j]
-    return out
-
-
-def det(matrix) -> int:
-    """Exact integer determinant (fraction-free Gaussian elimination)."""
-    A = [list(row) for row in matrix]
-    n = len(A)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k] != 0:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1] if n else 1
+        # column j is zero off the pivot row, so column operations reduce
+        # that row modulo p without touching any other row
+        for k in [k for k in prow if k != j]:
+            prow[k] %= p
+            if not prow[k]:
+                del prow[k]
+        if len(prow) == 1:
+            diagonal.append(abs(p))
+            rows.remove(prow)
+    # diag(a, b) ~ diag(gcd, lcm); one pass turns the diagonal into a chain
+    ones = diagonal.count(1)
+    chain = [d for d in diagonal if d != 1]
+    for i in range(len(chain)):
+        for k in range(i + 1, len(chain)):
+            g = gcd(chain[i], chain[k])
+            chain[i], chain[k] = g, chain[i] * chain[k] // g
+    return [1] * ones + chain

@@ -116,6 +116,13 @@ def test_coset_missing_source():
         main(["coset"])
 
 
+@pytest.mark.parametrize("command", ["coset", "abelianize"])
+def test_close_with_undeclared_generator_exit_2(capsys, command):
+    code, _, err = run(capsys, command, "--gamma0", "--close", "acac")
+    assert code == 2
+    assert "undeclared generator 'c'" in err
+
+
 def test_abelianize(capsys):
     code, out, _ = run(capsys, "abelianize", "--level", "0")
     assert code == 0
@@ -167,6 +174,33 @@ def test_check_all_bad_config(capsys, tmp_path):
     code, _, err = run(capsys, "check-all", "--config", str(cfg))
     assert code == 2
     assert "key = value" in err
+
+
+@pytest.mark.parametrize("line", ["from_file = 3", "__class__ = 1"])
+def test_check_all_rejects_unknown_config_key(capsys, tmp_path, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"nball_radii = 2\n{line}\n")
+    code, _, err = run(capsys, "check-all", "--config", str(cfg))
+    assert code == 2
+    assert f"bad.cfg:2: unknown key {line.split()[0]!r}" in err
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [
+        "check_weight_identities",
+        "check_splitting_identity",
+        "check_lemma_ineq",
+        "check_order_table",
+        "check_index_bounds",
+    ],
+)
+def test_single_report_builders_time_themselves(builder):
+    from grigorchuk import reports
+
+    rep = getattr(reports, builder)(reports.CheckConfig(lemma_samples=10))
+    assert rep.status == "pass"
+    assert rep.wall_time > 0
 
 
 def test_negative_control_tampered_weight(capsys, monkeypatch):

@@ -1,3 +1,7 @@
+from itertools import combinations, permutations
+from math import gcd, prod
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from grigorchuk.cosets import (
@@ -14,7 +18,7 @@ from grigorchuk.presentations import (
     gamma_presentation,
     xi_generators,
 )
-from grigorchuk.snf import det, mat_mul, smith_normal_form
+from grigorchuk.snf import smith_normal_form
 
 
 def test_todd_coxeter_trivial_subgroup_of_v4():
@@ -96,11 +100,32 @@ def test_abelian_invariants_free_group():
     assert inv.free_rank == 2 and inv.divisors == ()
 
 
+@pytest.mark.parametrize(
+    "word, level, invariants, index, shape",
+    [
+        ("abab", 1, "Z/2 x Z x Z", 16, (128, 49)),
+        ("abab", 2, "Z/2 x Z/4 x Z/8", 16, (160, 49)),
+        ("adad", 1, "Z/2 x Z/2 x Z/2 x Z/2 x Z/2 x Z/2 x Z/2", 32, (256, 97)),
+        ("abababab", 1, "Z x Z x Z x Z x Z x Z", 256, (2048, 769)),
+    ],
+)
+def test_normal_closure_abelianizations(word, level, invariants, index, shape):
+    base = gamma_presentation(level)
+    t = todd_coxeter(close_normally(base, [word]))
+    assert t.status == "complete" and t.index == index
+    sub = reidemeister_schreier(base, t)
+    assert (len(sub.relators), len(sub.generators)) == shape
+    assert str(abelian_invariants(sub)) == invariants
+
+
+def sparse(A):
+    return [{j: x for j, x in enumerate(row) if x} for row in A]
+
+
 def test_smith_normal_form_known():
-    D, _, _ = smith_normal_form([[2, 0], [0, 3]])
-    assert [D[0][0], D[1][1]] == [1, 6]
-    D, _, _ = smith_normal_form([[6, 0], [0, 10]])
-    assert [D[0][0], D[1][1]] == [2, 30]
+    assert smith_normal_form(sparse([[2, 0], [0, 3]])) == [1, 6]
+    assert smith_normal_form(sparse([[6, 0], [0, 10]])) == [2, 30]
+    assert smith_normal_form([]) == []
 
 
 matrices = st.integers(min_value=1, max_value=6).flatmap(
@@ -114,18 +139,33 @@ matrices = st.integers(min_value=1, max_value=6).flatmap(
 )
 
 
+def leibniz_det(M):
+    n = len(M)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[k] for i in range(n) for k in range(i + 1, n))
+        total += (-1) ** inversions * prod(M[i][perm[i]] for i in range(n))
+    return total
+
+
+def invariant_factors_by_minors(A):
+    """d_k = D_k / D_(k-1), where D_k is the gcd of the k x k minors."""
+    D = [1]
+    for k in range(1, min(len(A), len(A[0])) + 1):
+        g = 0
+        for rows in combinations(range(len(A)), k):
+            for cols in combinations(range(len(A[0])), k):
+                g = gcd(g, leibniz_det([[A[i][j] for j in cols] for i in rows]))
+        if g == 0:
+            break
+        D.append(g)
+    return [D[k] // D[k - 1] for k in range(1, len(D))]
+
+
 @given(matrices)
-@settings(max_examples=60)
-def test_smith_normal_form_properties(A):
-    D, U, V = smith_normal_form(A)
-    assert mat_mul(mat_mul(U, A), V) == D
-    assert abs(det(U)) == 1
-    assert abs(det(V)) == 1
-    diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
-    assert all(d >= 0 for d in diag)
-    for x, y in zip(diag, diag[1:]):
-        if y:
-            assert x != 0 and y % x == 0
+@settings(max_examples=60, deadline=None)
+def test_smith_normal_form_matches_determinantal_divisors(A):
+    assert smith_normal_form(sparse(A)) == invariant_factors_by_minors(A)
 
 
 def test_coset_table_trace():
