@@ -1,14 +1,15 @@
 """Exact arithmetic in Q(L), L the real root of 2*X^3 - X^2 - X - 1.
 
-Elements are stored as rational coefficient triples c0 + c1*L + c2*L**2.
-Equality is decided coefficient-wise; order comparisons refine a shared
-rational isolating interval for L until the sign of the difference is
-certain.  The letter weights of the metric and the radius function live
-here too.
+An element is stored as integers (n0 + n1*L + n2*L**2) / den in canonical
+form: den > 0 and gcd(n0, n1, n2, den) = 1, so equality is decided field
+by field.  Order comparisons refine a shared rational isolating interval
+for L until the sign of an integer triple is certain.  The letter weights
+of the metric and the radius function live here too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -64,57 +65,76 @@ class _Enclosure:
 _ENCLOSURE = _Enclosure()
 
 
+def _interval(c0: int, c1: int, c2: int) -> tuple[int, int, int]:
+    """(low, high, q2) with low/q2 <= c0 + c1*L + c2*L^2 <= high/q2, by
+    interval evaluation over the current enclosure [lo, hi]/q, q2 = q^2
+    (lo > 0, so each term is monotone in L)."""
+    enc = _ENCLOSURE
+    lo, hi, q = enc.num_lo, enc.num_hi, 1 << enc.k
+    t1a, t1b = c1 * lo * q, c1 * hi * q
+    t2a, t2b = c2 * lo * lo, c2 * hi * hi
+    base = c0 * q * q
+    return base + min(t1a, t1b) + min(t2a, t2b), base + max(t1a, t1b) + max(t2a, t2b), q * q
+
+
 def _sign_int_triple(c0: int, c1: int, c2: int) -> int:
     """Exact sign of c0 + c1*L + c2*L^2 for integer coefficients."""
     if c0 == 0 and c1 == 0 and c2 == 0:
         return 0
-    enc = _ENCLOSURE
     while True:
-        lo, hi, q = enc.num_lo, enc.num_hi, 1 << enc.k
-        # interval evaluation over [lo, hi]/q with common denominator q^2
-        t1a, t1b = c1 * lo * q, c1 * hi * q
-        t2a, t2b = c2 * lo * lo, c2 * hi * hi
-        base = c0 * q * q
-        low = base + min(t1a, t1b) + min(t2a, t2b)
-        high = base + max(t1a, t1b) + max(t2a, t2b)
+        low, high, _ = _interval(c0, c1, c2)
         if low > 0:
             return 1
         if high < 0:
             return -1
         # a nonzero element of Q(L) is nonzero at L, so refinement terminates
-        enc.refine(enc.k * 2)
+        _ENCLOSURE.refine(_ENCLOSURE.k * 2)
 
 
-def _sign_fraction_triple(c0: Fraction, c1: Fraction, c2: Fraction) -> int:
-    d = c0.denominator * c1.denominator * c2.denominator
-    return _sign_int_triple(
-        c0.numerator * (d // c0.denominator),
-        c1.numerator * (d // c1.denominator),
-        c2.numerator * (d // c2.denominator),
-    )
+_set = object.__setattr__
+
+
+def _store(x: "CubicNumber", n0: int, n1: int, n2: int, den: int) -> "CubicNumber":
+    """Store (n0 + n1*L + n2*L^2) / den, den > 0, in x in canonical form."""
+    g = math.gcd(n0, n1, n2, den)
+    _set(x, "n0", n0 // g)
+    _set(x, "n1", n1 // g)
+    _set(x, "n2", n2 // g)
+    _set(x, "den", den // g)
+    return x
+
+
+def _new(n0: int, n1: int, n2: int, den: int) -> "CubicNumber":
+    return _store(object.__new__(CubicNumber), n0, n1, n2, den)
 
 
 class CubicNumber:
-    __slots__ = ("c0", "c1", "c2")
+    __slots__ = ("n0", "n1", "n2", "den")
 
     def __init__(self, c0=0, c1=0, c2=0):
-        object.__setattr__(self, "c0", Fraction(c0))
-        object.__setattr__(self, "c1", Fraction(c1))
-        object.__setattr__(self, "c2", Fraction(c2))
+        if not all(isinstance(c, (int, Fraction)) for c in (c0, c1, c2)):
+            raise TypeError("CubicNumber coefficients must be int or Fraction")
+        den = math.lcm(c0.denominator, c1.denominator, c2.denominator)
+        n0, n1, n2 = (c.numerator * (den // c.denominator) for c in (c0, c1, c2))
+        _store(self, n0, n1, n2, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CubicNumber is immutable")
 
+    def _fractions(self) -> tuple[Fraction, Fraction, Fraction]:
+        return tuple(Fraction(n, self.den) for n in (self.n0, self.n1, self.n2))
+
     # -- ring structure -------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        return CubicNumber(self.c0 + other.c0, self.c1 + other.c1, self.c2 + other.c2)
+        o = _coerce(other)
+        a, b = self.den, o.den
+        return _new(self.n0 * b + o.n0 * a, self.n1 * b + o.n1 * a, self.n2 * b + o.n2 * a, a * b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CubicNumber(-self.c0, -self.c1, -self.c2)
+        return _new(-self.n0, -self.n1, -self.n2, self.den)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -124,18 +144,20 @@ class CubicNumber:
 
     def __mul__(self, other):
         other = _coerce(other)
-        a0, a1, a2 = self.c0, self.c1, self.c2
-        b0, b1, b2 = other.c0, other.c1, other.c2
+        a0, a1, a2 = self.n0, self.n1, self.n2
+        b0, b1, b2 = other.n0, other.n1, other.n2
         t0 = a0 * b0
         t1 = a0 * b1 + a1 * b0
         t2 = a0 * b2 + a1 * b1 + a2 * b0
         t3 = a1 * b2 + a2 * b1
         t4 = a2 * b2
-        # reduce with 2*L^3 = L^2 + L + 1, hence 4*L^4 = 3*L^2 + 3*L + 1
-        return CubicNumber(
-            t0 + Fraction(t3, 2) + Fraction(t4, 4),
-            t1 + Fraction(t3, 2) + Fraction(3 * t4, 4),
-            t2 + Fraction(t3, 2) + Fraction(3 * t4, 4),
+        # reduce with 2*L^3 = L^2 + L + 1, hence 4*L^4 = 3*L^2 + 3*L + 1,
+        # over 4 times the product of the denominators
+        return _new(
+            4 * t0 + 2 * t3 + t4,
+            4 * t1 + 2 * t3 + 3 * t4,
+            4 * t2 + 2 * t3 + 3 * t4,
+            4 * self.den * other.den,
         )
 
     __rmul__ = __mul__
@@ -143,22 +165,11 @@ class CubicNumber:
     def inverse(self) -> "CubicNumber":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(L)")
-        # solve (self * x) = 1 as a 3x3 linear system over Q
-        cols = [
-            self * CubicNumber(1),
-            self * LAMBDA,
-            self * LAMBDA * LAMBDA,
-        ]
-        m = [[col.c0, col.c1, col.c2] for col in cols]  # columns
-        # Cramer's rule on the transposed (column-major) matrix
+        # solve (self * x) = 1 as a 3x3 linear system over Q by Cramer's
+        # rule on the columns self * L^i
+        m = [col._fractions() for col in (self, self * LAMBDA, self * LAMBDA * LAMBDA)]
         det = _det3(m)
-        sol = []
-        rhs = (Fraction(1), Fraction(0), Fraction(0))
-        for i in range(3):
-            mi = [list(col) for col in m]
-            mi[i] = list(rhs)
-            sol.append(_det3(mi) / det)
-        return CubicNumber(*sol)
+        return CubicNumber(*(_det3(m[:i] + [(1, 0, 0)] + m[i + 1 :]) / det for i in range(3)))
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
@@ -181,22 +192,27 @@ class CubicNumber:
     # -- order ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.c0 == 0 and self.c1 == 0 and self.c2 == 0
+        return self.n0 == 0 and self.n1 == 0 and self.n2 == 0
 
     def sign(self) -> int:
-        return _sign_fraction_triple(self.c0, self.c1, self.c2)
+        return _sign_int_triple(self.n0, self.n1, self.n2)
 
     def compare(self, other) -> int:
-        return (self - _coerce(other)).sign()
+        o = _coerce(other)
+        a, b = self.den, o.den
+        return _sign_int_triple(self.n0 * b - o.n0 * a, self.n1 * b - o.n1 * a, self.n2 * b - o.n2 * a)
 
     def __eq__(self, other):
         if not isinstance(other, (CubicNumber, int, Fraction)):
             return NotImplemented
-        other = _coerce(other)
-        return (self.c0, self.c1, self.c2) == (other.c0, other.c1, other.c2)
+        o = _coerce(other)
+        return (self.n0, self.n1, self.n2, self.den) == (o.n0, o.n1, o.n2, o.den)
 
     def __hash__(self):
-        return hash((self.c0, self.c1, self.c2))
+        # a rational element hashes as the equal Fraction (and int)
+        if self.n1 == 0 and self.n2 == 0:
+            return hash(Fraction(self.n0, self.den))
+        return hash((self.n0, self.n1, self.n2, self.den))
 
     def __lt__(self, other):
         return self.compare(other) < 0
@@ -215,14 +231,10 @@ class CubicNumber:
     def enclosure(self, width: Fraction) -> tuple[Fraction, Fraction]:
         """Rational interval containing the value, of width < ``width``."""
         while True:
-            lo_l, hi_l = _ENCLOSURE.bounds()
-            pts = []
-            for x in (lo_l, hi_l):
-                pts.append(self.c0 + self.c1 * x + self.c2 * x * x)
-            lo = min(pts) - abs(self.c2) * (hi_l - lo_l) * (hi_l + lo_l)
-            hi = max(pts) + abs(self.c2) * (hi_l - lo_l) * (hi_l + lo_l)
-            if hi - lo < width:
-                return lo, hi
+            low, high, q2 = _interval(self.n0, self.n1, self.n2)
+            d = q2 * self.den
+            if Fraction(high - low, d) < width:
+                return Fraction(low, d), Fraction(high, d)
             _ENCLOSURE.refine(_ENCLOSURE.k * 2)
 
     def __float__(self):
@@ -230,10 +242,10 @@ class CubicNumber:
         return float((lo + hi) / 2)
 
     def __repr__(self):
-        return f"CubicNumber({self.c0!s}, {self.c1!s}, {self.c2!s})"
+        return "CubicNumber({!s}, {!s}, {!s})".format(*self._fractions())
 
     def __str__(self):
-        return f"{self.c0} + {self.c1}*L + {self.c2}*L^2"
+        return "{} + {}*L + {}*L^2".format(*self._fractions())
 
     @classmethod
     def parse(cls, text: str) -> "CubicNumber":
@@ -252,7 +264,9 @@ class CubicNumber:
 def _coerce(x) -> CubicNumber:
     if isinstance(x, CubicNumber):
         return x
-    return CubicNumber(Fraction(x))
+    if isinstance(x, (int, Fraction)):
+        return _new(x.numerator, 0, 0, x.denominator)
+    raise TypeError(f"expected int, Fraction or CubicNumber, not {type(x).__name__}")
 
 
 def _det3(cols):
@@ -280,7 +294,7 @@ def lambda_length(w: str) -> CubicNumber:
     Valid as the group element's length because reduced normal forms are
     geodesic for the weighted metric.
     """
-    return CubicNumber(*length_triple(w))
+    return _new(*length_triple(w), 1)
 
 
 def length_triple(w: str) -> tuple[int, int, int]:
@@ -293,38 +307,20 @@ def length_triple(w: str) -> tuple[int, int, int]:
     return c0, c1, c2
 
 
-# cache of L^k as (den, n0, n1, n2) with den a power of two
-_POWER_CACHE: dict[int, tuple[int, int, int, int]] = {0: (1, 1, 0, 0)}
-
-
-def _power_scaled(k: int) -> tuple[int, int, int, int]:
-    if k not in _POWER_CACHE:
-        p = LAMBDA**k
-        den = 1
-        for c in (p.c0, p.c1, p.c2):
-            while c.denominator > den:
-                den *= 2
-        _POWER_CACHE[k] = (
-            den,
-            int(p.c0 * den),
-            int(p.c1 * den),
-            int(p.c2 * den),
-        )
-    return _POWER_CACHE[k]
+@functools.cache
+def _lambda_power(k: int) -> CubicNumber:
+    """L**k, cached: the radius tests compare against a few powers often."""
+    return LAMBDA**k
 
 
 def triple_compare_power(triple: tuple[int, int, int], k: int) -> int:
     """Exact sign of (t0 + t1*L + t2*L^2) - L^k, for integer triples, k >= 0."""
-    den, n0, n1, n2 = _power_scaled(k)
-    return _sign_int_triple(triple[0] * den - n0, triple[1] * den - n1, triple[2] * den - n2)
+    return _new(*triple, 1).compare(_lambda_power(k))
 
 
 def compare_power_to_int(k: int, n) -> int:
     """Exact sign of L^k - n for a rational n, k >= 0."""
-    n = Fraction(n)
-    den, n0, n1, n2 = _power_scaled(k)
-    m = n.denominator
-    return _sign_int_triple(n0 * m - n.numerator * den, n1 * m, n2 * m)
+    return _lambda_power(k).compare(n)
 
 
 def radius_index(n: int) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import random
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import cubic, growth, permgrp, presentations, wreath
@@ -53,14 +53,40 @@ class CheckConfig:
                     raise ValueError(f"{path}:{lineno}: expected 'key = value'")
                 key, _, value = line.partition("=")
                 key = key.strip()
-                value = value.strip()
-                if key == "nball_radii":
-                    cfg.nball_radii = tuple(int(x) for x in value.split(",") if x)
-                elif key in {f.name for f in fields(CheckConfig)}:
-                    setattr(cfg, key, int(value))
-                else:
+                if key not in _CONFIG_MINIMUM:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+                texts = [t for t in value.split(",") if t.strip()] if key == "nball_radii" else [value]
+                values = [_config_int(path, lineno, key, t) for t in texts]
+                setattr(cfg, key, tuple(values) if key == "nball_radii" else values[0])
         return cfg
+
+
+# the least accepted value of each CheckConfig field (None: any integer);
+# nball_radii bounds each of its entries
+_CONFIG_MINIMUM = {
+    "nball_radii": 2,
+    "nball_random_max": 0,
+    "nball_random_samples": 1,
+    "lemma_samples": 1,
+    "radius_exhaustive": 1,
+    "radius_random": 0,
+    "radius_max": 1,
+    "growth_maxn": 2,
+    "coset_cap": 1,
+    "seed": None,
+}
+
+
+def _config_int(path, lineno: int, key: str, text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        msg = f"{path}:{lineno}: {key} must be an integer, not {text.strip()!r}"
+        raise ValueError(msg) from None
+    least = _CONFIG_MINIMUM[key]
+    if least is not None and n < least:
+        raise ValueError(f"{path}:{lineno}: {key} must be >= {least}, not {n}")
+    return n
 
 
 @dataclass

@@ -176,13 +176,32 @@ def test_check_all_bad_config(capsys, tmp_path):
     assert "key = value" in err
 
 
-@pytest.mark.parametrize("line", ["from_file = 3", "__class__ = 1"])
+_BAD_CONFIG_LINES = {
+    "from_file = 3": "unknown key 'from_file'",
+    "__class__ = 1": "unknown key '__class__'",
+    "growth_maxn = -3": "growth_maxn must be >= 2, not -3",
+    "lemma_samples = -5": "lemma_samples must be >= 1, not -5",
+    "lemma_samples = ten": "lemma_samples must be an integer, not 'ten'",
+    "nball_radii = 2, 1": "nball_radii must be >= 2, not 1",
+}
+
+
+@pytest.mark.parametrize("line", list(_BAD_CONFIG_LINES))
 def test_check_all_rejects_unknown_config_key(capsys, tmp_path, line):
+    """Unknown keys and out-of-range or non-integer values exit 2 at path:line."""
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"nball_radii = 2\n{line}\n")
     code, _, err = run(capsys, "check-all", "--config", str(cfg))
     assert code == 2
-    assert f"bad.cfg:2: unknown key {line.split()[0]!r}" in err
+    assert f"bad.cfg:2: {_BAD_CONFIG_LINES[line]}" in err
+
+
+def test_config_minimums_cover_every_field():
+    from dataclasses import fields
+
+    from grigorchuk import reports
+
+    assert set(reports._CONFIG_MINIMUM) == {f.name for f in fields(reports.CheckConfig)}
 
 
 @pytest.mark.parametrize(

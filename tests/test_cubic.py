@@ -1,3 +1,5 @@
+import functools
+import math
 import os
 import subprocess
 import sys
@@ -105,22 +107,99 @@ def test_radius_index_values():
     assert radius_index(20) == 13
 
 
-def test_pinned_radius_levels_by_bisection():
-    # second route to i(n): bracket L by Fraction bisection of
-    # 2X^3 - X^2 - X - 1 (increasing on [1, 2]), then bound L^k by lo^k, hi^k
+@functools.cache
+def _lambda_bracket(bits: int = 64) -> tuple[Fraction, Fraction]:
+    """[lo, hi] containing L with hi - lo <= 2**-bits, by Fraction bisection
+    of 2X^3 - X^2 - X - 1 (increasing on [1, 2]); shares no code with cubic."""
     lo, hi = Fraction(1), Fraction(2)
-    while hi - lo > Fraction(1, 2**64):
+    while hi - lo > Fraction(1, 2**bits):
         mid = (lo + hi) / 2
         if 2 * mid**3 - mid**2 - mid - 1 < 0:
             lo = mid
         else:
             hi = mid
+    return lo, hi
+
+
+def test_pinned_radius_levels_by_bisection():
+    # second route to i(n): bound L^k by lo^k, hi^k
+    lo, hi = _lambda_bracket()
     assert Fraction(123, 100) < lo < hi < Fraction(124, 100)
     for n, m in {2: 2, 5: 6, 10: 9, 20: 13}.items():
         assert hi ** (m + 1) <= n < lo ** (m + 2)  # L^(m+1) <= n < L^(m+2)
         assert radius_index(n) == m
     # the old claim i(10) = 11 needs L^12 <= 10, but already L^11 > 10
     assert lo**11 > 10
+
+
+def _reference_mul(a, b):
+    """Product of Fraction triples, reduced with 4L^4 = 3L^2 + 3L + 1 and
+    2L^3 = L^2 + L + 1."""
+    t = [Fraction(0)] * 5
+    for i in range(3):
+        for j in range(3):
+            t[i + j] += a[i] * b[j]
+    return (
+        t[0] + t[3] / 2 + t[4] / 4,
+        t[1] + t[3] / 2 + 3 * t[4] / 4,
+        t[2] + t[3] / 2 + 3 * t[4] / 4,
+    )
+
+
+def _reference_sign(c) -> int:
+    """Sign of c0 + c1*L + c2*L^2 by interval evaluation over ever finer
+    bisection brackets (L > 0, so each term is monotone in L)."""
+    if not any(c):
+        return 0
+    bits = 64
+    while True:
+        lo, hi = _lambda_bracket(bits)
+        terms = [(c[1] * x, c[2] * x * x) for x in (lo, hi)]
+        low = c[0] + min(t[0] for t in terms) + min(t[1] for t in terms)
+        high = c[0] + max(t[0] for t in terms) + max(t[1] for t in terms)
+        if low > 0 or high < 0:
+            return 1 if low > 0 else -1
+        bits *= 2
+
+
+def _fractions_of(x: CubicNumber):
+    assert x.den > 0 and math.gcd(x.n0, x.n1, x.n2, x.den) == 1  # canonical
+    return tuple(Fraction(n, x.den) for n in (x.n0, x.n1, x.n2))
+
+
+triples = st.tuples(small_rationals, small_rationals, small_rationals)
+
+
+@given(triples, triples)
+def test_arithmetic_agrees_with_fraction_reference(a, b):
+    x, y = CubicNumber(*a), CubicNumber(*b)
+    assert _fractions_of(x) == a
+    assert _fractions_of(x + y) == tuple(p + q for p, q in zip(a, b))
+    assert _fractions_of(x - y) == tuple(p - q for p, q in zip(a, b))
+    assert _fractions_of(x * y) == _reference_mul(a, b)
+    assert x.compare(y) == _reference_sign(tuple(p - q for p, q in zip(a, b)))
+    assert (x * y).sign() == _reference_sign(_reference_mul(a, b))
+
+
+def test_hash_agrees_with_equality():
+    assert {CubicNumber(1): "one"}[1] == "one"
+    assert Fraction(1, 2) in {CubicNumber(Fraction(1, 2))}
+    assert CubicNumber(Fraction(6, 4), 0, 0) in {Fraction(3, 2)}
+    assert hash(LAMBDA * LAMBDA_INV) == hash(1)
+
+
+def test_floats_are_rejected():
+    with pytest.raises(TypeError):
+        CubicNumber(0.1)
+    with pytest.raises(TypeError):
+        CubicNumber(1) < 1.0
+    with pytest.raises(TypeError):
+        CubicNumber(1) <= 1.0
+    with pytest.raises(TypeError):
+        CubicNumber(1) * 0.5
+    with pytest.raises(TypeError):
+        0.5 * CubicNumber(1)
+    assert CubicNumber(1) != 1.0
 
 
 @given(st.integers(min_value=1, max_value=100_000))
