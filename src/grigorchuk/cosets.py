@@ -32,7 +32,6 @@ class CosetTable:
     subgroup_words: tuple[Relator, ...]
     rows: list[list[int]]
     status: str  # "complete" | "overflowed"
-    live_count: int
 
     @property
     def index(self) -> int:
@@ -195,7 +194,6 @@ class _Enumerator:
             subgroup_words=self.sub_words,
             rows=rows,
             status=status,
-            live_count=len(live),
         )
 
 
@@ -207,11 +205,14 @@ def todd_coxeter(
     """HLT coset enumeration of the subgroup generated by ``subgroup_words``.
 
     Words may be strings over single-letter generators or pre-parsed
-    signed relators.
+    signed relators; a word over an undeclared generator raises ValueError.
     """
     words = tuple(
         w if isinstance(w, tuple) else relator_from_string(w) for w in subgroup_words
     )
+    undeclared = [g for w in words for g, _e in w if g not in presentation.generators]
+    if undeclared:
+        raise ValueError(f"subgroup word uses undeclared generator {undeclared[0]!r}")
     return _Enumerator(presentation, words, cap).run()
 
 

@@ -20,6 +20,7 @@ __all__ = [
     "WEIGHT",
     "lambda_length",
     "length_triple",
+    "triple_sign",
     "triple_compare_power",
     "radius_index",
     "ln_enclosure",
@@ -77,7 +78,7 @@ def _interval(c0: int, c1: int, c2: int) -> tuple[int, int, int]:
     return base + min(t1a, t1b) + min(t2a, t2b), base + max(t1a, t1b) + max(t2a, t2b), q * q
 
 
-def _sign_int_triple(c0: int, c1: int, c2: int) -> int:
+def triple_sign(c0: int, c1: int, c2: int) -> int:
     """Exact sign of c0 + c1*L + c2*L^2 for integer coefficients."""
     if c0 == 0 and c1 == 0 and c2 == 0:
         return 0
@@ -195,12 +196,12 @@ class CubicNumber:
         return self.n0 == 0 and self.n1 == 0 and self.n2 == 0
 
     def sign(self) -> int:
-        return _sign_int_triple(self.n0, self.n1, self.n2)
+        return triple_sign(self.n0, self.n1, self.n2)
 
     def compare(self, other) -> int:
         o = _coerce(other)
         a, b = self.den, o.den
-        return _sign_int_triple(self.n0 * b - o.n0 * a, self.n1 * b - o.n1 * a, self.n2 * b - o.n2 * a)
+        return triple_sign(self.n0 * b - o.n0 * a, self.n1 * b - o.n1 * a, self.n2 * b - o.n2 * a)
 
     def __eq__(self, other):
         if not isinstance(other, (CubicNumber, int, Fraction)):

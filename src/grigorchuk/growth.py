@@ -114,8 +114,13 @@ def ball_grigorchuk(
 
     Representatives are first-found shortlex geodesics; every new element
     at depth k has free normal form of length exactly k, because shorter
-    normal forms are found at their own (smaller) depth.
+    normal forms are found at their own (smaller) depth.  Raises
+    ValueError when ``maxn`` < 0 or ``budget`` < 1.
     """
+    if maxn < 0:
+        raise ValueError("radius must be >= 0")
+    if budget is not None and budget < 1:
+        raise ValueError("budget must be >= 1")
     eq = _SignatureEquality() if use_signatures else _PureEquality()
     eq.probe("")
     table = GrowthTable(group="grig", rows=[], representatives=[])

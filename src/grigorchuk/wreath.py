@@ -14,11 +14,11 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from math import lcm
 
 from . import cubic
-from .cubic import CubicNumber, lambda_length, length_triple, triple_compare_power
+from .cubic import CubicNumber, lambda_length, length_triple, triple_compare_power, triple_sign
 from .errors import CapExceeded, GrigError, PreconditionError
+from .permgrp import pmul
 from .words import (
     BCD,
     a_parity,
@@ -91,14 +91,9 @@ def _order(w: str, stack: tuple) -> int:
     if w in stack or len(stack) > ORDER_CAP_DEPTH:
         raise CapExceeded(f"order recursion guard tripped at {w!r}", partial=stack)
     stack = stack + (w,)
-    if a_parity(w) == 1:
-        # parity-1 elements have even order, so ord(w) = 2 * ord(w^2);
-        # splitting w^2 gives a conjugate pair, either component suffices
-        y0, _y1 = split(multiply(w, w))
-        result = 2 * _order(min_conjugate(y0), stack)
-    else:
-        w0, w1 = split(w)
-        result = lcm(_order(min_conjugate(w0), stack), _order(min_conjugate(w1), stack))
+    # letters are preseeded, and an lcm of powers of two is their max
+    _rule, added, children = _class_step(w, 1)
+    result = max(_order(min_conjugate(c), stack) for c in children) << added
     _order_memo[w] = result
     return result
 
@@ -129,12 +124,8 @@ def _word_action(w: str, k: int) -> tuple[int, ...]:
     perm = tuple(range(1 << k))
     # right-to-left so that act(uv) = act(u) o act(v)
     for ch in reversed(w):
-        perm = _compose(_letter_action(ch, k), perm)
+        perm = pmul(_letter_action(ch, k), perm)
     return perm
-
-
-def _compose(p, q):
-    return tuple(p[q[i]] for i in range(len(q)))
 
 
 def level_action(w: str, k: int) -> tuple[int, ...]:
@@ -155,7 +146,7 @@ def order_by_squaring(w: str, depth: int = 8, cap: int = 1 << 12) -> int:
     perm = level_action(w, depth)
     e = 1
     while perm != identity:
-        perm = _compose(perm, perm)
+        perm = pmul(perm, perm)
         e *= 2
         if e > cap:
             raise CapExceeded(f"order cap {cap} exceeded for {w!r}")
@@ -171,9 +162,6 @@ class ContractionReport:
     word: str
     adjusted: str  # the parity-0 word that was split (w or w*a)
     components: tuple[str, str]
-    lhs: CubicNumber  # |x0| + |x1|
-    strong_rhs: CubicNumber  # |x| / L
-    weak_rhs: CubicNumber  # (|x| + |a|) / L
     strong_applicable: bool
     strong_holds: bool
     weak_holds: bool
@@ -189,21 +177,18 @@ def lemma_split_contraction_check(x: str) -> ContractionReport:
     x = reduce_word(x)
     adjusted = x if a_parity(x) == 0 else multiply(x, "a")
     x0, x1 = split(adjusted)
-    lhs = lambda_length(x0) + lambda_length(x1)
-    lam_inv = cubic.LAMBDA_INV
-    strong_rhs = lam_inv * lambda_length(x)
-    weak_rhs = lam_inv * (lambda_length(x) + cubic.WEIGHT["a"])
-    strong_applicable = x == min_conjugate(x) and x not in BCD
+    t0, t1, t2 = length_triple(x0 + x1)
+    s0, s1, s2 = length_triple(x)
+    # 2L^3 = L^2 + L + 1 gives 2L*t = (t2, 2t0 + t2, 2t1 + t2); the bounds
+    # are d = 2L*t - 2|x| <= 0 and d - 2|a| <= 0, with 2|a| = (-4, 4, 0)
+    d0, d1, d2 = t2 - 2 * s0, 2 * t0 + t2 - 2 * s1, 2 * t1 + t2 - 2 * s2
     return ContractionReport(
         word=x,
         adjusted=adjusted,
         components=(x0, x1),
-        lhs=lhs,
-        strong_rhs=strong_rhs,
-        weak_rhs=weak_rhs,
-        strong_applicable=strong_applicable,
-        strong_holds=lhs <= strong_rhs,
-        weak_holds=lhs <= weak_rhs,
+        strong_applicable=x == min_conjugate(x) and x not in BCD,
+        strong_holds=triple_sign(d0, d1, d2) <= 0,
+        weak_holds=triple_sign(d0 + 4, d1 - 4, d2) <= 0,
     )
 
 
@@ -321,7 +306,8 @@ def _class_step(m: str, n: int) -> tuple[str, int, tuple[str, ...]]:
     The class is either a base case, split (parity 0: the splitting is
     injective one level down, so the order is the lcm of the component
     orders), or squared and split (parity 1: one component, one more
-    factor of two).
+    factor of two).  ``certify_exponent`` and ``_certificate_tree`` take
+    it at every level n, ``_order`` at n = 1 on the non-letter classes.
     """
     if n <= 0:
         return "base-case", _BASE_EXPONENT[m], ()

@@ -91,6 +91,14 @@ def test_growth_csv(capsys):
     assert lines[-1].split(",")[:3] == ["3", "23", "12"]
 
 
+@pytest.mark.parametrize("option", [["--maxn", "-1"], ["--maxn", "3", "--budget", "0"]])
+def test_growth_rejects_bad_radius_or_budget(capsys, option):
+    code, out, err = run(capsys, "growth", *option)
+    assert code == 2
+    assert out == ""
+    assert "must be >= " in err
+
+
 def test_present_roundtrip(capsys):
     code, out, _ = run(capsys, "present", "--level", "0")
     assert code == 0
@@ -121,6 +129,12 @@ def test_close_with_undeclared_generator_exit_2(capsys, command):
     code, _, err = run(capsys, command, "--gamma0", "--close", "acac")
     assert code == 2
     assert "undeclared generator 'c'" in err
+
+
+def test_subgroup_with_undeclared_generator_exit_2(capsys):
+    code, _, err = run(capsys, "coset", "--gamma0", "--subgroup", "ac")
+    assert code == 2
+    assert "subgroup word uses undeclared generator 'c'" in err
 
 
 def test_abelianize(capsys):

@@ -63,7 +63,12 @@ def test_cap_overflow_reports_partial_state():
     # the free product itself is infinite, so enumeration must overflow
     t = todd_coxeter(gamma_presentation(-1), cap=200)
     assert t.status == "overflowed"
-    assert t.live_count > 0
+    assert t.index > 0
+
+
+def test_subgroup_word_with_undeclared_generator_is_rejected():
+    with pytest.raises(ValueError, match="subgroup word uses undeclared generator 'c'"):
+        todd_coxeter(gamma0_coxeter_presentation(), ["ac"])
 
 
 def test_relator_order_independence():

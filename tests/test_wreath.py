@@ -2,7 +2,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import reduced_words
 from grigorchuk import wreath
@@ -123,11 +123,23 @@ def test_contraction_strong_bound_on_min_conjugates(w):
     assert rep.strong_holds
 
 
-def test_contraction_report_fields():
-    rep = lemma_split_contraction_check("abab")
+@given(reduced_words(max_size=30))
+@example("")
+@example("a")
+@example("b")
+def test_contraction_bounds_agree_with_cubic_oracle(w):
+    rep = lemma_split_contraction_check(w)
     lhs = lambda_length(rep.components[0]) + lambda_length(rep.components[1])
-    assert rep.lhs == lhs
-    assert rep.strong_rhs == LAMBDA_INV * lambda_length("abab")
+    length = lambda_length(w)
+    assert rep.strong_holds == (lhs <= LAMBDA_INV * length)
+    assert rep.weak_holds == (lhs <= LAMBDA_INV * (length + lambda_length("a")))
+
+
+def test_contraction_bounds_pinned():
+    # "": strong bound with equality; "b": strong bound fails and the weak
+    # bound holds with equality
+    reps = [lemma_split_contraction_check(w) for w in ("", "a", "b")]
+    assert [(r.strong_holds, r.weak_holds) for r in reps] == [(True, True), (True, True), (False, True)]
 
 
 def test_certificate_for_ad():
