@@ -1,10 +1,11 @@
 """Ball enumeration and growth/entropy statistics.
 
 Two groups are covered: the limit group itself (breadth-first search over
-the Cayley graph, equality decided by the word problem) and the ambient
-free product (closed-form alternation recurrence), which bounds it from
-above.  Entropy estimates log(|B_n|)/n are reported as rational
-enclosures, never as floats posing as exact values.
+the Cayley graph, equality decided exactly by canonical keys or by the word
+problem) and the ambient free product (closed-form alternation
+recurrence), which bounds it from above.  Entropy estimates log(|B_n|)/n
+are reported as rational enclosures, never as floats posing as exact
+values.
 """
 
 from __future__ import annotations
@@ -13,10 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cubic import ln_enclosure
-from .words import LETTERS, invert, multiply
-from .wreath import is_trivial, level_action
-
-SIGNATURE_DEPTH = 8
+from .words import LETTERS, a_parity, invert, multiply
+from .wreath import is_trivial, split
 
 
 def free_sphere_sizes(n: int) -> list[int]:
@@ -65,15 +64,60 @@ def _entropy_enclosure(ball: int, n: int) -> tuple[Fraction, Fraction]:
     return lo / n, hi / n
 
 
-class _BucketedEquality:
-    """Bucket candidates by an exact invariant ``key``, confirm equality by
-    the word problem.
+class _SignatureEquality:
+    """Exact canonical keys, after the contracting-group normal form.
 
-    The key never decides equality; it only shrinks the set of exact
-    word-problem comparisons.  Subclasses define ``key``."""
+    A reduced word w with a-parity p is (w0, w1)·a^p, where (w0, w1) =
+    split(w·a^p), and for |w| >= 2 both sections are strictly shorter.  Its
+    key is the triple (p, key(w0), key(w1)) interned to a small int; the
+    recursion stops at the nucleus 1, a, b, c, d, whose triples are
+    registered up front, so a long word equal to a nucleus element gets
+    that element's id.  The splitting is injective, so equal keys mean
+    equal elements.
+    """
 
     def __init__(self):
-        self.buckets: dict[tuple[int, ...], list[str]] = {}
+        # ids 0..4 are the nucleus 1, a, b, c, d: a = (1, 1)·a, b = (a, c),
+        # c = (a, d), d = (1, b)
+        self.word_ids = {w: i for i, w in enumerate(["", "a", "b", "c", "d"])}
+        self.triple_ids = {(0, 0, 0): 0, (1, 0, 0): 1, (0, 1, 3): 2, (0, 1, 4): 3, (0, 0, 2): 4}
+        self.seen: set[int] = set()
+
+    def key(self, w: str) -> int:
+        """Id of the element of the reduced word w."""
+        hit = self.word_ids.get(w)
+        if hit is not None:
+            return hit
+        p = a_parity(w)
+        w0, w1 = split(multiply(w, "a") if p else w)
+        triple = (p, self.key(w0), self.key(w1))
+        k = self.triple_ids.setdefault(triple, len(self.triple_ids))
+        self.word_ids[w] = k
+        return k
+
+    def probe(self, w: str) -> bool:
+        """True if w is new; records it if so."""
+        k = self.key(w)
+        if k in self.seen:
+            return False
+        self.seen.add(k)
+        return True
+
+
+class _PureEquality:
+    """Bucket candidates by their image in the (Z/2)^3 abelianization, with
+    basis (a, b, d) where c = b + d, and confirm equality by the word
+    problem; the independent oracle for the canonical keys."""
+
+    def __init__(self):
+        self.buckets: dict[tuple[int, int, int], list[str]] = {}
+
+    @staticmethod
+    def key(w: str) -> tuple[int, int, int]:
+        na = w.count("a") & 1
+        nb = (w.count("b") + w.count("c")) & 1
+        nd = (w.count("d") + w.count("c")) & 1
+        return na, nb, nd
 
     def probe(self, w: str) -> bool:
         """True if w is new; records it if so."""
@@ -85,26 +129,6 @@ class _BucketedEquality:
         return True
 
 
-class _SignatureEquality(_BucketedEquality):
-    """Key: the depth-8 tree action."""
-
-    @staticmethod
-    def key(w: str) -> tuple[int, ...]:
-        return level_action(w, SIGNATURE_DEPTH)
-
-
-class _PureEquality(_BucketedEquality):
-    """Key: the image in the (Z/2)^3 abelianization with basis (a, b, d),
-    where c = b + d."""
-
-    @staticmethod
-    def key(w: str) -> tuple[int, int, int]:
-        na = w.count("a") & 1
-        nb = (w.count("b") + w.count("c")) & 1
-        nd = (w.count("d") + w.count("c")) & 1
-        return na, nb, nd
-
-
 def ball_grigorchuk(
     maxn: int,
     use_signatures: bool = True,
@@ -114,8 +138,11 @@ def ball_grigorchuk(
 
     Representatives are first-found shortlex geodesics; every new element
     at depth k has free normal form of length exactly k, because shorter
-    normal forms are found at their own (smaller) depth.  Raises
-    ValueError when ``maxn`` < 0 or ``budget`` < 1.
+    normal forms are found at their own (smaller) depth.  With
+    ``use_signatures`` equality is decided by canonical keys (sections
+    interned down to the nucleus); without it, by the word problem, which
+    is the independent oracle.  Raises ValueError when ``maxn`` < 0 or
+    ``budget`` < 1.
     """
     if maxn < 0:
         raise ValueError("radius must be >= 0")

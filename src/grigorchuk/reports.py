@@ -417,7 +417,7 @@ def check_growth_cross(cfg: CheckConfig) -> CheckReport:
     )
     return CheckReport(
         "growth-cross-pipeline",
-        "signature-bucketed and pure word-problem ball counts agree and are "
+        "canonical-key and pure word-problem ball counts agree and are "
         "bounded by the free-product counts",
         _status(ok),
         {"ball_sizes": sizes, "free_sizes": free_counts},

@@ -20,7 +20,6 @@ from .cubic import CubicNumber, lambda_length, length_triple, triple_compare_pow
 from .errors import CapExceeded, GrigError, PreconditionError
 from .permgrp import pmul
 from .words import (
-    BCD,
     a_parity,
     format_word,
     iter_ball_free,
@@ -162,7 +161,6 @@ class ContractionReport:
     word: str
     adjusted: str  # the parity-0 word that was split (w or w*a)
     components: tuple[str, str]
-    strong_applicable: bool
     strong_holds: bool
     weak_holds: bool
 
@@ -170,9 +168,10 @@ class ContractionReport:
 def lemma_split_contraction_check(x: str) -> ContractionReport:
     """Check the splitting contraction bounds on a reduced word.
 
-    The strong bound |x0| + |x1| <= |x|/L needs x minimal in its conjugacy
-    class and not a single letter of {b, c, d}; the weak bound
-    |x0| + |x1| <= (|x| + |a|)/L is unconditional.
+    The strong bound |x0| + |x1| <= |x|/L is claimed only for x minimal in
+    its conjugacy class and not a single letter of {b, c, d}, which the
+    caller checks; the weak bound |x0| + |x1| <= (|x| + |a|)/L is
+    unconditional.
     """
     x = reduce_word(x)
     adjusted = x if a_parity(x) == 0 else multiply(x, "a")
@@ -186,7 +185,6 @@ def lemma_split_contraction_check(x: str) -> ContractionReport:
         word=x,
         adjusted=adjusted,
         components=(x0, x1),
-        strong_applicable=x == min_conjugate(x) and x not in BCD,
         strong_holds=triple_sign(d0, d1, d2) <= 0,
         weak_holds=triple_sign(d0 + 4, d1 - 4, d2) <= 0,
     )

@@ -1,17 +1,35 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from conftest import reduced_words
 from grigorchuk.growth import (
+    _SignatureEquality,
     ball_free_product,
     ball_grigorchuk,
     entropy_series,
     free_sphere_sizes,
     growth_table_free,
 )
-from grigorchuk.words import is_reduced
+from grigorchuk.words import invert, is_reduced, multiply, reduce_word
 from grigorchuk.wreath import is_trivial
-from grigorchuk.words import invert, multiply
+
+RELATORS = ["ad" * 4, "ac" * 8, "ab" * 16]
+
+
+@st.composite
+def word_pairs(draw):
+    """(u, v) with v = u in the group half of the time: a cyclic rotation of
+    a relator inserted anywhere into u."""
+    u = draw(reduced_words(max_size=30))
+    if draw(st.booleans()):
+        r = draw(st.sampled_from(RELATORS))
+        j = draw(st.integers(0, len(r) - 1))
+        i = draw(st.integers(0, len(u)))
+        return u, reduce_word(u[:i] + r[j:] + r[:j] + u[i:])
+    return u, draw(reduced_words(max_size=30))
 
 
 def test_free_sphere_recurrence():
@@ -28,22 +46,48 @@ def test_free_ball_closed_counts():
 
 
 def test_grigorchuk_ball_counts():
-    table = ball_grigorchuk(6)
-    assert table.ball_sizes() == [1, 5, 11, 23, 40, 68, 108]
+    table = ball_grigorchuk(16)
+    assert table.ball_sizes() == [
+        1, 5, 11, 23, 40, 68, 108, 176, 271, 427, 643, 999, 1487, 2259, 3313, 4973, 7213
+    ]
     assert table.complete
 
 
 def test_pipelines_agree():
-    sig = ball_grigorchuk(6, use_signatures=True)
-    pure = ball_grigorchuk(6, use_signatures=False)
+    sig = ball_grigorchuk(8, use_signatures=True)
+    pure = ball_grigorchuk(8, use_signatures=False)
     assert sig.ball_sizes() == pure.ball_sizes()
     assert sig.representatives == pure.representatives
 
 
 def test_grigorchuk_ball_below_free_ball():
-    table = ball_grigorchuk(7)
+    table = ball_grigorchuk(20)
+    assert len(table.rows) == 21
     for row in table.rows:
         assert row.ball <= ball_free_product(row.radius)
+
+
+@given(word_pairs())
+@example(("adadadad", ""))
+@example(("b", "badadadad"))
+@example(("", "a"))
+@example(("b", "aba"))
+@example(("d", "ada"))
+def test_canonical_key_decides_equality(pair):
+    u, v = pair
+    eq = _SignatureEquality()
+    assert (eq.key(u) == eq.key(v)) == is_trivial(multiply(invert(u), v))
+
+
+def test_canonical_key_nucleus():
+    eq = _SignatureEquality()
+    nucleus = [eq.key(w) for w in ["", "a", "b", "c", "d"]]
+    assert len(set(nucleus)) == 5
+    # a relator reduces to the identity; the conjugates aba, aca, ada of
+    # b, c, d split to the swapped sections of the nucleus triples
+    assert eq.key("adadadad") == eq.key("acacacacacacacac") == nucleus[0]
+    assert eq.key("badadadad") == nucleus[2]
+    assert len({eq.key(w) for w in ["aba", "aca", "ada"]} | set(nucleus)) == 8
 
 
 def test_representatives_are_distinct_elements():

@@ -118,9 +118,8 @@ def test_contraction_strong_bound_on_min_conjugates(w):
     m = min_conjugate(w)
     if m in BCD:
         return
-    rep = lemma_split_contraction_check(m)
-    assert rep.strong_applicable
-    assert rep.strong_holds
+    assert m == min_conjugate(m) and m not in BCD
+    assert lemma_split_contraction_check(m).strong_holds
 
 
 @given(reduced_words(max_size=30))
