@@ -111,6 +111,9 @@ def cmd_ball(args) -> int:
 
 def cmd_growth(args) -> int:
     if args.group == "free":
+        if args.budget is not None:
+            print("error: --budget applies only to --group grig", file=sys.stderr)
+            return EXIT_USAGE
         table = growth.growth_table_free(args.maxn)
     else:
         table = growth.ball_grigorchuk(args.maxn, budget=args.budget)

@@ -99,6 +99,13 @@ def test_growth_rejects_bad_radius_or_budget(capsys, option):
     assert "must be >= " in err
 
 
+def test_growth_free_rejects_budget(capsys):
+    code, out, err = run(capsys, "growth", "--group", "free", "--maxn", "3", "--budget", "5")
+    assert code == 2
+    assert out == ""
+    assert "--budget applies only to --group grig" in err
+
+
 def test_present_roundtrip(capsys):
     code, out, _ = run(capsys, "present", "--level", "0")
     assert code == 0

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from conftest import reduced_words
 from grigorchuk.growth import (
+    _PureEquality,
+    _reduces,
     _SignatureEquality,
     ball_free_product,
     ball_grigorchuk,
@@ -13,8 +15,8 @@ from grigorchuk.growth import (
     free_sphere_sizes,
     growth_table_free,
 )
-from grigorchuk.words import invert, is_reduced, multiply, reduce_word
-from grigorchuk.wreath import is_trivial
+from grigorchuk.words import LETTERS, invert, is_reduced, multiply, reduce_word
+from grigorchuk.wreath import is_trivial, level_action
 
 RELATORS = ["ad" * 4, "ac" * 8, "ab" * 16]
 
@@ -54,8 +56,8 @@ def test_grigorchuk_ball_counts():
 
 
 def test_pipelines_agree():
-    sig = ball_grigorchuk(8, use_signatures=True)
-    pure = ball_grigorchuk(8, use_signatures=False)
+    sig = ball_grigorchuk(16, use_signatures=True)
+    pure = ball_grigorchuk(16, use_signatures=False)
     assert sig.ball_sizes() == pure.ball_sizes()
     assert sig.representatives == pure.representatives
 
@@ -77,6 +79,29 @@ def test_canonical_key_decides_equality(pair):
     u, v = pair
     eq = _SignatureEquality()
     assert (eq.key(u) == eq.key(v)) == is_trivial(multiply(invert(u), v))
+
+
+@given(word_pairs())
+@example(("adadadad", ""))
+@example(("b", "aba"))
+def test_bucket_key_is_tree_action(pair):
+    u, v = pair
+    eq = _PureEquality()
+    assert eq.key(u) == level_action(u, 5)
+    assert eq.key(v) == level_action(v, 5)
+    if is_trivial(multiply(invert(u), v)):
+        assert eq.key(u) == eq.key(v)
+
+
+@given(reduced_words(max_size=30), st.sampled_from(LETTERS))
+@example("", "a")
+@example("a", "a")
+@example("ab", "d")
+@example("ab", "a")
+def test_skip_exactly_the_reducing_candidates(rep, g):
+    assert _reduces(rep, g) != is_reduced(rep + g)
+    if _reduces(rep, g):
+        assert len(multiply(rep, g)) < len(rep) + 1
 
 
 def test_canonical_key_nucleus():
@@ -103,6 +128,28 @@ def test_budget_marks_incomplete():
     table = ball_grigorchuk(8, budget=30)
     assert not table.complete
     assert table.ball_sizes()[-1] <= 30
+
+
+@pytest.mark.parametrize(
+    "budget, maxn, spheres, complete",
+    [
+        (1, 2, [1, 0], False),
+        (5, 2, [1, 4, 0], False),
+        (11, 3, [1, 4, 6], False),
+        (23, 3, [1, 4, 6, 12], True),
+        (30, 8, [1, 4, 6, 12, 7], False),
+    ],
+)
+def test_budget_edge_cases(budget, maxn, spheres, complete):
+    # the budget is tested once per candidate, reducing candidates included:
+    # at budget 11 the 11th element "da" is followed by "db", "dc", "dd",
+    # and the cut falls there, at radius 2, not at the start of radius 3
+    table = ball_grigorchuk(maxn, budget=budget)
+    assert [r.sphere for r in table.rows] == spheres
+    assert table.complete == complete
+    full = ball_grigorchuk(maxn).representatives
+    assert table.representatives[:-1] == full[: len(spheres) - 1]
+    assert table.representatives[-1] == full[len(spheres) - 1][: spheres[-1]]
 
 
 def test_entropy_enclosures_bracket_and_decrease():
