@@ -206,13 +206,30 @@ def cmd_core_lemma(args) -> int:
     return EXIT_OK if reports.worst_status(out) == "pass" else EXIT_CHECK_FAILED
 
 
+def _nball_radii(text: str) -> tuple[int, ...]:
+    """The radii of --nball, checked before any check runs; 0 skips."""
+    least = reports._CONFIG_MINIMUM["nball_radii"]
+    radii = []
+    for item in filter(None, text.split(",")):
+        try:
+            n = int(item)
+        except ValueError:
+            raise ValueError(f"--nball radii must be integers, not {item.strip()!r}") from None
+        if n == 0:
+            continue
+        if n < least:
+            raise ValueError(f"--nball radii must be >= {least} (or 0 to skip), not {n}")
+        radii.append(n)
+    return tuple(radii)
+
+
 def cmd_check_all(args) -> int:
     if args.config:
         cfg = reports.CheckConfig.from_file(args.config)
     else:
         cfg = reports.CheckConfig()
     if args.nball is not None:
-        cfg.nball_radii = tuple(int(x) for x in args.nball.split(",") if x and x != "0")
+        cfg.nball_radii = _nball_radii(args.nball)
     if args.seed is not None:
         cfg.seed = args.seed
     rs = reports.check_all(cfg)

@@ -8,6 +8,10 @@ unique, so string equality decides equality in the group.
 
 from __future__ import annotations
 
+import functools
+import math
+import re
+
 from .errors import CapExceeded, PreconditionError, WordParseError
 
 LETTERS = "abcd"
@@ -53,10 +57,13 @@ def reduce_word(raw) -> str:
     return "".join(stack)
 
 
-def is_reduced(w: str) -> bool:
-    return all(
-        not (x == y or (x in BCD and y in BCD)) for x, y in zip(w, w[1:])
-    ) and all(ch in LETTERS for ch in w)
+# a letter pair that no reduced word holds, or a letter outside "abcd"
+_UNREDUCED = re.compile("aa|[bcd][bcd]|[^abcd]")
+
+
+def is_reduced(w) -> bool:
+    """True iff w is a string in reduced normal form."""
+    return isinstance(w, str) and _UNREDUCED.search(w) is None
 
 
 def multiply(u: str, v: str) -> str:
@@ -150,6 +157,101 @@ def iter_ball_free(n: int):
         for w in nxt:
             yield w
         level = nxt
+
+
+def _necklaces(k: int):
+    """Yield (r, p) for every necklace r of length k >= 1 over "bcd", in
+    lexicographic order, where p is the least period of r.
+
+    A necklace is the least rotation of its class.  This is the
+    Fredricksen-Kessler-Maiorana algorithm: it steps through the
+    prenecklaces in lexicographic order, and a prenecklace whose longest
+    Lyndon prefix has length p is a necklace iff p divides k.
+    """
+    a = [0] * k
+    p = 1
+    while True:
+        if k % p == 0:
+            yield "".join([BCD[x] for x in a]), p
+        i = k - 1
+        while i >= 0 and a[i] == 2:
+            i -= 1
+        if i < 0:
+            return
+        a[i] += 1
+        p = i + 1
+        for j in range(p, k):
+            a[j] = a[j - p]
+
+
+@functools.cache
+def _conjugator_tally(length: int, last: str) -> tuple[tuple[tuple[int, int, int, int], int], ...]:
+    """((2na, 2nb, 2nc, 2nd), number of words) over the reduced words u of
+    length <= ``length`` that are empty or end in a letter of ``last``.
+
+    Such a u alternates a with free choices from {b, c, d}, so its length
+    and last letter fix na and the number t of {b, c, d} letters, and a
+    multinomial counts each split of t.  The counts are doubled because u
+    enters a word of the ball as u...u^-1.
+    """
+    out = [((0, 0, 0, 0), 1)]
+    for j in range(1, length + 1):
+        t = (j + 1) // 2 if last == BCD else j // 2
+        na = j - t
+        for nb in range(t + 1):
+            for nc in range(t - nb + 1):
+                count = math.comb(t, nb) * math.comb(t - nb, nc)
+                out.append(((2 * na, 2 * nb, 2 * nc, 2 * (t - nb - nc)), count))
+    return tuple(out)
+
+
+# counts of (nb, nc, nd) that x.v.y adds to those of z.v: less z, plus x and
+# y, the two other letters of {b, c, d}
+_MERGE_DELTA = {"b": (-1, 1, 1), "c": (1, -1, 1), "d": (1, 1, -1)}
+
+
+def iter_ball_classes(n: int):
+    """Yield (m, tally) for every conjugacy class that meets the n-ball of
+    the free product: m is the class's minimal conjugate (the word
+    ``min_conjugate`` returns) and tally maps each letter-count vector
+    (na, nb, nc, nd) to the number of words of length <= n in the class
+    with those counts.  No word of the ball is built.
+
+    - The classes 1, a, b, c, d hold the words u.x.u^-1, where u is empty
+      or its last letter does not merge with x.
+    - Every other class is m = "a" + "a".join(r) for a necklace r over
+      "bcd" of length k and least period p.  Its words of even length are
+      cyclically reduced: the 2p distinct rotations of m.  Its words of
+      odd length are u.x.v.y.u^-1, where z.v is one of the p distinct
+      rotations of m that start with a letter z of {b, c, d}, x is one of
+      the two other letters of {b, c, d}, y = xz, and u is empty or ends
+      in a.  Both choices of x give the same counts.
+    """
+    if n < 0:
+        raise ValueError("radius must be >= 0")
+    yield IDENTITY, {(0, 0, 0, 0): 1}
+    if n == 0:
+        return
+    for x in LETTERS:
+        xa, xb, xc, xd = (int(x == y) for y in LETTERS)
+        conjugators = _conjugator_tally((n - 1) // 2, BCD if x == "a" else "a")
+        yield x, {
+            (xa + ua, xb + ub, xc + uc, xd + ud): count for (ua, ub, uc, ud), count in conjugators
+        }
+    for k in range(1, n // 2 + 1):
+        conjugators = _conjugator_tally((n - 2 * k - 1) // 2, "a") if 2 * k < n else ()
+        for r, p in _necklaces(k):
+            nb, nc, nd = r.count("b"), r.count("c"), r.count("d")
+            tally = {(k, nb, nc, nd): 2 * p}
+            for z, (db, dc, dd) in _MERGE_DELTA.items():
+                rotations = r.count(z, 0, p)
+                if not rotations:
+                    continue
+                b, c, d = nb + db, nc + dc, nd + dd
+                for (ua, ub, uc, ud), count in conjugators:
+                    key = (k + ua, b + ub, c + uc, d + ud)
+                    tally[key] = tally.get(key, 0) + 2 * rotations * count
+            yield "a" + "a".join(r), tally
 
 
 def enumerate_ball_free(n: int, cap: int | None = None) -> list[str]:

@@ -6,7 +6,8 @@ The splitting sends a parity-0 word to a pair of shorter words acting on
 the two subtrees; ``a`` swaps the subtrees.  All torsion certificates are
 upper bounds valid at the stated approximant level; orders themselves are
 computed in the limit group, where the splitting is injective on the
-parity kernel.
+parity kernel.  The exhaustive n-ball sweep certifies each conjugacy class
+of the ball once and never builds the ball's words, unless some word fails.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from .permgrp import pmul
 from .words import (
     a_parity,
     format_word,
+    is_reduced,
+    iter_ball_classes,
     iter_ball_free,
     min_conjugate,
     multiply,
@@ -401,9 +404,16 @@ class NBallReport:
 def verify_nball_proposition(n: int, words=None, level: int | None = None) -> NBallReport:
     """Certify torsion for every word of word length <= n at level i(n).
 
+    The exhaustive sweep goes by conjugacy class: ``iter_ball_classes``
+    gives each class with the letter counts of its words, so each class is
+    certified once and each (class, count vector) pair gets one radius
+    test.  If any word fails, the report is rebuilt word by word over
+    ``iter_ball_free(n)``, so failures keep their shortlex order.
+
     ``words`` overrides the exhaustive free-product ball (e.g. for random
-    sampling) and is reduced word by word; ``level`` overrides the computed
-    radius index.
+    sampling); a word that is not a reduced string is reduced first, so a
+    letter outside "abcd" raises ValueError.
+    ``level`` overrides the computed radius index.
     """
     if n < 2 and level is None:
         raise ValueError("need n >= 2 for a nonnegative level")
@@ -412,9 +422,12 @@ def verify_nball_proposition(n: int, words=None, level: int | None = None) -> NB
     if level < -1:
         raise ValueError("level must be >= -1")
     if words is None:
+        report = _class_sweep(n, level)
+        if report is not None:
+            return report
         words = iter_ball_free(n)
     else:
-        words = map(reduce_word, words)
+        words = (w if is_reduced(w) else reduce_word(w) for w in words)
     report = NBallReport(radius=n, level=level, word_count=0, max_exponent=0, max_depth=0)
     for w in words:
         report.word_count += 1
@@ -426,4 +439,29 @@ def verify_nball_proposition(n: int, words=None, level: int | None = None) -> NB
         report.max_exponent = max(report.max_exponent, e)
         report.max_depth = max(report.max_depth, d)
         report.exponent_histogram[e] = report.exponent_histogram.get(e, 0) + 1
+    return report
+
+
+def _class_sweep(n: int, level: int) -> NBallReport | None:
+    """The exhaustive n-ball report, one certificate per conjugacy class;
+    None as soon as some word of the ball fails at this level.
+
+    A word passes iff its letter counts pass the radius test (at level > 0)
+    and its class certifies, so a (class, count vector) pair decides all
+    the words it counts.
+    """
+    report = NBallReport(radius=n, level=level, word_count=0, max_exponent=0, max_depth=0)
+    histogram = report.exponent_histogram
+    for m, tally in iter_ball_classes(n):
+        if level > 0 and not all(_in_open_ball(*counts, level - 1) for counts in tally):
+            return None
+        try:
+            e, d = certify_exponent(m, level)
+        except RadiusViolation:
+            return None
+        words = sum(tally.values())
+        report.word_count += words
+        report.max_exponent = max(report.max_exponent, e)
+        report.max_depth = max(report.max_depth, d)
+        histogram[e] = histogram.get(e, 0) + words
     return report

@@ -189,6 +189,27 @@ def test_check_all_nball_skip(capsys, tmp_path):
     assert nball[0]["status"] == "skipped"
 
 
+_BAD_NBALL = {
+    "1": "--nball radii must be >= 2 (or 0 to skip), not 1",
+    "-3": "--nball radii must be >= 2 (or 0 to skip), not -3",
+    "5,1": "--nball radii must be >= 2 (or 0 to skip), not 1",
+    "x": "--nball radii must be integers, not 'x'",
+}
+
+
+@pytest.mark.parametrize("radii", list(_BAD_NBALL))
+def test_check_all_rejects_bad_nball_before_any_check(capsys, monkeypatch, radii):
+    from grigorchuk import reports
+
+    def no_checks(cfg):
+        raise AssertionError("a check ran before --nball was validated")
+
+    monkeypatch.setattr(reports, "check_all", no_checks)
+    code, out, err = run(capsys, "check-all", "--nball", radii)
+    assert (code, out) == (2, "")
+    assert _BAD_NBALL[radii] in err
+
+
 def test_check_all_bad_config(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense line without equals\n")

@@ -1,8 +1,11 @@
+from collections import Counter, defaultdict
+
 import pytest
 from hypothesis import given
 
 from conftest import raw_words, reduced_words
 from grigorchuk.errors import CapExceeded, PreconditionError, WordParseError
+from grigorchuk.growth import ball_free_product
 from grigorchuk.words import (
     a_parity,
     cyclically_reduce,
@@ -10,6 +13,7 @@ from grigorchuk.words import (
     format_word,
     invert,
     is_reduced,
+    iter_ball_classes,
     iter_ball_free,
     min_conjugate,
     multiply,
@@ -32,6 +36,16 @@ def test_reduce_is_idempotent_and_reduced(w):
     r = reduce_word(w)
     assert is_reduced(r)
     assert reduce_word(r) == r
+
+
+@given(raw_words)
+def test_is_reduced_iff_fixed_by_reduction(w):
+    assert is_reduced(w) == (reduce_word(w) == w)
+
+
+def test_is_reduced_rejects_other_letters_and_non_strings():
+    assert not is_reduced("abx")
+    assert not is_reduced(["a", "b"])
 
 
 @given(reduced_words())
@@ -131,3 +145,33 @@ def test_ball_cap():
     with pytest.raises(CapExceeded) as exc:
         enumerate_ball_free(10, cap=50)
     assert exc.value.partial == 50
+
+
+def _letter_counts(w):
+    return tuple(w.count(x) for x in "abcd")
+
+
+def test_ball_classes_match_the_grouped_ball():
+    # the oracle: every word of the ball, grouped by class and letter counts
+    for n in range(15):
+        want = defaultdict(Counter)
+        for w in iter_ball_free(n):
+            want[min_conjugate(w)][_letter_counts(w)] += 1
+        got = {m: Counter(tally) for m, tally in iter_ball_classes(n)}
+        assert got == want, n
+
+
+def test_ball_classes_count_the_free_ball():
+    for n in range(25):
+        assert sum(sum(t.values()) for _, t in iter_ball_classes(n)) == ball_free_product(n), n
+
+
+def test_ball_classes_are_distinct_minimal_conjugates():
+    reps = [m for m, _tally in iter_ball_classes(20)]
+    assert len(reps) == len(set(reps)) == 9508
+    assert all(min_conjugate(m) == m for m in reps)
+
+
+def test_ball_classes_reject_negative_radius():
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        next(iter_ball_classes(-1))

@@ -8,7 +8,15 @@ from conftest import reduced_words
 from grigorchuk import wreath
 from grigorchuk.cubic import LAMBDA_INV, lambda_length, radius_index
 from grigorchuk.errors import GrigError, PreconditionError
-from grigorchuk.words import BCD, a_parity, invert, iter_ball_free, min_conjugate, multiply
+from grigorchuk.words import (
+    BCD,
+    a_parity,
+    invert,
+    iter_ball_classes,
+    iter_ball_free,
+    min_conjugate,
+    multiply,
+)
 from grigorchuk.wreath import (
     CertificateFailure,
     RadiusViolation,
@@ -242,6 +250,40 @@ def test_verify_nball_reduces_supplied_words():
     assert rep.ok
     assert rep.to_dict() == verify_nball_proposition(4, words=["bab", "b"]).to_dict()
     assert rep.max_exponent == certify_exponent("bab", rep.level)[0]
+    # a letter sequence that is not a string is reduced too
+    assert verify_nball_proposition(4, words=[list("aabab"), "b"]).to_dict() == rep.to_dict()
+
+
+def test_verify_nball_rejects_invalid_letters():
+    with pytest.raises(ValueError, match="invalid letter 'x'"):
+        verify_nball_proposition(4, words=["abx"])
+
+
+def test_class_sweep_matches_the_word_loop():
+    # supplied words take the word loop, the oracle of the class sweep
+    for n in range(2, 17):
+        by_word = verify_nball_proposition(n, words=iter_ball_free(n)).to_dict()
+        assert verify_nball_proposition(n).to_dict() == by_word, n
+
+
+def test_nball_20_is_pinned():
+    rep = verify_nball_proposition(20)
+    assert rep.ok
+    assert (rep.word_count, rep.max_exponent, rep.max_depth) == (295241, 7, 9)
+    histogram = {1: 11795, 2: 32108, 3: 79990, 4: 147068, 5: 17968, 6: 5664, 7: 648}
+    assert rep.exponent_histogram == histogram
+
+
+def test_class_orders_within_their_certificates_on_the_20_ball():
+    # orders come from the limit group, exponents from level i(20)
+    level = radius_index(20)
+    classes = tight = 0
+    for m, _tally in iter_ball_classes(20):
+        bound = 2 ** certify_exponent(m, level)[0]
+        assert order(m) <= bound, m
+        classes += 1
+        tight += order(m) == bound
+    assert (classes, tight) == (9508, 9436)
 
 
 def test_levels_below_minus_one_are_rejected():
