@@ -20,6 +20,7 @@ __all__ = [
     "WEIGHT",
     "lambda_length",
     "length_triple",
+    "count_triple",
     "triple_sign",
     "triple_compare_power",
     "radius_index",
@@ -199,6 +200,8 @@ class CubicNumber:
         return triple_sign(self.n0, self.n1, self.n2)
 
     def compare(self, other) -> int:
+        if isinstance(other, int):
+            return triple_sign(self.n0 - other * self.den, self.n1, self.n2)
         o = _coerce(other)
         a, b = self.den, o.den
         return triple_sign(self.n0 * b - o.n0 * a, self.n1 * b - o.n1 * a, self.n2 * b - o.n2 * a)
@@ -299,13 +302,18 @@ def lambda_length(w: str) -> CubicNumber:
 
 
 def length_triple(w: str) -> tuple[int, int, int]:
-    c0 = c1 = c2 = 0
-    for ch in w:
-        t = _WEIGHT_TRIPLE[ch]
-        c0 += t[0]
-        c1 += t[1]
-        c2 += t[2]
-    return c0, c1, c2
+    """The integer triple of lambda_length(w), from the letter counts of w."""
+    counts = [w.count(x) for x in "abcd"]
+    if sum(counts) != len(w):
+        bad = next(ch for ch in w if ch not in _WEIGHT_TRIPLE)
+        raise ValueError(f"not a letter of a, b, c, d: {bad!r}")
+    return count_triple(*counts)
+
+
+def count_triple(na: int, nb: int, nc: int, nd: int) -> tuple[int, int, int]:
+    """The integer triple of the length of a word with these letter counts:
+    na*(-2, 2, 0) + nb*(3, -2, 0) + nc*(1, -3, 2) + nd*(2, 1, -2)."""
+    return -2 * na + 3 * nb + nc + 2 * nd, 2 * na - 2 * nb - 3 * nc + nd, 2 * nc - 2 * nd
 
 
 @functools.cache
@@ -324,17 +332,31 @@ def compare_power_to_int(k: int, n) -> int:
     return _lambda_power(k).compare(n)
 
 
+@functools.cache
+def _power_ceiling(k: int) -> int:
+    """The least integer >= L**k, k >= 0: for an integer n, L**k <= n iff
+    _power_ceiling(k) <= n."""
+    lo, _ = _lambda_power(k).enclosure(Fraction(1))
+    # lo <= L^k < lo + 1, so the ceiling is ceil(lo) or ceil(lo) + 1
+    c = math.ceil(lo)
+    return c if compare_power_to_int(k, c) <= 0 else c + 1
+
+
+# log(L) as a float, for the starting guess of radius_index only
+_LOG_LAMBDA = math.log(_ENCLOSURE.num_lo / (1 << _ENCLOSURE.k))
+
+
 def radius_index(n: int) -> int:
-    """The unique m with L^(m+1) <= n < L^(m+2), by exact power comparisons."""
+    """The unique m with L^(m+1) <= n < L^(m+2), for an integer n >= 1, by
+    comparisons with the exact integer thresholds ceil(L^k)."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"radius_index needs an int, not {type(n).__name__}")
     if n < 1:
         raise ValueError("radius_index needs n >= 1")
-    # float guess from the enclosure midpoint, then exact verification
-    lo, hi = _ENCLOSURE.bounds()
-    guess = int(math.log(n) / math.log(float((lo + hi) / 2)))
-    m = max(guess - 3, -1)
-    while compare_power_to_int(m + 2, n) <= 0:
+    m = max(int(math.log(n) / _LOG_LAMBDA) - 3, -1)
+    while _power_ceiling(m + 2) <= n:
         m += 1
-    while m >= 0 and compare_power_to_int(m + 1, n) > 0:
+    while m >= 0 and _power_ceiling(m + 1) > n:
         m -= 1
     # final m may be -1 for n = 1 (L^0 = 1 <= 1 < L)
     return m

@@ -31,7 +31,7 @@ from .wreath import lemma_split_contraction_check, order, split
 @dataclass
 class CheckConfig:
     nball_radii: tuple[int, ...] = (2, 5, 10, 20)
-    nball_random_max: int = 0  # extra random sweep up to this radius (0 = off)
+    nball_random_max: int = 0  # random sweep over radii 2..this (below 2 = off)
     nball_random_samples: int = 100_000
     lemma_samples: int = 10_000
     radius_exhaustive: int = 10_000
@@ -183,17 +183,22 @@ def check_lemma_ineq(cfg: CheckConfig) -> CheckReport:
     rng = random.Random(cfg.seed)
     strong_checked = weak_checked = 0
     violations = []
+    # one verdict per distinct word; the witnesses still count samples
+    weak_holds: dict[str, bool] = {}
+    strong_holds: dict[str, bool] = {}
     while strong_checked < cfg.lemma_samples:
         w = random_reduced_word(rng.randint(0, 24), rng)
-        rep = lemma_split_contraction_check(w)
-        if not rep.weak_holds:
+        if w not in weak_holds:
+            weak_holds[w] = lemma_split_contraction_check(w).weak_holds
+        if not weak_holds[w]:
             violations.append(("weak", w))
         weak_checked += 1
         m = min_conjugate(w)
         if m in BCD:
             continue
-        mrep = lemma_split_contraction_check(m)
-        if not mrep.strong_holds:
+        if m not in strong_holds:
+            strong_holds[m] = lemma_split_contraction_check(m).strong_holds
+        if not strong_holds[m]:
             violations.append(("strong", m))
         strong_checked += 1
     return CheckReport(
@@ -250,7 +255,7 @@ def check_nball(cfg: CheckConfig) -> list[CheckReport]:
                 time.perf_counter() - t0,
             )
         )
-    if cfg.nball_random_max > 2:
+    if cfg.nball_random_max >= 2:
         t0 = time.perf_counter()
         rng = random.Random(cfg.seed)
         failures = 0

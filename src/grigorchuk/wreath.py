@@ -17,7 +17,14 @@ import json
 from dataclasses import dataclass, field
 
 from . import cubic
-from .cubic import CubicNumber, lambda_length, length_triple, triple_compare_power, triple_sign
+from .cubic import (
+    CubicNumber,
+    count_triple,
+    lambda_length,
+    length_triple,
+    triple_compare_power,
+    triple_sign,
+)
 from .errors import CapExceeded, GrigError, PreconditionError
 from .permgrp import pmul
 from .words import (
@@ -276,7 +283,7 @@ def _in_open_ball(na: int, nb: int, nc: int, nd: int, r: int) -> bool:
     The length of a reduced word is the sum of its letter weights, so the
     open-ball test depends only on the letter counts and the radius.
     """
-    return triple_compare_power(length_triple("a" * na + "b" * nb + "c" * nc + "d" * nd), r) < 0
+    return triple_compare_power(count_triple(na, nb, nc, nd), r) < 0
 
 
 def _ball_class(w: str, n: int) -> str:

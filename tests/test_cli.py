@@ -297,3 +297,92 @@ def test_negative_control_nball_level_too_low(monkeypatch):
     assert rep.status == "fail"
     assert rep.witnesses["level"] == 1
     assert rep.witnesses["failures"]
+
+
+# SHA-256 of `grig check-all --no-timestamp` at the default configuration;
+# it must change only with a deliberate change to some check's output
+_CHECK_ALL_SHA256 = "a6a05032ef2140b84d4a95d6539fe1b352da32e122ed89aac0e815a836c4121d"
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "12345"])
+def test_check_all_output_is_pinned(hash_seed):
+    import hashlib
+    import os
+    import subprocess
+    import sys
+
+    import grigorchuk
+
+    src = os.path.dirname(os.path.dirname(grigorchuk.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+    proc = subprocess.run(
+        [sys.executable, "-m", "grigorchuk.cli", "check-all", "--no-timestamp"],
+        env=env,
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == _CHECK_ALL_SHA256
+
+
+def test_lemma_witnesses_count_samples():
+    from grigorchuk import reports
+
+    rep = reports.check_lemma_ineq(reports.CheckConfig())
+    assert rep.status == "pass"
+    assert rep.witnesses == {"strong_checked": 10_000, "weak_checked": 11_097, "violations": []}
+
+
+def test_negative_control_lemma_verdict_per_distinct_word(monkeypatch):
+    """A failing weak verdict for one word is reported once per sample of
+    that word, while the lemma is checked once per distinct word."""
+    import dataclasses
+    import random
+    from collections import Counter
+
+    from grigorchuk import reports
+    from grigorchuk.words import BCD, min_conjugate
+
+    cfg = reports.CheckConfig(lemma_samples=2_000)
+    rng = random.Random(cfg.seed)
+    drawn = Counter()
+    conjugates = set()
+    strong = 0
+    while strong < cfg.lemma_samples:  # the stream check_lemma_ineq draws
+        w = reports.random_reduced_word(rng.randint(0, 24), rng)
+        drawn[w] += 1
+        m = min_conjugate(w)
+        if m not in BCD:
+            conjugates.add(m)
+            strong += 1
+    target, k = max(((w, c) for w, c in drawn.items() if c > 1), key=lambda p: (len(p[0]), p[0]))
+
+    real = reports.lemma_split_contraction_check
+    calls = []
+
+    def patched(x):
+        calls.append(x)
+        rep = real(x)
+        return dataclasses.replace(rep, weak_holds=False) if x == target else rep
+
+    monkeypatch.setattr(reports, "lemma_split_contraction_check", patched)
+    rep = reports.check_lemma_ineq(cfg)
+    assert k > 1
+    assert rep.status == "fail"
+    assert rep.witnesses["violations"] == [("weak", target)] * min(k, 10)
+    assert rep.witnesses["weak_checked"] == sum(drawn.values())
+    assert len(calls) == len(drawn) + len(conjugates)
+
+
+@pytest.mark.parametrize("top, count", [(1, None), (2, 10), (3, 20)])
+def test_random_nball_sweep_starts_at_radius_2(top, count):
+    from grigorchuk import reports
+
+    cfg = reports.CheckConfig(nball_radii=(2,), nball_random_max=top, nball_random_samples=10)
+    swept = [r for r in reports.check_nball(cfg) if "random" in r.check_id]
+    if count is None:
+        assert swept == []
+    else:
+        (rep,) = swept
+        assert rep.check_id == f"nball-torsion-random-{top}"
+        assert rep.status == "pass"
+        assert rep.witnesses["count"] == count

@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import reduced_words
+from grigorchuk import cubic
 from grigorchuk.cubic import (
     LAMBDA,
     LAMBDA_INV,
@@ -92,6 +94,21 @@ def test_lambda_length_additive_on_letters():
 @given(reduced_words())
 def test_length_triple_matches_lambda_length(w):
     assert CubicNumber(*length_triple(w)) == lambda_length(w)
+
+
+@given(st.text(alphabet="abcd", max_size=40))
+def test_length_triple_sums_the_letter_weights(w):
+    expected = [0, 0, 0]
+    for ch in w:
+        for i, c in enumerate(cubic._WEIGHT_TRIPLE[ch]):
+            expected[i] += c
+    assert length_triple(w) == tuple(expected)
+
+
+@pytest.mark.parametrize("w, bad", [("abx", "x"), ("A", "A"), ("ab ", " ")])
+def test_length_triple_names_a_foreign_letter(w, bad):
+    with pytest.raises(ValueError, match=repr(bad)):
+        length_triple(w)
 
 
 def test_triple_compare_power():
@@ -262,3 +279,38 @@ def test_enclosure_contains_value():
 def test_radius_index_rejects_zero():
     with pytest.raises(ValueError):
         radius_index(0)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, Fraction(5)])
+def test_radius_index_takes_only_int(n):
+    with pytest.raises(TypeError):
+        radius_index(n)
+
+
+def test_power_ceilings_by_bisection():
+    lo, hi = _lambda_bracket(128)
+    for k in range(81):
+        c = cubic._power_ceiling(k)
+        assert hi**k <= c and c - 1 < lo**k  # c - 1 < L^k <= c
+
+
+def _radius_index_by_comparison(n: int) -> int:
+    """i(n) by exact comparisons of L^k with n, as radius_index found it
+    before it read integer thresholds."""
+    m = max(int(math.log(n) / math.log(float(LAMBDA))) - 3, -1)
+    while compare_power_to_int(m + 2, n) <= 0:
+        m += 1
+    while m >= 0 and compare_power_to_int(m + 1, n) > 0:
+        m -= 1
+    return m
+
+
+def test_radius_index_agrees_with_exact_comparison():
+    rng = random.Random(2025)
+    ns = list(range(1, 20_001)) + [rng.randint(1, 10**9) for _ in range(2_000)]
+    assert [radius_index(n) for n in ns] == [_radius_index_by_comparison(n) for n in ns]
+
+
+@given(cubics, st.integers(min_value=-(10**12), max_value=10**12))
+def test_compare_with_int_agrees_with_cubic(x, n):
+    assert x.compare(n) == x.compare(CubicNumber(n))
