@@ -205,8 +205,11 @@ def todd_coxeter(
     """HLT coset enumeration of the subgroup generated by ``subgroup_words``.
 
     Words may be strings over single-letter generators or pre-parsed
-    signed relators; a word over an undeclared generator raises ValueError.
+    signed relators; a word over an undeclared generator, or a ``cap`` < 1,
+    raises ValueError.
     """
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
     words = tuple(
         w if isinstance(w, tuple) else relator_from_string(w) for w in subgroup_words
     )

@@ -3,23 +3,30 @@
 Two groups are covered: the limit group itself (breadth-first search over
 the Cayley graph, equality decided exactly by canonical keys or by the word
 problem) and the ambient free product (closed-form alternation
-recurrence), which bounds it from above.  Entropy estimates log(|B_n|)/n
-are reported as rational enclosures, never as floats posing as exact
-values.
+recurrence), which bounds it from above.  A canonical key is the section
+triple (p, id(g0), id(g1)) of g = (g0, g1)·a^p; the BFS multiplies triples
+by letters without building a section word and keeps the keys of three
+spheres only.  Entropy estimates log(|B_n|)/n are reported as rational
+enclosures, never as floats posing as exact values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 from .cubic import ln_enclosure
 from .permgrp import identity, pmul
-from .words import BCD, LETTERS, a_parity, invert, multiply
-from .wreath import is_trivial, level_action, split
+from .words import BCD, LETTERS, invert, multiply
+from .wreath import is_trivial, level_action
 
 # depth of the tree action that buckets the word-problem oracle's candidates
 _BUCKET_DEPTH = 5
+# ids 0..4 of the nucleus, and the sections of b = (a, c), c = (a, d),
+# d = (1, b)
+_NUCLEUS = ("", "a", "b", "c", "d")
+_SECTIONS = {"b": ("a", "c"), "c": ("a", "d"), "d": ("", "b")}
 
 
 def free_sphere_sizes(n: int) -> list[int]:
@@ -69,42 +76,75 @@ def _entropy_enclosure(ball: int, n: int) -> tuple[Fraction, Fraction]:
 
 
 class _SignatureEquality:
-    """Exact canonical keys, after the contracting-group normal form.
+    """Exact canonical keys by arithmetic on section triples.
 
-    A reduced word w with a-parity p is (w0, w1)·a^p, where (w0, w1) =
-    split(w·a^p), and for |w| >= 2 both sections are strictly shorter.  Its
-    key is the triple (p, key(w0), key(w1)) interned to a small int; the
-    recursion stops at the nucleus 1, a, b, c, d, whose triples are
-    registered up front, so a long word equal to a nucleus element gets
-    that element's id.  The splitting is injective, so equal keys mean
-    equal elements.
+    An element g = (g0, g1)·a^p is the triple (p, id(g0), id(g1)), where an
+    id is an interned triple of a section.  Right multiplication by a flips
+    p; by x in {b, c, d}, with sections (x0, x1), it multiplies the sections,
+    g·x = (g0·x_p, g1·x_(1-p))·a^p, each through a memo (id, letter) -> id.
+    The memo is seeded with the nucleus 1, a, b, c, d (ids 0..4) and its
+    products that stay in it (1·x = x, x·x = 1, x·y = the third of b, c,
+    d), so the recursion, which otherwise descends to sections of smaller
+    id, ends there.  The splitting is injective, so equal elements get
+    equal ids and equal triples.
+
+    The BFS holds sphere elements as triples and never interns them: only
+    sections get ids, a ball of about half the radius (271 ids at radius
+    16).  A candidate rep·g with rep in S(k) lies in S(k-1), S(k) or S(k+1),
+    so those three sets of triples are all that a probe consults.
     """
 
     def __init__(self):
-        # ids 0..4 are the nucleus 1, a, b, c, d: a = (1, 1)·a, b = (a, c),
-        # c = (a, d), d = (1, b)
-        self.word_ids = {w: i for i, w in enumerate(["", "a", "b", "c", "d"])}
-        self.triple_ids = {(0, 0, 0): 0, (1, 0, 0): 1, (0, 1, 3): 2, (0, 1, 4): 3, (0, 0, 2): 4}
-        self.seen: set[int] = set()
+        # a = (1, 1)·a, b = (a, c), c = (a, d), d = (1, b)
+        self.triples = [(0, 0, 0), (1, 0, 0), (0, 1, 3), (0, 1, 4), (0, 0, 2)]
+        self.ids = {t: i for i, t in enumerate(self.triples)}
+        self.products = {(0, g): i for i, g in enumerate(_NUCLEUS)}
+        for x in BCD:
+            for y in BCD:
+                xy = "" if x == y else BCD.replace(x, "").replace(y, "")
+                self.products[_NUCLEUS.index(x), y] = _NUCLEUS.index(xy)
+        self.identity = self.triples[0]
+        self.spheres: tuple[set, set, set] = (set(), set(), set())
 
-    def key(self, w: str) -> int:
-        """Id of the element of the reduced word w."""
-        hit = self.word_ids.get(w)
-        if hit is not None:
-            return hit
-        p = a_parity(w)
-        w0, w1 = split(multiply(w, "a") if p else w)
-        triple = (p, self.key(w0), self.key(w1))
-        k = self.triple_ids.setdefault(triple, len(self.triple_ids))
-        self.word_ids[w] = k
+    def times(self, t: tuple[int, int, int], g: str) -> tuple[int, int, int]:
+        """Triple of the element t times the letter g."""
+        p, i0, i1 = t
+        if g == "a":
+            return (1 - p, i0, i1)
+        x0, x1 = _SECTIONS[g]
+        if p:
+            x0, x1 = x1, x0
+        return (p, self._mul(i0, x0), self._mul(i1, x1))
+
+    def _mul(self, i: int, g: str) -> int:
+        """Id of the section i times the letter g (or the empty word)."""
+        if not g:
+            return i
+        k = self.products.get((i, g))
+        if k is None:
+            t = self.times(self.triples[i], g)
+            k = self.ids.get(t)
+            if k is None:
+                k = self.ids[t] = len(self.triples)
+                self.triples.append(t)
+            self.products[i, g] = k
         return k
 
-    def probe(self, w: str) -> bool:
-        """True if w is new; records it if so."""
-        k = self.key(w)
-        if k in self.seen:
+    def key(self, w: str) -> int:
+        """Id of the element of the word w."""
+        return reduce(self._mul, w, 0)
+
+    def next_sphere(self) -> None:
+        """Start the next radius: S(k-1), S(k), S(k+1) move down by one."""
+        _, cur, nxt = self.spheres
+        self.spheres = (cur, nxt, set())
+
+    def probe(self, w: str, t: tuple[int, int, int]) -> bool:
+        """True if the element t (of the word w) is new; records it if so."""
+        prev, cur, nxt = self.spheres
+        if t in prev or t in cur or t in nxt:
             return False
-        self.seen.add(k)
+        nxt.add(t)
         return True
 
 
@@ -114,34 +154,36 @@ class _PureEquality:
     the independent oracle for the canonical keys.
 
     The action is a homomorphism, so equal elements share a bucket and the
-    word problem alone decides equality.  The image of w is built from its
-    prefix, act(w) = act(w[:-1]) o act(w[-1]), and the BFS extends only
-    recorded representatives, so each candidate costs one composition.
-    Depth 5 is the smallest depth with no false collision at radius 12
-    (depth 4 leaves 454 there): every confirmation then finds a duplicate.
+    word problem alone decides equality.  The BFS carries each
+    representative's image, act(w·g) = act(w) o act(g), so each candidate
+    costs one composition.  Depth 5 is the smallest depth with no false
+    collision at radius 12 (depth 4 leaves 454 there): every confirmation
+    then finds a duplicate.
     """
 
     def __init__(self):
         self.letter_images = {g: level_action(g, _BUCKET_DEPTH) for g in LETTERS}
-        self.prefix_images = {"": identity(1 << _BUCKET_DEPTH)}
+        self.identity = identity(1 << _BUCKET_DEPTH)
         self.buckets: dict[tuple[int, ...], list[str]] = {}
 
-    def key(self, w: str) -> tuple[int, ...]:
-        """Action of the reduced word w at depth ``_BUCKET_DEPTH``."""
-        image = self.prefix_images.get(w)
-        if image is None:
-            image = pmul(self.key(w[:-1]), self.letter_images[w[-1]])
-        return image
+    def times(self, image: tuple[int, ...], g: str) -> tuple[int, ...]:
+        """Action of the element of action ``image`` times the letter g."""
+        return pmul(image, self.letter_images[g])
 
-    def probe(self, w: str) -> bool:
+    def key(self, w: str) -> tuple[int, ...]:
+        """Action of the word w at depth ``_BUCKET_DEPTH``."""
+        return reduce(self.times, w, self.identity)
+
+    def next_sphere(self) -> None:
+        """Nothing to do: the buckets span the whole ball."""
+
+    def probe(self, w: str, image: tuple[int, ...]) -> bool:
         """True if w is new; records it if so."""
-        image = self.key(w)
         bucket = self.buckets.setdefault(image, [])
         for rep in bucket:
             if is_trivial(multiply(invert(rep), w)):
                 return False
         bucket.append(w)
-        self.prefix_images[w] = image
         return True
 
 
@@ -163,10 +205,15 @@ def ball_grigorchuk(
     normal forms are found at their own (smaller) depth.  So a
     representative rep of depth k-1 has free length k-1, and rep·g either
     is the reduced word rep + g or reduces to a shorter word, an element
-    already in the ball; such candidates are skipped without a probe.  With
-    ``use_signatures`` equality is decided by canonical keys (sections
-    interned down to the nucleus); without it, by the word problem within
-    buckets of the depth-5 tree action, which is the independent oracle.
+    already in the ball; such candidates are skipped without a probe.  The
+    representatives of a sphere are sorted and of one length, so the
+    candidates rep + g come in sorted order and so do the new ones.
+
+    Each representative travels with its key, and a candidate's key is the
+    representative's key times g.  With ``use_signatures`` the key is the
+    element's section triple and equality is key equality within three
+    spheres; without it, the key is the depth-5 tree action and equality is
+    decided by the word problem within its buckets, the independent oracle.
 
     With a ``budget`` the search stops at the first candidate, reducing or
     not, reached once ``budget`` elements are counted, and the table is
@@ -178,15 +225,17 @@ def ball_grigorchuk(
     if budget is not None and budget < 1:
         raise ValueError("budget must be >= 1")
     eq = _SignatureEquality() if use_signatures else _PureEquality()
-    eq.probe("")
+    eq.probe("", eq.identity)
     table = GrowthTable(group="grig", rows=[], representatives=[])
     table.rows.append(GrowthRow(0, 1, 1, _entropy_enclosure(1, 0)))
     table.representatives.append([""])
-    sphere = [""]
+    sphere, keys = [""], [eq.identity]
     total = 1
     for k in range(1, maxn + 1):
+        eq.next_sphere()
         new: list[str] = []
-        for rep in sphere:
+        new_keys = []
+        for rep, key in zip(sphere, keys):
             for g in LETTERS:
                 if budget is not None and total + len(new) >= budget:
                     table.complete = False
@@ -198,14 +247,14 @@ def ball_grigorchuk(
                     return table
                 if _reduces(rep, g):
                     continue
-                w = rep + g
-                if eq.probe(w):
+                w, t = rep + g, eq.times(key, g)
+                if eq.probe(w, t):
                     new.append(w)
-        new.sort()
+                    new_keys.append(t)
         total += len(new)
         table.representatives.append(new)
         table.rows.append(GrowthRow(k, total, len(new), _entropy_enclosure(total, k)))
-        sphere = new
+        sphere, keys = new, new_keys
     return table
 
 

@@ -255,7 +255,10 @@ def iter_ball_classes(n: int):
 
 
 def enumerate_ball_free(n: int, cap: int | None = None) -> list[str]:
-    """The n-ball of the free product as a list; raises CapExceeded past cap."""
+    """The n-ball of the free product as a list; raises CapExceeded past cap
+    and ValueError when cap < 1."""
+    if cap is not None and cap < 1:
+        raise ValueError("cap must be >= 1")
     out = []
     for w in iter_ball_free(n):
         if cap is not None and len(out) >= cap:

@@ -82,6 +82,22 @@ def test_ball_cap_exit_3(capsys):
     assert "partial" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ball", "3", "--cap", "-1"],
+        ["ball", "3", "--cap", "0"],
+        ["coset", "--level", "0", "--xi", "--cap", "-5"],
+        ["coset", "--gamma0", "--cap", "0"],
+    ],
+)
+def test_cap_below_one_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "cap must be >= 1" in err
+
+
 def test_growth_csv(capsys):
     code, out, _ = run(capsys, "growth", "--group", "free", "--maxn", "3")
     assert code == 0

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -15,23 +16,23 @@ from grigorchuk.growth import (
     free_sphere_sizes,
     growth_table_free,
 )
-from grigorchuk.words import LETTERS, invert, is_reduced, multiply, reduce_word
-from grigorchuk.wreath import is_trivial, level_action
+from grigorchuk.words import LETTERS, a_parity, invert, is_reduced, multiply, reduce_word
+from grigorchuk.wreath import is_trivial, level_action, split
 
 RELATORS = ["ad" * 4, "ac" * 8, "ab" * 16]
 
 
 @st.composite
-def word_pairs(draw):
-    """(u, v) with v = u in the group half of the time: a cyclic rotation of
-    a relator inserted anywhere into u."""
-    u = draw(reduced_words(max_size=30))
-    if draw(st.booleans()):
+def word_pairs(draw, max_size=30, always_equal=False):
+    """(u, v) with v = u in the group half of the time (or always): a cyclic
+    rotation of a relator inserted anywhere into u."""
+    u = draw(reduced_words(max_size=max_size))
+    if always_equal or draw(st.booleans()):
         r = draw(st.sampled_from(RELATORS))
         j = draw(st.integers(0, len(r) - 1))
         i = draw(st.integers(0, len(u)))
         return u, reduce_word(u[:i] + r[j:] + r[:j] + u[i:])
-    return u, draw(reduced_words(max_size=30))
+    return u, draw(reduced_words(max_size=max_size))
 
 
 def test_free_sphere_recurrence():
@@ -62,6 +63,20 @@ def test_pipelines_agree():
     assert sig.representatives == pure.representatives
 
 
+def test_grigorchuk_spheres_pinned_to_radius_24():
+    # captured from the string-keyed BFS that the triple arithmetic replaced
+    table = ball_grigorchuk(24)
+    assert [r.sphere for r in table.rows] == [
+        1, 4, 6, 12, 17, 28, 40, 68, 95, 156, 216, 356, 488, 772, 1054, 1660,
+        2240, 3448, 4642, 7128, 9518, 14392, 19186, 28984, 38237,
+    ]
+    # the first 21 spheres are those of ball_grigorchuk(20)
+    text = "\n".join(" ".join(level) for level in table.representatives[:21])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "f1c78075c0a01d05bd74d163480c1f9a83875895b264fb0b13688ccca1817c68"
+    )
+
+
 def test_grigorchuk_ball_below_free_ball():
     table = ball_grigorchuk(20)
     assert len(table.rows) == 21
@@ -79,6 +94,22 @@ def test_canonical_key_decides_equality(pair):
     u, v = pair
     eq = _SignatureEquality()
     assert (eq.key(u) == eq.key(v)) == is_trivial(multiply(invert(u), v))
+
+
+@given(word_pairs(max_size=40, always_equal=True))
+@example(("adadadad", ""))
+@example(("b", "badadadad"))
+@example(("a", "dadadad"))
+def test_key_triple_is_the_split(pair):
+    # the sections come from wreath.split, not from the triple arithmetic
+    eq = _SignatureEquality()
+    for w in pair:
+        p = a_parity(w)
+        w0, w1 = split(multiply(w, "a") if p else w)
+        assert eq.triples[eq.key(w)] == (p, eq.key(w0), eq.key(w1))
+    # v is u with a relator inserted
+    u, v = pair
+    assert eq.key(u) == eq.key(v)
 
 
 @given(word_pairs())
