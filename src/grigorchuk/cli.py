@@ -51,15 +51,11 @@ def _flatten(v):
     return v
 
 
-def _word_arg(text: str) -> str:
-    return parse_word(text)
-
-
 # -- subcommand handlers ----------------------------------------------------
 
 
 def cmd_reduce(args) -> int:
-    w = _word_arg(args.word)
+    w = parse_word(args.word)
     print(format_word(w))
     if args.min_conjugate:
         print(format_word(min_conjugate(w)))
@@ -67,12 +63,12 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_order(args) -> int:
-    print(order(_word_arg(args.word)))
+    print(order(parse_word(args.word)))
     return EXIT_OK
 
 
 def cmd_split(args) -> int:
-    w = _word_arg(args.word)
+    w = parse_word(args.word)
     if wreath.a_parity(w) != 0:
         print(f"error: {format_word(w)} is active (odd number of a's); "
               "split applies to its square or to w*a", file=sys.stderr)
@@ -83,7 +79,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    w = _word_arg(args.word)
+    w = parse_word(args.word)
     level = args.level if args.level is not None else radius_index(max(len(w), 2))
     result = certify_torsion(w, level)
     if isinstance(result, wreath.CertificateFailure):

@@ -267,13 +267,3 @@ def growth_table_free(maxn: int) -> GrowthTable:
         table.rows.append(GrowthRow(k, total, s, _entropy_enclosure(total, k)))
     return table
 
-
-def entropy_series(maxn: int, group: str = "grig") -> list[tuple[Fraction, Fraction]]:
-    """Per-radius estimates of log(|B_n|)/n for the chosen group."""
-    if group == "free":
-        table = growth_table_free(maxn)
-    elif group == "grig":
-        table = ball_grigorchuk(maxn)
-    else:
-        raise ValueError(f"unknown group {group!r}")
-    return [row.entropy_enclosure for row in table.rows[1:]]

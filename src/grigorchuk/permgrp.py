@@ -158,13 +158,6 @@ def core(G: PermGroup, H: PermGroup) -> PermGroup:
     return _as_group(G, current)
 
 
-def is_normal(G: PermGroup, H: PermGroup) -> bool:
-    hset = H.element_set
-    return all(conjugate_subgroup(H, g) == hset for g in G.generators) and all(
-        conjugate_subgroup(H, g) == hset for g in G.elements
-    )
-
-
 @dataclass(frozen=True)
 class CoreLemmaReport:
     applicable: bool

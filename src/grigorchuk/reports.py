@@ -58,6 +58,12 @@ class CheckConfig:
                 texts = [t for t in value.split(",") if t.strip()] if key == "nball_radii" else [value]
                 values = [_config_int(path, lineno, key, t) for t in texts]
                 setattr(cfg, key, tuple(values) if key == "nball_radii" else values[0])
+        # the random radius samples are drawn from radius_exhaustive..radius_max
+        if cfg.radius_random > 0 and cfg.radius_max < cfg.radius_exhaustive:
+            raise ValueError(
+                f"{path}: radius_max ({cfg.radius_max}) must be >= radius_exhaustive "
+                f"({cfg.radius_exhaustive}) when radius_random > 0"
+            )
         return cfg
 
 

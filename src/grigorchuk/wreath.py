@@ -8,6 +8,11 @@ upper bounds valid at the stated approximant level; orders themselves are
 computed in the limit group, where the splitting is injective on the
 parity kernel.  The exhaustive n-ball sweep certifies each conjugacy class
 of the ball once and never builds the ball's words, unless some word fails.
+
+The memos are ``functools.cache`` on pure functions (``_is_trivial``,
+``_letter_action``, ``_in_open_ball``, ``_class_exponent``), each with
+``cache_info()`` and ``cache_clear()``.  The one dict is ``_order_memo``:
+its recursion guard needs the call path, which a cache key cannot carry.
 """
 
 from __future__ import annotations
@@ -63,26 +68,24 @@ def split(w: str) -> tuple[str, str]:
     return reduce_word("".join(sides[0])), reduce_word("".join(sides[1]))
 
 
-_trivial_memo: dict[str, bool] = {"": True}
-
-
 def is_trivial(w: str) -> bool:
     """Word problem in the limit group: True iff w maps to the identity."""
-    w = reduce_word(w)
-    hit = _trivial_memo.get(w)
-    if hit is not None:
-        return hit
-    if a_parity(w) == 1:
-        result = False
-    elif len(w) == 1:
-        result = False  # b, c, d are nontrivial involutions
-    else:
-        w0, w1 = split(w)
-        result = is_trivial(w0) and is_trivial(w1)
-    _trivial_memo[w] = result
-    return result
+    return _is_trivial(reduce_word(w))
 
 
+@functools.cache
+def _is_trivial(w: str) -> bool:
+    # w is reduced, and so are the components split gives
+    if not w:
+        return True
+    if a_parity(w) == 1 or len(w) == 1:
+        return False  # b, c, d are nontrivial involutions
+    w0, w1 = split(w)
+    return _is_trivial(w0) and _is_trivial(w1)
+
+
+# order memo: a dict, not a functools.cache, because the recursion guard
+# below needs the call path (the stack), which a cache key cannot carry
 _order_memo: dict[str, int] = {"": 1, "a": 2, "b": 2, "c": 2, "d": 2}
 
 ORDER_CAP_DEPTH = 64
@@ -107,26 +110,15 @@ def _order(w: str, stack: tuple) -> int:
     return result
 
 
-_letter_action_memo: dict[tuple[str, int], tuple[int, ...]] = {}
-
-
+@functools.cache
 def _letter_action(ch: str, k: int) -> tuple[int, ...]:
     if k == 0:
         return (0,)
-    key = (ch, k)
-    hit = _letter_action_memo.get(key)
-    if hit is not None:
-        return hit
     half = 1 << (k - 1)
     if ch == "a":
-        perm = tuple(i ^ half for i in range(1 << k))
-    else:
-        x0, x1 = _SPLIT_IMAGE[ch]
-        p0 = _word_action(x0, k - 1)
-        p1 = _word_action(x1, k - 1)
-        perm = tuple(p0) + tuple(half + v for v in p1)
-    _letter_action_memo[key] = perm
-    return perm
+        return tuple(i ^ half for i in range(1 << k))
+    x0, x1 = _SPLIT_IMAGE[ch]
+    return _word_action(x0, k - 1) + tuple(half + v for v in _word_action(x1, k - 1))
 
 
 def _word_action(w: str, k: int) -> tuple[int, ...]:
@@ -314,7 +306,7 @@ def _class_step(m: str, n: int) -> tuple[str, int, tuple[str, ...]]:
     The class is either a base case, split (parity 0: the splitting is
     injective one level down, so the order is the lcm of the component
     orders), or squared and split (parity 1: one component, one more
-    factor of two).  ``certify_exponent`` and ``_certificate_tree`` take
+    factor of two).  ``_class_exponent`` and ``_certificate_tree`` take
     it at every level n, ``_order`` at n = 1 on the non-letter classes.
     """
     if n <= 0:
@@ -326,39 +318,31 @@ def _class_step(m: str, n: int) -> tuple[str, int, tuple[str, ...]]:
     return "active-square", 1, split(multiply(m, m))[:1]
 
 
-# memo of certify_exponent: (minimal conjugate, level) -> (exponent, tree
-# depth), level > 0; the radius test before it is cached on letter counts
-# by _in_open_ball
-_exponent_memo: dict[tuple[str, int], tuple[int, int]] = {}
-
-
 def certify_exponent(w: str, n: int) -> tuple[int, int]:
     """(exponent, tree depth) of the certificate for the reduced word w at
     level n; the order of w divides 2**exponent at this level.
 
-    The radius test runs on w's letter counts (cached); everything after it
-    depends only on the minimal conjugate m of w, so the result is memoized
-    under (m, n) and computed once per conjugacy class.
+    The radius test runs on w's letter counts (cached by ``_in_open_ball``);
+    everything after it depends only on the minimal conjugate m of w, so
+    ``_class_exponent`` caches it under (m, n), once per conjugacy class.
 
     Raises RadiusViolation, whose ``failure`` is the CertificateFailure
     that ``certify_torsion`` returns for the same input, and ValueError for
     levels below -1.
     """
-    m = _ball_class(w, n)
-    key = (m, n)
-    hit = _exponent_memo.get(key)
-    if hit is not None:
-        return hit
+    return _class_exponent(_ball_class(w, n), n)
+
+
+@functools.cache
+def _class_exponent(m: str, n: int) -> tuple[int, int]:
+    """``certify_exponent`` of the class whose minimal conjugate is m."""
     _rule, added, children = _class_step(m, n)
     exponent = depth = 0
     for child in children:
         e, d = certify_exponent(child, n - 1)
         exponent = max(exponent, e)
         depth = max(depth, d)
-    result = (exponent + added, depth + 1)
-    if n > 0:
-        _exponent_memo[key] = result
-    return result
+    return exponent + added, depth + 1
 
 
 def certify_torsion(w: str, n: int):

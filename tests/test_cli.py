@@ -254,6 +254,25 @@ def test_check_all_rejects_unknown_config_key(capsys, tmp_path, line):
     assert f"bad.cfg:2: {_BAD_CONFIG_LINES[line]}" in err
 
 
+def test_check_all_rejects_radius_max_below_exhaustive(capsys, monkeypatch, tmp_path):
+    """The random radius samples need radius_exhaustive <= radius_max; the
+    file is rejected, naming itself and both keys, before any check runs."""
+    from grigorchuk import reports
+
+    def no_checks(cfg):
+        raise AssertionError("a check ran before the config was validated")
+
+    monkeypatch.setattr(reports, "check_all", no_checks)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("radius_max = 5\n")
+    code, out, err = run(capsys, "check-all", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert str(cfg) in err and "radius_max" in err and "radius_exhaustive" in err
+    # without random samples the range is never drawn from
+    cfg.write_text("radius_max = 5\nradius_random = 0\n")
+    assert reports.CheckConfig.from_file(cfg).radius_max == 5
+
+
 def test_config_minimums_cover_every_field():
     from dataclasses import fields
 

@@ -12,7 +12,6 @@ from grigorchuk.growth import (
     _SignatureEquality,
     ball_free_product,
     ball_grigorchuk,
-    entropy_series,
     free_sphere_sizes,
     growth_table_free,
 )
@@ -184,7 +183,7 @@ def test_budget_edge_cases(budget, maxn, spheres, complete):
 
 
 def test_entropy_enclosures_bracket_and_decrease():
-    series = entropy_series(8, group="free")
+    series = [row.entropy_enclosure for row in growth_table_free(8).rows[1:]]
     for lo, hi in series:
         assert lo < hi
         assert hi - lo < Fraction(1, 10**6)
@@ -194,8 +193,8 @@ def test_entropy_enclosures_bracket_and_decrease():
 
 
 def test_entropy_series_grig_below_free():
-    free = entropy_series(6, group="free")
-    grig = entropy_series(6, group="grig")
+    free = [row.entropy_enclosure for row in growth_table_free(6).rows[1:]]
+    grig = [row.entropy_enclosure for row in ball_grigorchuk(6).rows[1:]]
     for (_, ghi), (flo, _) in zip(grig, free):
         assert ghi <= flo or ghi - flo < Fraction(1, 10**6)
 
@@ -204,8 +203,3 @@ def test_growth_table_free_rows():
     t = growth_table_free(5)
     assert [r.sphere for r in t.rows] == [1, 4, 6, 12, 18, 36]
     assert [r.ball for r in t.rows] == [1, 5, 11, 23, 41, 77]
-
-
-def test_entropy_rejects_unknown_group():
-    with pytest.raises(ValueError):
-        entropy_series(3, group="nope")

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from conftest import reduced_words
 from grigorchuk import wreath
 from grigorchuk.cubic import LAMBDA_INV, lambda_length, radius_index
-from grigorchuk.errors import GrigError, PreconditionError
+from grigorchuk.errors import CapExceeded, GrigError, PreconditionError
 from grigorchuk.words import (
     BCD,
     a_parity,
@@ -317,14 +317,58 @@ def test_sublevel_failure_output_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == SUBLEVEL_REPORTS_SHA256
 
 
-def test_exponent_memo_is_keyed_by_minimal_conjugates():
-    verify_nball_proposition(12)
-    assert wreath._exponent_memo
-    assert all(min_conjugate(m) == m for m, _level in wreath._exponent_memo)
-    # one entry per class: the memo is far smaller than the 12-ball
+def test_exponent_memo_is_keyed_by_minimal_conjugates(monkeypatch):
+    """Word by word over the 12-ball, each (class, level) pair is computed
+    once, keyed by its minimal conjugate: at the top level that is one step
+    per conjugacy class of the ball, not one per word."""
+    steps = []
+    real = wreath._class_step
+
+    def counted(m, n):
+        steps.append((m, n))
+        return real(m, n)
+
+    wreath._class_exponent.cache_clear()
+    monkeypatch.setattr(wreath, "_class_step", counted)
+    rep = verify_nball_proposition(12, words=iter_ball_free(12))
+    assert rep.ok and rep.word_count == 3641
+    assert len(steps) == len(set(steps))
+    assert all(min_conjugate(m) == m for m, _level in steps)
     level = radius_index(12)
-    top = {m for m, lv in wreath._exponent_memo if lv == level}
-    assert len(top) < sum(1 for _ in iter_ball_free(12)) / 4
+    assert sum(1 for _m, lv in steps if lv == level) == sum(1 for _ in iter_ball_classes(12)) == 230
+
+
+_ORDER_SEED = {"": 1, "a": 2, "b": 2, "c": 2, "d": 2}
+
+
+def test_order_guard_stops_a_cycle(capsys, monkeypatch):
+    """A class whose step leads back to itself trips the recursion guard,
+    and nothing is memoized for it."""
+    from grigorchuk.cli import main
+
+    m = min_conjugate("abacadac")
+    real = wreath._class_step
+    monkeypatch.setattr(wreath, "_order_memo", dict(_ORDER_SEED))
+    monkeypatch.setattr(
+        wreath, "_class_step", lambda w, n: ("inactive-split", 0, (w,)) if w == m else real(w, n)
+    )
+    with pytest.raises(CapExceeded, match="recursion guard") as info:
+        order("abacadac")
+    assert info.value.partial == (m,)
+    assert main(["order", "abacadac"]) == 3
+    assert "recursion guard" in capsys.readouterr().err
+    assert m not in wreath._order_memo
+
+
+def test_order_guard_bounds_the_depth(monkeypatch):
+    """A chain of distinct classes stops after ORDER_CAP_DEPTH steps."""
+    monkeypatch.setattr(wreath, "_order_memo", dict(_ORDER_SEED))
+    monkeypatch.setattr(wreath, "_class_step", lambda w, n: ("inactive-split", 0, (w + "ab",)))
+    with pytest.raises(CapExceeded) as info:
+        order("ab")
+    chain = info.value.partial
+    assert len(chain) == len(set(chain)) == wreath.ORDER_CAP_DEPTH + 1
+    assert not set(chain) & set(wreath._order_memo)
 
 
 def test_verify_nball_small():
