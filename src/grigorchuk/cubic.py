@@ -362,10 +362,14 @@ def radius_index(n: int) -> int:
     return m
 
 
-def _atanh_enclosure(t: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+# the precision of the logarithm enclosures: terms and rounding are 2**-_LN_BITS
+_LN_BITS = 80
+
+
+def _atanh_enclosure(t: Fraction) -> tuple[Fraction, Fraction]:
     """Enclosure of atanh(t) for |t| <= 1/3: the series t^(2j+1)/(2j+1)
     summed exactly until its tail, bounded by the geometric series
-    |t|^(2N+1) / ((2N+1)(1 - t^2)), drops below 2**-bits."""
+    |t|^(2N+1) / ((2N+1)(1 - t^2)), drops below 2**-_LN_BITS."""
     t2 = t * t
     power = t
     total = Fraction(0)
@@ -375,36 +379,36 @@ def _atanh_enclosure(t: Fraction, bits: int) -> tuple[Fraction, Fraction]:
         power *= t2
         j += 1
         tail = abs(power) / ((2 * j + 1) * (1 - t2))
-        if tail < Fraction(1, 1 << bits):
+        if tail < Fraction(1, 1 << _LN_BITS):
             return total - tail, total + tail
 
 
-def ln_enclosure(y, bits: int = 80) -> tuple[Fraction, Fraction]:
+def ln_enclosure(y) -> tuple[Fraction, Fraction]:
     """Rational enclosure of ln(y) for rational y > 0.
 
     Writes y = m * 2**k with m in (1/2, 2), so that ln(y) = k ln(2) +
     2 atanh((m - 1)/(m + 1)) with ln(2) = 2 atanh(1/3), and rounds the
-    result outward to multiples of 2**-bits; the width is at most
-    (4|k| + 6) * 2**-bits.
+    result outward to multiples of 2**-_LN_BITS; the width is at most
+    (4|k| + 6) * 2**-_LN_BITS.
     """
     y = Fraction(y)
     if y <= 0:
         raise ValueError("ln needs y > 0")
     k = y.numerator.bit_length() - y.denominator.bit_length()
     m = y / Fraction(2) ** k
-    half_ln2 = _atanh_enclosure(Fraction(1, 3), bits)
-    at_lo, at_hi = _atanh_enclosure((m - 1) / (m + 1), bits)
+    half_ln2 = _atanh_enclosure(Fraction(1, 3))
+    at_lo, at_hi = _atanh_enclosure((m - 1) / (m + 1))
     lo = 2 * (min(k * x for x in half_ln2) + at_lo)
     hi = 2 * (max(k * x for x in half_ln2) + at_hi)
-    q = 1 << bits
+    q = 1 << _LN_BITS
     return Fraction(math.floor(lo * q), q), Fraction(math.ceil(hi * q), q)
 
 
-def log_lambda_enclosure(y, bits: int = 80) -> tuple[Fraction, Fraction]:
+def log_lambda_enclosure(y) -> tuple[Fraction, Fraction]:
     """Rational enclosure of log base L of y (y rational > 0): an enclosure
     of ln(y) divided outward by one of ln(L) over the isolating interval."""
-    _ENCLOSURE.refine(bits)
+    _ENCLOSURE.refine(_LN_BITS)
     lam_lo, lam_hi = _ENCLOSURE.bounds()
-    den = (ln_enclosure(lam_lo, bits)[0], ln_enclosure(lam_hi, bits)[1])  # ln(L) > 0
-    quotients = [x / d for x in ln_enclosure(y, bits) for d in den]
+    den = (ln_enclosure(lam_lo)[0], ln_enclosure(lam_hi)[1])  # ln(L) > 0
+    quotients = [x / d for x in ln_enclosure(y) for d in den]
     return min(quotients), max(quotients)

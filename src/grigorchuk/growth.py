@@ -19,14 +19,12 @@ from functools import reduce
 from .cubic import ln_enclosure
 from .permgrp import identity, pmul
 from .words import BCD, LETTERS, invert, multiply
-from .wreath import is_trivial, level_action
+from .wreath import _SPLIT_IMAGE, is_trivial, level_action
 
 # depth of the tree action that buckets the word-problem oracle's candidates
 _BUCKET_DEPTH = 5
-# ids 0..4 of the nucleus, and the sections of b = (a, c), c = (a, d),
-# d = (1, b)
+# ids 0..4 of the nucleus
 _NUCLEUS = ("", "a", "b", "c", "d")
-_SECTIONS = {"b": ("a", "c"), "c": ("a", "d"), "d": ("", "b")}
 
 
 def free_sphere_sizes(n: int) -> list[int]:
@@ -111,7 +109,7 @@ class _SignatureEquality:
         p, i0, i1 = t
         if g == "a":
             return (1 - p, i0, i1)
-        x0, x1 = _SECTIONS[g]
+        x0, x1 = _SPLIT_IMAGE[g]
         if p:
             x0, x1 = x1, x0
         return (p, self._mul(i0, x0), self._mul(i1, x1))

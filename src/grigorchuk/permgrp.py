@@ -14,6 +14,8 @@ from .errors import CapExceeded
 Permutation = tuple[int, ...]
 
 DEFAULT_CAP = 100_000
+# the most subgroups enumerate_subgroups may find
+_SUBGROUP_CAP = 10_000
 
 
 def identity(degree: int) -> Permutation:
@@ -198,7 +200,7 @@ def check_core_lemma(G: PermGroup, H: PermGroup) -> CoreLemmaReport:
     return CoreLemmaReport(True, "", ih, a, core_index, b, passed)
 
 
-def enumerate_subgroups(G: PermGroup, cap: int = 10_000) -> list[PermGroup]:
+def enumerate_subgroups(G: PermGroup) -> list[PermGroup]:
     """All subgroups, by join-closure over cyclic seeds; |G| <= 64."""
     if G.order > 64:
         raise ValueError("subgroup enumeration is limited to |G| <= 64")
@@ -218,7 +220,7 @@ def enumerate_subgroups(G: PermGroup, cap: int = 10_000) -> list[PermGroup]:
                 if J.element_set not in found:
                     new.append(J)
                     found[J.element_set] = J
-                    if len(found) > cap:
+                    if len(found) > _SUBGROUP_CAP:
                         raise CapExceeded("subgroup cap exceeded", partial=len(found))
         if not new:
             break

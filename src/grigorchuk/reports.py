@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import random
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -131,15 +132,20 @@ def random_reduced_word(length: int, rng: random.Random) -> str:
 
 
 def _timed(builder):
-    """Set the wall time of a builder's single report; builders of several
-    reports time each report themselves."""
+    """Run a builder, a generator of CheckReports, into a list; each report's
+    wall time runs from the previous report's yield (or from the call) to
+    its own."""
 
     @functools.wraps(builder)
-    def timed(cfg: CheckConfig) -> CheckReport:
+    def timed(cfg: CheckConfig) -> list[CheckReport]:
+        reports = []
         t0 = time.perf_counter()
-        report = builder(cfg)
-        report.wall_time = time.perf_counter() - t0
-        return report
+        for report in builder(cfg):
+            t1 = time.perf_counter()
+            report.wall_time = t1 - t0
+            reports.append(report)
+            t0 = t1
+        return reports
 
     return timed
 
@@ -148,7 +154,7 @@ def _timed(builder):
 
 
 @_timed
-def check_weight_identities(cfg: CheckConfig) -> CheckReport:
+def check_weight_identities(cfg: CheckConfig) -> Iterator[CheckReport]:
     a, b, c, d = (WEIGHT[x] for x in "abcd")
     identities = {
         "|a|+|c| = 1/L": a + c == LAMBDA_INV,
@@ -158,7 +164,7 @@ def check_weight_identities(cfg: CheckConfig) -> CheckReport:
         "|b| = |c|+|d|": b == c + d,
         "2L^3 = L^2+L+1": 2 * LAMBDA**3 == LAMBDA**2 + LAMBDA + 1,
     }
-    return CheckReport(
+    yield CheckReport(
         "weight-identities",
         "exact identities among the generator weights in Q(L)",
         _status(all(identities.values())),
@@ -167,7 +173,7 @@ def check_weight_identities(cfg: CheckConfig) -> CheckReport:
 
 
 @_timed
-def check_splitting_identity(cfg: CheckConfig) -> CheckReport:
+def check_splitting_identity(cfg: CheckConfig) -> Iterator[CheckReport]:
     wit = {}
     ok = True
     for xi in BCD:
@@ -176,7 +182,7 @@ def check_splitting_identity(cfg: CheckConfig) -> CheckReport:
         rhs = LAMBDA_INV * (WEIGHT[xi] + WEIGHT["a"])
         wit[xi] = lhs == rhs
         ok = ok and wit[xi]
-    return CheckReport(
+    yield CheckReport(
         "splitting-length-identity",
         "|x0|+|x1| = (|x|+|a|)/L for each inactive generator's splitting",
         _status(ok),
@@ -185,7 +191,7 @@ def check_splitting_identity(cfg: CheckConfig) -> CheckReport:
 
 
 @_timed
-def check_lemma_ineq(cfg: CheckConfig) -> CheckReport:
+def check_lemma_ineq(cfg: CheckConfig) -> Iterator[CheckReport]:
     rng = random.Random(cfg.seed)
     strong_checked = weak_checked = 0
     violations = []
@@ -207,7 +213,7 @@ def check_lemma_ineq(cfg: CheckConfig) -> CheckReport:
         if not strong_holds[m]:
             violations.append(("strong", m))
         strong_checked += 1
-    return CheckReport(
+    yield CheckReport(
         "lemma-contraction",
         "splitting contracts weighted length: |x0|+|x1| <= |x|/L for minimal "
         "conjugates outside {b,c,d}; <= (|x|+|a|)/L always",
@@ -221,12 +227,12 @@ def check_lemma_ineq(cfg: CheckConfig) -> CheckReport:
 
 
 @_timed
-def check_order_table(cfg: CheckConfig) -> CheckReport:
+def check_order_table(cfg: CheckConfig) -> Iterator[CheckReport]:
     expected = {"a": 2, "b": 2, "c": 2, "d": 2, "ad": 4, "ac": 8, "ab": 16}
     got = {w: order(w) for w in expected}
     oracle = {w: wreath.order_by_squaring(w) for w in expected}
     ok = got == expected and oracle == expected
-    return CheckReport(
+    yield CheckReport(
         "order-table",
         "orders in the limit group: generators 2, ad 4, ac 8, ab 16",
         _status(ok),
@@ -234,35 +240,29 @@ def check_order_table(cfg: CheckConfig) -> CheckReport:
     )
 
 
-def check_nball(cfg: CheckConfig) -> list[CheckReport]:
-    reports = []
+@_timed
+def check_nball(cfg: CheckConfig) -> Iterator[CheckReport]:
     if not cfg.nball_radii:
-        return [
-            CheckReport(
-                "nball-torsion",
-                "every word of length <= n certifies as 2-power torsion at "
-                "level i(n)",
-                "skipped",
-                {"reason": "empty radius set"},
-            )
-        ]
+        yield CheckReport(
+            "nball-torsion",
+            "every word of length <= n certifies as 2-power torsion at "
+            "level i(n)",
+            "skipped",
+            {"reason": "empty radius set"},
+        )
+        return
     for n in cfg.nball_radii:
-        t0 = time.perf_counter()
         rep = wreath.verify_nball_proposition(n)
         bound = rep.level + 2
         ok = rep.ok and rep.max_exponent <= bound
-        reports.append(
-            CheckReport(
-                f"nball-torsion-{n}",
-                f"every word of length <= {n} certifies as 2-power torsion "
-                f"at level i({n}) = {rep.level}, exponent <= i+2",
-                _status(ok),
-                rep.to_dict(),
-                time.perf_counter() - t0,
-            )
+        yield CheckReport(
+            f"nball-torsion-{n}",
+            f"every word of length <= {n} certifies as 2-power torsion "
+            f"at level i({n}) = {rep.level}, exponent <= i+2",
+            _status(ok),
+            rep.to_dict(),
         )
     if cfg.nball_random_max >= 2:
-        t0 = time.perf_counter()
         rng = random.Random(cfg.seed)
         failures = 0
         max_exp = 0
@@ -277,76 +277,55 @@ def check_nball(cfg: CheckConfig) -> list[CheckReport]:
             failures += len(rep.failures)
             max_exp = max(max_exp, rep.max_exponent)
             count += rep.word_count
-        reports.append(
-            CheckReport(
-                f"nball-torsion-random-{cfg.nball_random_max}",
-                "random words up to the configured radius all certify",
-                _status(failures == 0),
-                {"count": count, "failures": failures, "max_exponent": max_exp},
-                time.perf_counter() - t0,
-            )
+        yield CheckReport(
+            f"nball-torsion-random-{cfg.nball_random_max}",
+            "random words up to the configured radius all certify",
+            _status(failures == 0),
+            {"count": count, "failures": failures, "max_exponent": max_exp},
         )
-    return reports
 
 
-def check_cosets(cfg: CheckConfig) -> list[CheckReport]:
+@_timed
+def check_cosets(cfg: CheckConfig) -> Iterator[CheckReport]:
     g0c = presentations.gamma0_coxeter_presentation()
-    out = []
 
-    t0 = time.perf_counter()
     t = todd_coxeter(close_normally(g0c, ["ab"]), cap=cfg.coset_cap)
-    out.append(
-        CheckReport(
-            "coset-index-4",
-            "the normal closure of ab has index 4 in the level-0 group",
-            _status(t.status == "complete" and t.index == 4 and t.verify()),
-            {"index": t.index, "status": t.status},
-            time.perf_counter() - t0,
-        )
+    yield CheckReport(
+        "coset-index-4",
+        "the normal closure of ab has index 4 in the level-0 group",
+        _status(t.status == "complete" and t.index == 4 and t.verify()),
+        {"index": t.index, "status": t.status},
     )
 
-    t0 = time.perf_counter()
     t16 = todd_coxeter(close_normally(g0c, ["abab"]), cap=cfg.coset_cap)
     iso = False
     if t16.status == "complete" and t16.index == 16:
         iso = permgrp.small_isomorphic(quotient_group(t16), permgrp.z2_times_d8())
-    out.append(
-        CheckReport(
-            "coset-index-16-iso",
-            "the normal closure of (ab)^2 has index 16 with quotient Z/2 x D8",
-            _status(t16.status == "complete" and t16.index == 16 and iso),
-            {"index": t16.index, "isomorphic": iso},
-            time.perf_counter() - t0,
-        )
+    yield CheckReport(
+        "coset-index-16-iso",
+        "the normal closure of (ab)^2 has index 16 with quotient Z/2 x D8",
+        _status(t16.status == "complete" and t16.index == 16 and iso),
+        {"index": t16.index, "isomorphic": iso},
     )
 
-    t0 = time.perf_counter()
     txi = todd_coxeter(presentations.gamma_presentation(0), presentations.xi_generators(), cap=cfg.coset_cap)
-    out.append(
-        CheckReport(
-            "coset-xi-index-2",
-            "the parity kernel has index 2 at level 0",
-            _status(txi.status == "complete" and txi.index == 2 and txi.verify()),
-            {"index": txi.index},
-            time.perf_counter() - t0,
-        )
+    yield CheckReport(
+        "coset-xi-index-2",
+        "the parity kernel has index 2 at level 0",
+        _status(txi.status == "complete" and txi.index == 2 and txi.verify()),
+        {"index": txi.index},
     )
 
-    t0 = time.perf_counter()
     rs = reidemeister_schreier(g0c, t16) if t16.status == "complete" else None
     inv = abelian_invariants(rs) if rs else None
     ok = inv is not None and inv.divisors == () and inv.free_rank == 3
-    out.append(
-        CheckReport(
-            "h0-abelianization",
-            "the normal closure of (ab)^2 abelianizes to Z^3",
-            _status(ok),
-            {"invariants": str(inv)},
-            time.perf_counter() - t0,
-        )
+    yield CheckReport(
+        "h0-abelianization",
+        "the normal closure of (ab)^2 abelianizes to Z^3",
+        _status(ok),
+        {"invariants": str(inv)},
     )
 
-    t0 = time.perf_counter()
     inv1 = abelian_invariants(presentations.gamma_presentation(-1))
     inv0 = abelian_invariants(presentations.gamma_presentation(0))
     ok = (
@@ -355,24 +334,20 @@ def check_cosets(cfg: CheckConfig) -> list[CheckReport]:
         and inv0.divisors == (2, 2, 2)
         and inv0.free_rank == 0
     )
-    out.append(
-        CheckReport(
-            "abelianization-223",
-            "the free product and the level-0 group abelianize to (Z/2)^3",
-            _status(ok),
-            {"free_product": str(inv1), "level_0": str(inv0)},
-            time.perf_counter() - t0,
-        )
+    yield CheckReport(
+        "abelianization-223",
+        "the free product and the level-0 group abelianize to (Z/2)^3",
+        _status(ok),
+        {"free_product": str(inv1), "level_0": str(inv0)},
     )
-    return out
 
 
 @_timed
-def check_index_bounds(cfg: CheckConfig) -> CheckReport:
+def check_index_bounds(cfg: CheckConfig) -> Iterator[CheckReport]:
     ok = all(presentations.closed_form_check(n) for n in range(21))
     ib0 = presentations.index_bounds(0)
     ib1 = presentations.index_bounds(1)
-    return CheckReport(
+    yield CheckReport(
         "index-bounds-closed-form",
         "alpha/beta recursions equal (13*4^n-1)/3 and (13*4^n-15*2^n+2)/3",
         _status(ok and (ib0.alpha, ib0.beta) == (4, 0) and (ib1.alpha, ib1.beta) == (17, 8)),
@@ -380,8 +355,8 @@ def check_index_bounds(cfg: CheckConfig) -> CheckReport:
     )
 
 
-def check_core_lemma_corpus(cfg: CheckConfig) -> list[CheckReport]:
-    t0 = time.perf_counter()
+@_timed
+def check_core_lemma_corpus(cfg: CheckConfig) -> Iterator[CheckReport]:
     violations = []
     applicable = 0
     for name, G in permgrp.lemma_corpus().items():
@@ -391,32 +366,28 @@ def check_core_lemma_corpus(cfg: CheckConfig) -> list[CheckReport]:
                 applicable += 1
                 if not rep.passed:
                     violations.append((name, rep.index_h, rep.core_index))
-    corpus_report = CheckReport(
+    yield CheckReport(
         "core-lemma-corpus",
         "for proper 2-power-index subgroups normalized by an index-<=2 "
         "subgroup, the core has index 2^b with b <= 2a-1",
         _status(not violations),
         {"applicable_pairs": applicable, "violations": violations},
-        time.perf_counter() - t0,
     )
 
-    t0 = time.perf_counter()
     A4 = permgrp.alternating_4()
     H = permgrp.closure([permgrp.from_cycles(4, [(0, 1, 2)])])
     rep = permgrp.check_core_lemma(A4, H)
-    sharp = CheckReport(
+    yield CheckReport(
         "core-lemma-a4-sharpness",
         "in A4 an index-4 subgroup has normalizer of index 3 (hypothesis "
         "fails) and core of index 12, not a 2-power",
         _status(not rep.applicable and rep.core_index == 12),
         {"applicable": rep.applicable, "core_index": rep.core_index, "reason": rep.reason},
-        time.perf_counter() - t0,
     )
-    return [corpus_report, sharp]
 
 
 @_timed
-def check_growth_cross(cfg: CheckConfig) -> CheckReport:
+def check_growth_cross(cfg: CheckConfig) -> Iterator[CheckReport]:
     sig = growth.ball_grigorchuk(cfg.growth_maxn, use_signatures=True)
     pure = growth.ball_grigorchuk(cfg.growth_maxn, use_signatures=False)
     free_counts = [growth.ball_free_product(n) for n in range(cfg.growth_maxn + 1)]
@@ -426,7 +397,7 @@ def check_growth_cross(cfg: CheckConfig) -> CheckReport:
         and sizes[:3] == [1, 5, 11]
         and all(g <= f for g, f in zip(sizes, free_counts))
     )
-    return CheckReport(
+    yield CheckReport(
         "growth-cross-pipeline",
         "canonical-key and pure word-problem ball counts agree and are "
         "bounded by the free-product counts",
@@ -436,7 +407,7 @@ def check_growth_cross(cfg: CheckConfig) -> CheckReport:
 
 
 @_timed
-def check_radius_index(cfg: CheckConfig) -> CheckReport:
+def check_radius_index(cfg: CheckConfig) -> Iterator[CheckReport]:
     rng = random.Random(cfg.seed)
     bad = []
     prev = None
@@ -458,7 +429,7 @@ def check_radius_index(cfg: CheckConfig) -> CheckReport:
             bad.append(n)
     lo, hi = cubic.log_lambda_enclosure(4)
     rounded_660 = lo >= Fraction(6595, 1000) and hi <= Fraction(6605, 1000)
-    return CheckReport(
+    yield CheckReport(
         "radius-index-exact",
         "L^(i(n)+1) <= n < L^(i(n)+2) exactly, i nondecreasing; the "
         "enclosure of log_L(4) rounds to 6.60",
@@ -489,8 +460,7 @@ def check_all(cfg: CheckConfig | None = None) -> list[CheckReport]:
     cfg = cfg or CheckConfig()
     reports: list[CheckReport] = []
     for builder in _CHECK_BUILDERS:
-        result = builder(cfg)
-        reports.extend(result if isinstance(result, list) else [result])
+        reports.extend(builder(cfg))
     reports.sort(key=lambda r: r.check_id)
     return reports
 

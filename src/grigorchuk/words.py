@@ -129,7 +129,7 @@ def min_conjugate(w: str) -> str:
     if "a" in s or 2 * w.count("a") != len(w):
         raise PreconditionError(f"min_conjugate needs a reduced word: {w!r}")
     first = min(s)
-    r = min([s[i:] + s[:i] for i, ch in enumerate(s) if ch == first])
+    r = min(s[i:] + s[:i] for i, ch in enumerate(s) if ch == first)
     return "a" + "a".join(r)
 
 

@@ -10,9 +10,8 @@ parity kernel.  The exhaustive n-ball sweep certifies each conjugacy class
 of the ball once and never builds the ball's words, unless some word fails.
 
 The memos are ``functools.cache`` on pure functions (``_is_trivial``,
-``_letter_action``, ``_in_open_ball``, ``_class_exponent``), each with
-``cache_info()`` and ``cache_clear()``.  The one dict is ``_order_memo``:
-its recursion guard needs the call path, which a cache key cannot carry.
+``_order``, ``_letter_action``, ``_in_open_ball``, ``_class_exponent``),
+each with ``cache_info()`` and ``cache_clear()``.
 """
 
 from __future__ import annotations
@@ -84,30 +83,27 @@ def _is_trivial(w: str) -> bool:
     return _is_trivial(w0) and _is_trivial(w1)
 
 
-# order memo: a dict, not a functools.cache, because the recursion guard
-# below needs the call path (the stack), which a cache key cannot carry
-_order_memo: dict[str, int] = {"": 1, "a": 2, "b": 2, "c": 2, "d": 2}
-
-ORDER_CAP_DEPTH = 64
-
-
 def order(w: str) -> int:
     """Exact order (a power of two) of the image of w in the limit group."""
-    return _order(min_conjugate(reduce_word(w)), ())
+    return _order(min_conjugate(reduce_word(w)))
 
 
-def _order(w: str, stack: tuple) -> int:
-    hit = _order_memo.get(w)
-    if hit is not None:
-        return hit
-    if w in stack or len(stack) > ORDER_CAP_DEPTH:
-        raise CapExceeded(f"order recursion guard tripped at {w!r}", partial=stack)
-    stack = stack + (w,)
-    # letters are preseeded, and an lcm of powers of two is their max
-    _rule, added, children = _class_step(w, 1)
-    result = max(_order(min_conjugate(c), stack) for c in children) << added
-    _order_memo[w] = result
-    return result
+@functools.cache
+def _order(m: str) -> int:
+    """Order of the class of the minimal conjugate m.  By the contraction
+    lemma each child class is strictly shorter in weighted length; one that
+    is not trips the guard, and nothing is cached for m."""
+    if not m:
+        return 1
+    # letters take the letter case, and an lcm of powers of two is their max
+    _rule, added, children = _class_step(m, 1)
+    t = length_triple(m)
+    result = 1
+    for k in map(min_conjugate, children):
+        if triple_sign(*(x - y for x, y in zip(length_triple(k), t))) >= 0:
+            raise CapExceeded(f"order recursion guard tripped at {m!r}", partial=(m, k))
+        result = max(result, _order(k))
+    return result << added
 
 
 @functools.cache
@@ -136,21 +132,26 @@ def level_action(w: str, k: int) -> tuple[int, ...]:
     return _word_action(reduce_word(w), k)
 
 
-def order_by_squaring(w: str, depth: int = 8, cap: int = 1 << 12) -> int:
-    """Independent order oracle: repeated squaring under the depth-k action.
+# the tree depth and the order cap of the squaring oracle
+_SQUARING_DEPTH = 8
+_SQUARING_CAP = 1 << 12
+
+
+def order_by_squaring(w: str) -> int:
+    """Independent order oracle: repeated squaring under the depth-8 action.
 
     Only sound when the ball containing all the powers is faithfully
     represented at this depth; used as a cross-check for short words.
     """
     w = reduce_word(w)
-    identity = tuple(range(1 << depth))
-    perm = level_action(w, depth)
+    identity = tuple(range(1 << _SQUARING_DEPTH))
+    perm = level_action(w, _SQUARING_DEPTH)
     e = 1
     while perm != identity:
         perm = pmul(perm, perm)
         e *= 2
-        if e > cap:
-            raise CapExceeded(f"order cap {cap} exceeded for {w!r}")
+        if e > _SQUARING_CAP:
+            raise CapExceeded(f"order cap {_SQUARING_CAP} exceeded for {w!r}")
     return e
 
 
@@ -307,7 +308,7 @@ def _class_step(m: str, n: int) -> tuple[str, int, tuple[str, ...]]:
     injective one level down, so the order is the lcm of the component
     orders), or squared and split (parity 1: one component, one more
     factor of two).  ``_class_exponent`` and ``_certificate_tree`` take
-    it at every level n, ``_order`` at n = 1 on the non-letter classes.
+    it at every level n, ``_order`` at n = 1.
     """
     if n <= 0:
         return "base-case", _BASE_EXPONENT[m], ()

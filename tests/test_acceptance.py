@@ -69,7 +69,7 @@ def coset_reports():
 
 
 def test_criterion_01_exact_metric_identities():
-    reps = [check_weight_identities(CheckConfig()), check_splitting_identity(CheckConfig())]
+    reps = [*check_weight_identities(CheckConfig()), *check_splitting_identity(CheckConfig())]
     elapsed = sum(r.wall_time for r in reps)
     ok = passed(reps) and elapsed < 1.0
     assert report("01 exact metric identities", ok, f"{elapsed:.3f}s, zero tolerance")
@@ -132,14 +132,14 @@ def test_criterion_02_random_words(nball_reports):
 
 
 def test_criterion_03_contraction_inequality():
-    rep = check_lemma_ineq(CheckConfig(seed=SEED, lemma_samples=10_000))
+    (rep,) = check_lemma_ineq(CheckConfig(seed=SEED, lemma_samples=10_000))
     strong = rep.witnesses["strong_checked"]
     ok = rep.status == "pass" and strong == 10_000
     assert report("03 contraction inequality", ok, f"{strong} minimal conjugates, exact")
 
 
 def test_criterion_04_order_table():
-    rep = check_order_table(CheckConfig())
+    (rep,) = check_order_table(CheckConfig())
     assert report("04 order table", rep.status == "pass", f"{rep.witnesses['computed']}, oracle agrees")
 
 
@@ -162,7 +162,7 @@ def test_criterion_06_h0_abelianization(coset_reports):
 
 
 def test_criterion_07_index_bound_arithmetic():
-    rep = check_index_bounds(CheckConfig())
+    (rep,) = check_index_bounds(CheckConfig())
     assert report("07 index-bound closed forms", rep.status == "pass", "n <= 20, exact bignum")
 
 
@@ -178,7 +178,7 @@ def test_criterion_08_core_lemma():
 
 
 def test_criterion_09_growth_cross_validation():
-    rep = check_growth_cross(CheckConfig(growth_maxn=8))
+    (rep,) = check_growth_cross(CheckConfig(growth_maxn=8))
     sizes = rep.witnesses["ball_sizes"]
     ok = rep.status == "pass" and len(sizes) == 9
     assert report("09 growth cross-validation", ok, f"balls {sizes}")
@@ -186,7 +186,7 @@ def test_criterion_09_growth_cross_validation():
 
 def test_criterion_10_radius_index_and_log():
     cfg = CheckConfig(seed=SEED, radius_exhaustive=10_000, radius_random=500, radius_max=1_000_000)
-    rep = check_radius_index(cfg)
+    (rep,) = check_radius_index(cfg)
     lo, hi = rep.witnesses["log_lambda_4"]
     assert report(
         "10 radius index exactness",

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from grigorchuk import reports
 from grigorchuk.cli import main
 
 
@@ -215,8 +216,6 @@ _BAD_NBALL = {
 
 @pytest.mark.parametrize("radii", list(_BAD_NBALL))
 def test_check_all_rejects_bad_nball_before_any_check(capsys, monkeypatch, radii):
-    from grigorchuk import reports
-
     def no_checks(cfg):
         raise AssertionError("a check ran before --nball was validated")
 
@@ -257,8 +256,6 @@ def test_check_all_rejects_unknown_config_key(capsys, tmp_path, line):
 def test_check_all_rejects_radius_max_below_exhaustive(capsys, monkeypatch, tmp_path):
     """The random radius samples need radius_exhaustive <= radius_max; the
     file is rejected, naming itself and both keys, before any check runs."""
-    from grigorchuk import reports
-
     def no_checks(cfg):
         raise AssertionError("a check ran before the config was validated")
 
@@ -276,47 +273,58 @@ def test_check_all_rejects_radius_max_below_exhaustive(capsys, monkeypatch, tmp_
 def test_config_minimums_cover_every_field():
     from dataclasses import fields
 
-    from grigorchuk import reports
-
     assert set(reports._CONFIG_MINIMUM) == {f.name for f in fields(reports.CheckConfig)}
 
 
-@pytest.mark.parametrize(
-    "builder",
-    [
-        "check_weight_identities",
-        "check_splitting_identity",
-        "check_lemma_ineq",
-        "check_order_table",
-        "check_index_bounds",
-    ],
+_SMALL_CONFIG = reports.CheckConfig(
+    nball_radii=(2,), lemma_samples=10, radius_exhaustive=100, radius_random=5, growth_maxn=3
 )
-def test_single_report_builders_time_themselves(builder):
-    from grigorchuk import reports
 
-    rep = getattr(reports, builder)(reports.CheckConfig(lemma_samples=10))
-    assert rep.status == "pass"
-    assert rep.wall_time > 0
+
+@pytest.mark.parametrize("builder", reports._CHECK_BUILDERS, ids=lambda b: b.__name__)
+def test_single_report_builders_time_themselves(builder):
+    """Every check-all builder returns a list of reports, each timed."""
+    out = builder(_SMALL_CONFIG)
+    assert isinstance(out, list) and out
+    assert all(r.status == "pass" and r.wall_time > 0 for r in out)
+
+
+def test_timed_charges_each_report_its_own_part():
+    """Each report's wall time runs from the previous yield to its own, so
+    it covers the work before it and none of the work before or after."""
+    import time
+
+    naps = (0.1, 0.3, 0.0)
+
+    @reports._timed
+    def builder(cfg):
+        for i, nap in enumerate(naps):
+            time.sleep(nap)
+            yield reports.CheckReport(f"fake-{i}", "a sleep", "pass")
+
+    out = builder(reports.CheckConfig())
+    assert [r.check_id for r in out] == ["fake-0", "fake-1", "fake-2"]
+    assert naps[0] <= out[0].wall_time < naps[1]
+    assert naps[1] <= out[1].wall_time < naps[1] + naps[0]
+    assert out[2].wall_time < naps[0]
 
 
 def test_negative_control_tampered_weight(capsys, monkeypatch):
     """A corrupted letter weight must trip the exact identity check."""
-    from grigorchuk import cubic, reports
+    from grigorchuk import cubic
 
     tampered = dict(cubic.WEIGHT)
     tampered["c"] = tampered["d"]
     monkeypatch.setattr(reports, "WEIGHT", tampered)
-    rep = reports.check_weight_identities(reports.CheckConfig())
+    (rep,) = reports.check_weight_identities(reports.CheckConfig())
     assert rep.status == "fail"
     assert rep.witnesses["|a|+|c| = 1/L"] is False
 
 
 def test_negative_control_wrong_order(monkeypatch):
     """A wrong order must trip the order table."""
-    from grigorchuk import reports
-
     monkeypatch.setattr(reports, "order", lambda w: 2)
-    rep = reports.check_order_table(reports.CheckConfig())
+    (rep,) = reports.check_order_table(reports.CheckConfig())
     assert rep.status == "fail"
     assert rep.witnesses["computed"]["ab"] == 2
 
@@ -324,7 +332,7 @@ def test_negative_control_wrong_order(monkeypatch):
 def test_negative_control_nball_level_too_low(monkeypatch):
     """At level 1 the word ab leaves the ball of the radius test, so the
     2-ball check must report its failures."""
-    from grigorchuk import reports, wreath
+    from grigorchuk import wreath
 
     real = wreath.cubic.radius_index
     monkeypatch.setattr(wreath.cubic, "radius_index", lambda n: 1 if n == 2 else real(n))
@@ -360,9 +368,7 @@ def test_check_all_output_is_pinned(hash_seed):
 
 
 def test_lemma_witnesses_count_samples():
-    from grigorchuk import reports
-
-    rep = reports.check_lemma_ineq(reports.CheckConfig())
+    (rep,) = reports.check_lemma_ineq(reports.CheckConfig())
     assert rep.status == "pass"
     assert rep.witnesses == {"strong_checked": 10_000, "weak_checked": 11_097, "violations": []}
 
@@ -374,7 +380,6 @@ def test_negative_control_lemma_verdict_per_distinct_word(monkeypatch):
     import random
     from collections import Counter
 
-    from grigorchuk import reports
     from grigorchuk.words import BCD, min_conjugate
 
     cfg = reports.CheckConfig(lemma_samples=2_000)
@@ -400,7 +405,7 @@ def test_negative_control_lemma_verdict_per_distinct_word(monkeypatch):
         return dataclasses.replace(rep, weak_holds=False) if x == target else rep
 
     monkeypatch.setattr(reports, "lemma_split_contraction_check", patched)
-    rep = reports.check_lemma_ineq(cfg)
+    (rep,) = reports.check_lemma_ineq(cfg)
     assert k > 1
     assert rep.status == "fail"
     assert rep.witnesses["violations"] == [("weak", target)] * min(k, 10)
@@ -410,8 +415,6 @@ def test_negative_control_lemma_verdict_per_distinct_word(monkeypatch):
 
 @pytest.mark.parametrize("top, count", [(1, None), (2, 10), (3, 20)])
 def test_random_nball_sweep_starts_at_radius_2(top, count):
-    from grigorchuk import reports
-
     cfg = reports.CheckConfig(nball_radii=(2,), nball_random_max=top, nball_random_samples=10)
     swept = [r for r in reports.check_nball(cfg) if "random" in r.check_id]
     if count is None:

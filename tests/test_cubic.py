@@ -261,7 +261,8 @@ def test_log_checks_run_without_mpmath():
         "from grigorchuk import reports\n"
         "cfg = reports.CheckConfig(radius_exhaustive=100, radius_random=5, growth_maxn=5)\n"
         "for check in (reports.check_radius_index, reports.check_growth_cross):\n"
-        "    assert check(cfg).status == 'pass', check\n"
+        "    (rep,) = check(cfg)\n"
+        "    assert rep.status == 'pass', check\n"
     )
     src = os.path.dirname(os.path.dirname(grigorchuk.__file__))
     env = {**os.environ, "PYTHONPATH": src}

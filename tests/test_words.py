@@ -118,6 +118,24 @@ def test_min_conjugate_is_least_rotation(w):
     assert min_conjugate(m) == m
 
 
+def test_min_conjugate_memory_is_linear():
+    """The candidate rotations are compared one at a time, never all held:
+    a 40 000-letter word peaks far below its ~6 700 candidates of 20 kB."""
+    import random
+    import tracemalloc
+
+    rng = random.Random(7)
+    w = "".join("a" + rng.choice("bcd") for _ in range(20_000))
+    tracemalloc.start()
+    try:
+        m = min_conjugate(w)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(m) == len(w)
+    assert peak < 1 << 20
+
+
 def test_min_conjugate_rejects_unreduced_words():
     for w in ("aab", "abcb", "abbcab"):
         with pytest.raises(PreconditionError):

@@ -338,37 +338,34 @@ def test_exponent_memo_is_keyed_by_minimal_conjugates(monkeypatch):
     assert sum(1 for _m, lv in steps if lv == level) == sum(1 for _ in iter_ball_classes(12)) == 230
 
 
-_ORDER_SEED = {"": 1, "a": 2, "b": 2, "c": 2, "d": 2}
-
-
 def test_order_guard_stops_a_cycle(capsys, monkeypatch):
-    """A class whose step leads back to itself trips the recursion guard,
-    and nothing is memoized for it."""
+    """A class whose step leads back to itself is not shorter, so it trips
+    the guard, and nothing is cached for it."""
     from grigorchuk.cli import main
 
+    wreath._order.cache_clear()
     m = min_conjugate("abacadac")
     real = wreath._class_step
-    monkeypatch.setattr(wreath, "_order_memo", dict(_ORDER_SEED))
     monkeypatch.setattr(
         wreath, "_class_step", lambda w, n: ("inactive-split", 0, (w,)) if w == m else real(w, n)
     )
     with pytest.raises(CapExceeded, match="recursion guard") as info:
         order("abacadac")
-    assert info.value.partial == (m,)
+    assert info.value.partial == (m, m)
     assert main(["order", "abacadac"]) == 3
     assert "recursion guard" in capsys.readouterr().err
-    assert m not in wreath._order_memo
+    assert wreath._order.cache_info().currsize == 0
 
 
 def test_order_guard_bounds_the_depth(monkeypatch):
-    """A chain of distinct classes stops after ORDER_CAP_DEPTH steps."""
-    monkeypatch.setattr(wreath, "_order_memo", dict(_ORDER_SEED))
+    """A step to a class that is not shorter trips the guard at once, so no
+    chain of classes grows."""
+    wreath._order.cache_clear()
     monkeypatch.setattr(wreath, "_class_step", lambda w, n: ("inactive-split", 0, (w + "ab",)))
     with pytest.raises(CapExceeded) as info:
         order("ab")
-    chain = info.value.partial
-    assert len(chain) == len(set(chain)) == wreath.ORDER_CAP_DEPTH + 1
-    assert not set(chain) & set(wreath._order_memo)
+    assert info.value.partial == ("ab", "abab")
+    assert wreath._order.cache_info().currsize == 0
 
 
 def test_verify_nball_small():
