@@ -15,6 +15,7 @@ import time
 
 from . import growth, presentations, reports, wreath
 from .cosets import (
+    DEFAULT_COSET_CAP,
     abelian_invariants,
     close_normally,
     quotient_group,
@@ -37,8 +38,6 @@ def _emit(obj, fmt: str) -> None:
         print(json.dumps(obj, indent=2, sort_keys=False))
     else:
         rows = obj if isinstance(obj, list) else [obj]
-        if not rows:
-            return
         writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         for row in rows:
@@ -153,7 +152,8 @@ def _load_presentation(args) -> presentations.Presentation:
             return presentations.Presentation.from_text(fh.read())
     if args.level is not None:
         return presentations.gamma_presentation(args.level)
-    raise SystemExit("error: need --pres FILE, --gamma0, or --level N")
+    print("error: need --pres FILE, --gamma0, or --level N", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
 
 
 def cmd_coset(args) -> int:
@@ -193,13 +193,6 @@ def cmd_abelianize(args) -> int:
         "free_rank": inv.free_rank,
     }, indent=2))
     return EXIT_OK
-
-
-def cmd_core_lemma(args) -> int:
-    cfg = reports.CheckConfig()
-    out = reports.check_core_lemma_corpus(cfg)
-    _emit([r.to_dict() for r in out], args.format)
-    return EXIT_OK if reports.worst_status(out) == "pass" else EXIT_CHECK_FAILED
 
 
 def _nball_radii(text: str) -> tuple[int, ...]:
@@ -318,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pres_source(p)
     p.add_argument("--subgroup", help="comma-separated subgroup generator words")
     p.add_argument("--xi", action="store_true", help="use the parity-kernel generators")
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_COSET_CAP)
     p.add_argument("--emit-quotient", action="store_true")
     p.add_argument("--emit-subgroup-pres", action="store_true")
     p.set_defaults(func=cmd_coset)
@@ -326,10 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("abelianize", help="abelian invariants of a presentation")
     _add_pres_source(p)
     p.set_defaults(func=cmd_abelianize)
-
-    p = sub.add_parser("core-lemma", help="core-index bound sweep over the corpus")
-    _add_format(p)
-    p.set_defaults(func=cmd_core_lemma)
 
     p = sub.add_parser("check-all", help="run the full verification suite")
     p.add_argument("--config", help="config file with 'key = value' lines")

@@ -141,9 +141,6 @@ class CubicNumber:
     def __sub__(self, other):
         return self + (-_coerce(other))
 
-    def __rsub__(self, other):
-        return _coerce(other) - self
-
     def __mul__(self, other):
         other = _coerce(other)
         a0, a1, a2 = self.n0, self.n1, self.n2
@@ -172,12 +169,6 @@ class CubicNumber:
         m = [col._fractions() for col in (self, self * LAMBDA, self * LAMBDA * LAMBDA)]
         det = _det3(m)
         return CubicNumber(*(_det3(m[:i] + [(1, 0, 0)] + m[i + 1 :]) / det for i in range(3)))
-
-    def __truediv__(self, other):
-        return self * _coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return _coerce(other) / self
 
     def __pow__(self, n: int):
         if n < 0:
@@ -223,12 +214,6 @@ class CubicNumber:
 
     def __le__(self, other):
         return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
 
     # -- reporting ------------------------------------------------------
 

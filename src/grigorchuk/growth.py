@@ -57,7 +57,6 @@ class GrowthRow:
 
 @dataclass
 class GrowthTable:
-    group: str
     rows: list[GrowthRow]
     representatives: list[list[str]]  # new shortlex geodesics per radius
     complete: bool = True
@@ -224,7 +223,7 @@ def ball_grigorchuk(
         raise ValueError("budget must be >= 1")
     eq = _SignatureEquality() if use_signatures else _PureEquality()
     eq.probe("", eq.identity)
-    table = GrowthTable(group="grig", rows=[], representatives=[])
+    table = GrowthTable(rows=[], representatives=[])
     table.rows.append(GrowthRow(0, 1, 1, _entropy_enclosure(1, 0)))
     table.representatives.append([""])
     sphere, keys = [""], [eq.identity]
@@ -258,7 +257,7 @@ def ball_grigorchuk(
 
 def growth_table_free(maxn: int) -> GrowthTable:
     spheres = free_sphere_sizes(maxn)
-    table = GrowthTable(group="free", rows=[], representatives=[])
+    table = GrowthTable(rows=[], representatives=[])
     total = 0
     for k, s in enumerate(spheres):
         total += s

@@ -79,9 +79,6 @@ class PermGroup:
     def element_set(self) -> frozenset:
         return frozenset(self.elements)
 
-    def __contains__(self, p: Permutation) -> bool:
-        return p in self.element_set
-
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return self.degree == other.degree and self.element_set <= other.element_set
 

@@ -34,22 +34,31 @@ U0 = reduce_word("ad" * 4)
 V0 = reduce_word("adacac" * 4)
 
 
-def relator_u(n: int) -> str:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    w = U0
+# sigma doubles a relator's length: |u_n| = 8 * 2**n, |v_n| = 24 * 2**n, so
+# v at this level already has 1 572 864 letters
+MAX_RELATOR_LEVEL = 16
+
+
+def _check_level(n: int, least: int) -> None:
+    if not least <= n <= MAX_RELATOR_LEVEL:
+        raise ValueError(f"n must be >= {least} and <= {MAX_RELATOR_LEVEL}, not {n}")
+
+
+def _sigma_power(w: str, n: int) -> str:
+    """sigma applied n times to w; ValueError, before the first step,
+    unless 0 <= n <= MAX_RELATOR_LEVEL."""
+    _check_level(n, 0)
     for _ in range(n):
         w = sigma(w)
     return w
+
+
+def relator_u(n: int) -> str:
+    return _sigma_power(U0, n)
 
 
 def relator_v(n: int) -> str:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    w = V0
-    for _ in range(n):
-        w = sigma(w)
-    return w
+    return _sigma_power(V0, n)
 
 
 @dataclass(frozen=True)
@@ -106,7 +115,9 @@ class Presentation:
 
 
 def relator_from_string(s: str) -> Relator:
-    if " " in s:
+    # compact strings are letters only, so a lone token such as x3 or
+    # x3^-1 is a signed generator
+    if not s.isalpha():
         out = []
         for tok in s.split():
             if tok.endswith("^-1"):
@@ -129,9 +140,9 @@ _BASE_RELATORS = ["aa", "bb", "cc", "dd", "bcd"]
 def gamma_presentation(n: int) -> Presentation:
     """Presentation of the level-n approximant on generators a, b, c, d:
     the base free-product relators plus u_0..u_n and v_0..v_(n-1);
-    n = -1 gives the free product itself."""
-    if n < -1:
-        raise ValueError("n must be >= -1")
+    n = -1 gives the free product itself.  ValueError unless
+    -1 <= n <= MAX_RELATOR_LEVEL."""
+    _check_level(n, -1)
     rels = list(_BASE_RELATORS)
     rels += [relator_u(i) for i in range(n + 1)]
     rels += [relator_v(i) for i in range(n)]

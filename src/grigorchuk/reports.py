@@ -3,8 +3,8 @@ machine-readable report.
 
 Each check carries an ``anchor``: the mathematical statement being
 verified, so reports are auditable on their own.  Statuses are ``pass``,
-``fail``, ``inapplicable`` or ``skipped``; the suite's aggregate exit
-status is the worst individual one.
+``fail`` or ``skipped``; the suite's aggregate status is ``fail`` if any
+check fails, else ``pass``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class CheckConfig:
     radius_random: int = 200
     radius_max: int = 1_000_000
     growth_maxn: int = 8
-    coset_cap: int = 1_000_000
     seed: int = 0
 
     @staticmethod
@@ -79,7 +78,6 @@ _CONFIG_MINIMUM = {
     "radius_random": 0,
     "radius_max": 1,
     "growth_maxn": 2,
-    "coset_cap": 1,
     "seed": None,
 }
 
@@ -100,7 +98,7 @@ def _config_int(path, lineno: int, key: str, text: str) -> int:
 class CheckReport:
     check_id: str
     anchor: str
-    status: str  # pass | fail | inapplicable | skipped
+    status: str  # pass | fail | skipped
     witnesses: dict = field(default_factory=dict)
     wall_time: float = 0.0
 
@@ -268,12 +266,11 @@ def check_nball(cfg: CheckConfig) -> Iterator[CheckReport]:
         max_exp = 0
         count = 0
         for n in range(2, cfg.nball_random_max + 1):
-            level = cubic.radius_index(n)
             words = (
                 random_reduced_word(rng.randint(0, n), rng)
                 for _ in range(cfg.nball_random_samples)
             )
-            rep = wreath.verify_nball_proposition(n, words=words, level=level)
+            rep = wreath.verify_nball_proposition(n, words=words)
             failures += len(rep.failures)
             max_exp = max(max_exp, rep.max_exponent)
             count += rep.word_count
@@ -289,7 +286,7 @@ def check_nball(cfg: CheckConfig) -> Iterator[CheckReport]:
 def check_cosets(cfg: CheckConfig) -> Iterator[CheckReport]:
     g0c = presentations.gamma0_coxeter_presentation()
 
-    t = todd_coxeter(close_normally(g0c, ["ab"]), cap=cfg.coset_cap)
+    t = todd_coxeter(close_normally(g0c, ["ab"]))
     yield CheckReport(
         "coset-index-4",
         "the normal closure of ab has index 4 in the level-0 group",
@@ -297,7 +294,7 @@ def check_cosets(cfg: CheckConfig) -> Iterator[CheckReport]:
         {"index": t.index, "status": t.status},
     )
 
-    t16 = todd_coxeter(close_normally(g0c, ["abab"]), cap=cfg.coset_cap)
+    t16 = todd_coxeter(close_normally(g0c, ["abab"]))
     iso = False
     if t16.status == "complete" and t16.index == 16:
         iso = permgrp.small_isomorphic(quotient_group(t16), permgrp.z2_times_d8())
@@ -308,7 +305,7 @@ def check_cosets(cfg: CheckConfig) -> Iterator[CheckReport]:
         {"index": t16.index, "isomorphic": iso},
     )
 
-    txi = todd_coxeter(presentations.gamma_presentation(0), presentations.xi_generators(), cap=cfg.coset_cap)
+    txi = todd_coxeter(presentations.gamma_presentation(0), presentations.xi_generators())
     yield CheckReport(
         "coset-xi-index-2",
         "the parity kernel has index 2 at level 0",
@@ -466,5 +463,4 @@ def check_all(cfg: CheckConfig | None = None) -> list[CheckReport]:
 
 
 def worst_status(reports) -> str:
-    order_ = {"pass": 0, "skipped": 0, "inapplicable": 0, "fail": 1}
-    return "fail" if any(order_[r.status] for r in reports) else "pass"
+    return "fail" if any(r.status == "fail" for r in reports) else "pass"

@@ -440,7 +440,8 @@ def _class_sweep(n: int, level: int) -> NBallReport | None:
 
     A word passes iff its letter counts pass the radius test (at level > 0)
     and its class certifies, so a (class, count vector) pair decides all
-    the words it counts.
+    the words it counts.  Each class is visited once, so its own step runs
+    uncached and only its children go through ``_class_exponent``.
     """
     report = NBallReport(radius=n, level=level, word_count=0, max_exponent=0, max_depth=0)
     histogram = report.exponent_histogram
@@ -448,7 +449,7 @@ def _class_sweep(n: int, level: int) -> NBallReport | None:
         if level > 0 and not all(_in_open_ball(*counts, level - 1) for counts in tally):
             return None
         try:
-            e, d = certify_exponent(m, level)
+            e, d = _class_exponent.__wrapped__(_ball_class(m, level), level)
         except RadiusViolation:
             return None
         words = sum(tally.values())

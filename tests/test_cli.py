@@ -1,9 +1,13 @@
+import csv
+import io
 import json
+import time
 
 import pytest
 
-from grigorchuk import reports
+from grigorchuk import presentations, reports
 from grigorchuk.cli import main
+from grigorchuk.cubic import WEIGHT, CubicNumber
 
 
 def run(capsys, *argv):
@@ -77,6 +81,17 @@ def test_verify_nball(capsys):
     assert d["failures"] == []
 
 
+def test_ball_lists_words_and_lengths(capsys):
+    code, out, _ = run(capsys, "ball", "2")
+    assert code == 0
+    assert out.split() == ["1", "a", "b", "c", "d", "ab", "ac", "ad", "ba", "ca", "da"]
+    code, out, _ = run(capsys, "ball", "1", "--lengths")
+    assert code == 0
+    lines = [line.split(" ", 1) for line in out.splitlines()]
+    assert [w for w, _ in lines] == ["1", "a", "b", "c", "d"]
+    assert [CubicNumber.parse(x) for _, x in lines] == [CubicNumber(0)] + [WEIGHT[x] for x in "abcd"]
+
+
 def test_ball_cap_exit_3(capsys):
     code, _, err = run(capsys, "ball", "12", "--cap", "10")
     assert code == 3
@@ -130,6 +145,17 @@ def test_present_roundtrip(capsys):
     assert "rel: adadadad" in out
 
 
+def test_present_gamma0_coxeter_roundtrips_through_coset_pres(capsys, tmp_path):
+    code, out, _ = run(capsys, "present", "--gamma0-coxeter")
+    assert code == 0
+    assert out == presentations.gamma0_coxeter_presentation().to_text()
+    pres = tmp_path / "gamma0.pres"
+    pres.write_text(out)
+    from_file = run(capsys, "coset", "--pres", str(pres), "--close", "abab")
+    assert from_file == run(capsys, "coset", "--gamma0", "--close", "abab")
+    assert json.loads(from_file[1]) == {"index": 16, "status": "complete"}
+
+
 def test_relators(capsys):
     code, out, _ = run(capsys, "relators", "--level", "0")
     assert code == 0
@@ -141,6 +167,38 @@ def test_coset_gamma0(capsys):
     assert code == 0
     d = json.loads(out)
     assert d == {"index": 16, "status": "complete"}
+
+
+def test_coset_emit_quotient(capsys):
+    code, out, _ = run(capsys, "coset", "--gamma0", "--close", "abab", "--emit-quotient")
+    assert code == 0
+    d = json.loads(out)
+    assert (d["index"], d["quotient_order"]) == (16, 16)
+    # one fixed-point-free involution on the 16 cosets per generator a, b, d
+    assert len(d["generator_cycles"]) == 3
+    for cycles in d["generator_cycles"]:
+        assert sorted(x for c in cycles for x in c) == list(range(16))
+        assert all(len(c) == 2 for c in cycles)
+
+
+def test_coset_emit_subgroup_pres(capsys, tmp_path):
+    code, out, _ = run(capsys, "coset", "--level", "0", "--xi", "--emit-subgroup-pres")
+    assert code == 0
+    head, text = out[: out.index("gens:")], out[out.index("gens:") :]
+    assert json.loads(head) == {"index": 2, "status": "complete"}
+    assert text.startswith("gens: x0 x1 x2 x3 x4 x5 x6\n")
+    # the emitted presentation, lone-generator relators included, reads back
+    pres = tmp_path / "xi.pres"
+    pres.write_text(text)
+    code, out, _ = run(capsys, "abelianize", "--pres", str(pres))
+    assert code == 0
+    assert json.loads(out)["invariants"] == "Z/2 x Z/2 x Z/2 x Z/2"
+
+
+def test_coset_emit_subgroup_pres_overflow_exit_3(capsys):
+    code, out, _ = run(capsys, "coset", "--level", "0", "--xi", "--cap", "1", "--emit-subgroup-pres")
+    assert code == 3
+    assert json.loads(out) == {"index": 1, "status": "overflowed"}
 
 
 def test_coset_missing_source():
@@ -188,6 +246,32 @@ def test_check_all_deterministic_json(capsys, tmp_path):
     assert d["status"] == "pass"
     ids = [c["check_id"] for c in d["checks"]]
     assert ids == sorted(ids)
+
+
+def test_check_all_seed_and_csv(capsys, tmp_path):
+    cfg = tmp_path / "grig.cfg"
+    cfg.write_text(
+        "nball_radii = 2\nlemma_samples = 100\n"
+        "radius_exhaustive = 100\nradius_random = 5\ngrowth_maxn = 4\n"
+    )
+    args = ["check-all", "--config", str(cfg), "--no-timestamp", "--seed", "7"]
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    (lemma,) = [c for c in checks if c["check_id"] == "lemma-contraction"]
+    # the seed shows in how many words it took to draw 100 strong samples
+    drawn = {
+        seed: reports.check_lemma_ineq(reports.CheckConfig(lemma_samples=100, seed=seed))[0].witnesses
+        for seed in (0, 7)
+    }
+    assert lemma["witnesses"] == drawn[7] != drawn[0]
+    # with the timestamp, csv keeps each check's wall time
+    code, out, _ = run(capsys, *(a for a in args if a != "--no-timestamp"), "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert list(rows[0]) == ["check_id", "anchor", "status", "witnesses", "wall_time"]
+    assert [r["check_id"] for r in rows] == [c["check_id"] for c in checks]
+    assert [json.loads(r["witnesses"]) for r in rows] == [c["witnesses"] for c in checks]
 
 
 def test_check_all_nball_skip(capsys, tmp_path):
@@ -424,3 +508,56 @@ def test_random_nball_sweep_starts_at_radius_2(top, count):
         assert rep.check_id == f"nball-torsion-random-{top}"
         assert rep.status == "pass"
         assert rep.witnesses["count"] == count
+
+
+# odd inputs for every subcommand, with the exit code each must give; MISSING
+# stands for a file that does not exist (caps below 1, bad --nball radii and
+# undeclared generators have their own tests above)
+_ODD_INPUTS = [
+    (["reduce", ""], 0),
+    (["reduce", "1"], 0),
+    (["reduce", "xyz"], 2),
+    (["order", ""], 0),
+    (["order", "e"], 2),
+    (["split", "1"], 0),
+    (["split", "q"], 2),
+    (["certify", ""], 0),
+    (["certify", "ab", "--level", "-1"], 1),
+    (["certify", "ab", "--level", "-2"], 2),
+    (["verify-nball", "1"], 2),
+    (["verify-nball", "-1"], 2),
+    (["ball", "0"], 0),
+    (["ball", "-1"], 2),
+    (["growth", "--maxn", "0"], 0),
+    (["growth", "--group", "free", "--maxn", "-1"], 2),
+    (["relators", "--level", "-1"], 2),
+    (["relators", "--level", "40"], 2),
+    (["present", "--level", "-2"], 2),
+    (["present", "--level", "40"], 2),
+    (["coset"], 2),
+    (["coset", "--level", "40"], 2),
+    (["coset", "--pres", "MISSING"], 2),
+    (["abelianize"], 2),
+    (["abelianize", "--level", "-5"], 2),
+    (["abelianize", "--gamma0", "--close", ""], 0),
+    (["check-all", "--config", "MISSING"], 2),
+    (["check-all", "--seed", "x"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, expected", _ODD_INPUTS, ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_odd_inputs_exit_cleanly_and_fast(capsys, tmp_path, argv, expected):
+    """Each odd input gives its exit code within a second, and only a usage
+    error writes to stderr; an exception other than SystemExit would fail
+    the test, as a traceback would show."""
+    argv = [str(tmp_path / "missing") if a == "MISSING" else a for a in argv]
+    t0 = time.perf_counter()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse, and a presentation source left out
+        code = exc.code
+    elapsed = time.perf_counter() - t0
+    err = capsys.readouterr().err
+    assert code == expected
+    assert (err != "") == (expected == 2)
+    assert elapsed < 1.0

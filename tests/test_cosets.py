@@ -64,6 +64,9 @@ def test_cap_overflow_reports_partial_state():
     t = todd_coxeter(gamma_presentation(-1), cap=200)
     assert t.status == "overflowed"
     assert t.index > 0
+    for read in (quotient_group, lambda t: reidemeister_schreier(t.presentation, t)):
+        with pytest.raises(ValueError, match="coset table is not complete"):
+            read(t)
 
 
 def test_subgroup_word_with_undeclared_generator_is_rejected():
@@ -89,6 +92,25 @@ def test_reidemeister_schreier_h0():
     assert inv.free_rank == 3
     assert inv.divisors == ()
     assert str(inv) == "Z x Z x Z"
+
+
+@pytest.mark.parametrize(
+    "relators",
+    [
+        # y^-1 rewrites by the inverse step; the lone-generator relators go
+        # by the Tietze removal
+        ["x y^-1", "x x x x"],
+        # x x^-1 is not freely reduced, so its rewrite cancels
+        ["x x^-1 y", "x x x x"],
+    ],
+)
+def test_reidemeister_schreier_signed_generators(relators):
+    p = Presentation.from_text("gens: x y\n" + "".join(f"rel: {r}\n" for r in relators))
+    t = todd_coxeter(p, ["xx"])
+    assert t.status == "complete" and t.index == 2
+    sub = reidemeister_schreier(p, t)
+    assert sub.to_text() == "gens: x1\nrel: x1 x1\nrel: x1 x1\n"
+    assert str(abelian_invariants(sub)) == "Z/2"
 
 
 def test_abelianizations_of_the_tower():

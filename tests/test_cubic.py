@@ -86,6 +86,17 @@ def test_parse_roundtrip():
     assert CubicNumber.parse(str(x)) == x
 
 
+def test_repr_shows_the_coefficients():
+    assert repr(LAMBDA_INV) == "CubicNumber(-1, -1, 2)"
+
+
+def test_cubic_numbers_are_immutable():
+    # hash and the cached powers rely on it
+    with pytest.raises(AttributeError, match="immutable"):
+        LAMBDA.n0 = 5
+    assert LAMBDA == CubicNumber(0, 1, 0)
+
+
 def test_lambda_length_additive_on_letters():
     assert lambda_length("ab") == WEIGHT["a"] + WEIGHT["b"]
     assert lambda_length("") == CubicNumber(0)

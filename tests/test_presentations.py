@@ -3,6 +3,7 @@ from hypothesis import given
 
 from conftest import reduced_words
 from grigorchuk.presentations import (
+    MAX_RELATOR_LEVEL,
     Presentation,
     closed_form_check,
     gamma0_coxeter_presentation,
@@ -43,6 +44,19 @@ def test_truncation_relators():
     assert len(relator_u(2)) > len(relator_u(1))
 
 
+def test_relator_lengths_double_up_to_the_level_bound():
+    for n in range(5):
+        assert (len(relator_u(n)), len(relator_v(n))) == (8 * 2**n, 24 * 2**n)
+    # rejected before any sigma step, so this returns at once
+    for build in (relator_u, relator_v, gamma_presentation):
+        with pytest.raises(ValueError, match=f"<= {MAX_RELATOR_LEVEL}, not 40"):
+            build(40)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        relator_u(-1)
+    with pytest.raises(ValueError, match="n must be >= -1"):
+        gamma_presentation(-2)
+
+
 def test_relators_die_in_the_limit_group():
     # every truncation relator is trivial in the limit
     for n in range(3):
@@ -80,6 +94,11 @@ def test_signed_relator_tokens():
     assert rel == (("x0", 1), ("x1", -1), ("x0", 1))
     assert relator_to_string(rel) == "x0 x1^-1 x0"
     assert relator_to_string(relator_from_string("abab")) == "abab"
+    # a lone signed generator, as a subgroup presentation may hold, round-trips
+    for lone in ("x3", "x3^-1"):
+        rel = relator_from_string(lone)
+        assert rel == (("x3", 1 if lone == "x3" else -1),)
+        assert relator_to_string(rel) == lone
 
 
 def test_coxeter_form_of_level_0():
