@@ -164,6 +164,13 @@ def cmd_coset(args) -> int:
     sub = [w for w in (args.subgroup or "").split(",") if w]
     if args.xi:
         sub += presentations.xi_generators()
+    if args.cap >= 1 and not close and not sub and (args.gamma0 or not args.pres):
+        # every built-in presentation maps onto the infinite group Gamma (a
+        # cap below 1 is left to todd_coxeter, which reports it first)
+        print("error: the built-in presentations define infinite groups, so the "
+              "trivial subgroup has infinite index; give --close, --subgroup or --xi",
+              file=sys.stderr)
+        return EXIT_USAGE
     table = todd_coxeter(p, sub, cap=args.cap)
     out = {"index": table.index, "status": table.status}
     if args.emit_quotient and table.status == "complete" and not sub:

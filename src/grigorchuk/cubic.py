@@ -4,7 +4,9 @@ An element is stored as integers (n0 + n1*L + n2*L**2) / den in canonical
 form: den > 0 and gcd(n0, n1, n2, den) = 1, so equality is decided field
 by field.  Order comparisons refine a shared rational isolating interval
 for L until the sign of an integer triple is certain.  The letter weights
-of the metric and the radius function live here too.
+of the metric and the radius function live here too, and rational
+enclosures of logarithms: atanh series summed in fixed-point integers with
+every floor and the tail accounted for, rounded outward to 2**-80.
 """
 
 from __future__ import annotations
@@ -347,46 +349,74 @@ def radius_index(n: int) -> int:
     return m
 
 
-# the precision of the logarithm enclosures: terms and rounding are 2**-_LN_BITS
+# the precision of the logarithm enclosures: results are rounded outward to
+# multiples of 2**-_LN_BITS; the series runs 16 guard bits finer
 _LN_BITS = 80
+_SERIES_BITS = _LN_BITS + 16
 
 
-def _atanh_enclosure(t: Fraction) -> tuple[Fraction, Fraction]:
-    """Enclosure of atanh(t) for |t| <= 1/3: the series t^(2j+1)/(2j+1)
-    summed exactly until its tail, bounded by the geometric series
-    |t|^(2N+1) / ((2N+1)(1 - t^2)), drops below 2**-_LN_BITS."""
-    t2 = t * t
-    power = t
-    total = Fraction(0)
-    j = 0
+def _atanh_fixed(p: int, q: int, bits: int = _SERIES_BITS) -> tuple[int, int]:
+    """Integers lo <= hi with lo <= atanh(p/q) * 2**bits <= hi, for q > 0
+    and |p/q| <= 1/3.
+
+    Sums the floored terms p^(2j+1) 2**bits // (q^(2j+1) (2j+1)) of the
+    series, each at most one unit low, until the tail after j terms, at
+    most |t|^(2j+1) / ((2j+1)(1 - t^2)) for t = p/q, is at most one unit;
+    the sum s then puts atanh(t) in [s - 1, s + j + 1].  At the default
+    bits that is at most 30 units wide (j <= 28).
+    """
+    if p == 0:
+        return 0, 0
+    p2, q2 = p * p, q * q
+    gap = q2 - p2  # q^2 (1 - t^2) > 0
+    num, den = p << bits, q  # p^(2j+1) 2**bits and q^(2j+1)
+    s = j = 0
     while True:
-        total += power / (2 * j + 1)
-        power *= t2
+        s += num // (den * (2 * j + 1))
+        num *= p2
+        den *= q2
         j += 1
-        tail = abs(power) / ((2 * j + 1) * (1 - t2))
-        if tail < Fraction(1, 1 << _LN_BITS):
-            return total - tail, total + tail
+        if abs(num) * q2 <= den * (2 * j + 1) * gap:  # the tail bound <= 1
+            return s - 1, s + j + 1
+
+
+def _round_out(lo: int, hi: int, shift: int) -> tuple[int, int]:
+    """The integer interval [lo, hi] rounded outward to multiples of
+    2**shift, in units of 2**shift."""
+    return lo >> shift, -(-hi >> shift)
+
+
+# atanh(1/3) = ln(2)/2 in units of 2**-_SERIES_BITS, at most 2 units wide:
+# summed at twice the bits, then rounded outward
+_HALF_LN2 = _round_out(*_atanh_fixed(1, 3, 2 * _SERIES_BITS), _SERIES_BITS)
 
 
 def ln_enclosure(y) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of ln(y) for rational y > 0.
+    """Rational enclosure of ln(y) for rational y > 0, with endpoints that
+    are multiples of 2**-_LN_BITS.
 
-    Writes y = m * 2**k with m in (1/2, 2), so that ln(y) = k ln(2) +
-    2 atanh((m - 1)/(m + 1)) with ln(2) = 2 atanh(1/3), and rounds the
-    result outward to multiples of 2**-_LN_BITS; the width is at most
-    (4|k| + 6) * 2**-_LN_BITS.
+    Writes y = m * 2**k with m in (1/2, 2), so that ln(y) = 2k atanh(1/3) +
+    2 atanh(t) for t = (m - 1)/(m + 1), |t| < 1/3, and sums both series in
+    fixed-point integers of 2**-(_LN_BITS + 16) (see _atanh_fixed).  With
+    atanh(1/3) held to 2 units and atanh(t) to at most 30, the enclosure
+    is at most 4|k| + 60 units wide before the outward rounding, so the
+    result is at most 2 * 2**-_LN_BITS wide for |k| <= 16 000.
     """
     y = Fraction(y)
     if y <= 0:
         raise ValueError("ln needs y > 0")
-    k = y.numerator.bit_length() - y.denominator.bit_length()
-    m = y / Fraction(2) ** k
-    half_ln2 = _atanh_enclosure(Fraction(1, 3))
-    at_lo, at_hi = _atanh_enclosure((m - 1) / (m + 1))
-    lo = 2 * (min(k * x for x in half_ln2) + at_lo)
-    hi = 2 * (max(k * x for x in half_ln2) + at_hi)
-    q = 1 << _LN_BITS
-    return Fraction(math.floor(lo * q), q), Fraction(math.ceil(hi * q), q)
+    num, den = y.numerator, y.denominator
+    k = num.bit_length() - den.bit_length()
+    if k >= 0:
+        den <<= k
+    else:
+        num <<= -k
+    at_lo, at_hi = _atanh_fixed(num - den, num + den)
+    h_lo, h_hi = _HALF_LN2
+    lo = 2 * (min(k * h_lo, k * h_hi) + at_lo)
+    hi = 2 * (max(k * h_lo, k * h_hi) + at_hi)
+    lo, hi = _round_out(lo, hi, _SERIES_BITS - _LN_BITS)
+    return Fraction(lo, 1 << _LN_BITS), Fraction(hi, 1 << _LN_BITS)
 
 
 def log_lambda_enclosure(y) -> tuple[Fraction, Fraction]:

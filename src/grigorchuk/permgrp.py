@@ -24,7 +24,7 @@ def identity(degree: int) -> Permutation:
 
 def pmul(p: Permutation, q: Permutation) -> Permutation:
     """Composition 'p after q': (p*q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(q)))
+    return tuple([p[i] for i in q])
 
 
 def pinv(p: Permutation) -> Permutation:

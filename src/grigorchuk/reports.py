@@ -117,15 +117,29 @@ def _status(ok: bool) -> str:
 
 
 def random_reduced_word(length: int, rng: random.Random) -> str:
+    """A random reduced word of the given length: the first letter uniform
+    over LETTERS, then a and a uniform letter of BCD alternate.
+
+    Draws from rng exactly as rng.choice(LETTERS) and rng.choice(BCD) do,
+    by rejection on getrandbits(3) below 4 and getrandbits(2) below 3, so
+    a seed gives the same words as a loop on rng.choice.
+    """
+    getrandbits = rng.getrandbits
     out: list[str] = []
     for _ in range(length):
         last = out[-1] if out else ""
         if last == "a":
-            out.append(rng.choice(BCD))
+            r = getrandbits(2)
+            while r >= 3:
+                r = getrandbits(2)
+            out.append(BCD[r])
         elif last:
             out.append("a")
         else:
-            out.append(rng.choice(LETTERS))
+            r = getrandbits(3)
+            while r >= 4:
+                r = getrandbits(3)
+            out.append(LETTERS[r])
     return "".join(out)
 
 

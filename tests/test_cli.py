@@ -497,6 +497,34 @@ def test_negative_control_lemma_verdict_per_distinct_word(monkeypatch):
     assert len(calls) == len(drawn) + len(conjugates)
 
 
+def _random_reduced_word_by_choice(length, rng):
+    """random_reduced_word as a loop on rng.choice: the oracle for its
+    stream of draws."""
+    from grigorchuk.words import BCD, LETTERS
+
+    out = []
+    for _ in range(length):
+        last = out[-1] if out else ""
+        if last == "a":
+            out.append(rng.choice(BCD))
+        elif last:
+            out.append("a")
+        else:
+            out.append(rng.choice(LETTERS))
+    return "".join(out)
+
+
+def test_random_reduced_word_draws_as_rng_choice():
+    import random
+
+    for seed in range(30):
+        fast, oracle = random.Random(seed), random.Random(seed)
+        for length in range(41):
+            w = reports.random_reduced_word(length, fast)
+            assert w == _random_reduced_word_by_choice(length, oracle)
+            assert fast.getstate() == oracle.getstate()
+
+
 @pytest.mark.parametrize("top, count", [(1, None), (2, 10), (3, 20)])
 def test_random_nball_sweep_starts_at_radius_2(top, count):
     cfg = reports.CheckConfig(nball_radii=(2,), nball_random_max=top, nball_random_samples=10)
@@ -536,6 +564,8 @@ _ODD_INPUTS = [
     (["present", "--level", "40"], 2),
     (["coset"], 2),
     (["coset", "--level", "40"], 2),
+    (["coset", "--gamma0"], 2),  # nothing to close or quotient by: infinite index
+    (["coset", "--level", "1"], 2),
     (["coset", "--pres", "MISSING"], 2),
     (["abelianize"], 2),
     (["abelianize", "--level", "-5"], 2),

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import reduced_words
 from grigorchuk import cubic
@@ -262,6 +262,85 @@ def test_ln_enclosure_is_additive(p, q):
 def test_ln_enclosure_rejects_nonpositive():
     with pytest.raises(ValueError):
         ln_enclosure(0)
+
+
+def _atanh_by_fractions(t: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """Enclosure of atanh(t) for |t| <= 1/3, of width below 2**-bits: the
+    series t^(2j+1)/(2j+1) summed in exact Fractions until its tail bound
+    |t|^(2N+1) / ((2N+1)(1 - t^2)) drops below 2**-(bits+1): an oracle
+    that shares no rounding with cubic._atanh_fixed."""
+    t2 = t * t
+    power = t
+    total = Fraction(0)
+    j = 0
+    while True:
+        total += power / (2 * j + 1)
+        power *= t2
+        j += 1
+        tail = abs(power) / ((2 * j + 1) * (1 - t2))
+        if tail < Fraction(1, 1 << (bits + 1)):
+            return total - tail, total + tail
+
+
+_SERIES_UNIT = Fraction(1, 1 << cubic._SERIES_BITS)
+
+
+@st.composite
+def series_arguments(draw):
+    """(p, q) with q > 0 and |p/q| <= 1/3, each of up to 80 bits."""
+    q = draw(st.integers(min_value=1, max_value=1 << 80))
+    return draw(st.integers(min_value=-(q // 3), max_value=q // 3)), q
+
+
+@given(series_arguments())
+@example((0, 1))
+@example((1, 3))
+@example((-1, 3))
+@example((-1, 1 << 32))  # one exact term: only the tail keeps the lower end below
+@example(((1 << 80) // 3, 1 << 80))
+def test_fixed_point_atanh_meets_the_fraction_series(pq):
+    """The integer enclosure meets a Fraction-series one 2**20 times
+    narrower, so an endpoint off by a single unit of 2**-_SERIES_BITS
+    shows."""
+    p, q = pq
+    lo, hi = cubic._atanh_fixed(p, q)
+    o_lo, o_hi = _atanh_by_fractions(Fraction(p, q), cubic._SERIES_BITS + 20)
+    assert lo * _SERIES_UNIT <= o_hi and o_lo <= hi * _SERIES_UNIT
+    assert 0 <= hi - lo <= 30
+
+
+def test_half_ln2_constant_meets_the_fraction_series():
+    lo, hi = cubic._HALF_LN2
+    o_lo, o_hi = _atanh_by_fractions(Fraction(1, 3), cubic._SERIES_BITS + 20)
+    assert lo * _SERIES_UNIT <= o_hi and o_lo <= hi * _SERIES_UNIT
+    assert hi - lo <= 2
+
+
+@given(
+    st.integers(min_value=1, max_value=1 << 80),
+    st.integers(min_value=1, max_value=1 << 80),
+    st.integers(min_value=-1000, max_value=1000),
+)
+@example(1, 1, 0)
+@example(1, 1, 1000)
+@example((1 << 40) + 1, 1, 0)
+def test_ln_enclosure_meets_the_fraction_series(a, b, shift):
+    """ln(y) = 2k atanh(1/3) + 2 atanh(t) by the Fraction series meets the
+    enclosure, whose endpoints are multiples of 2**-80 at most two apart
+    (|k| <= 1081 here)."""
+    y = Fraction(a, b) * Fraction(2) ** shift
+    lo, hi = ln_enclosure(y)
+    assert (lo * (1 << 80)).denominator == 1 and (hi * (1 << 80)).denominator == 1
+    assert 0 <= hi - lo <= Fraction(2, 1 << 80)
+    k = y.numerator.bit_length() - y.denominator.bit_length()
+    m = y / Fraction(2) ** k
+    h_lo, h_hi = _atanh_by_fractions(Fraction(1, 3), 100)
+    a_lo, a_hi = _atanh_by_fractions((m - 1) / (m + 1), 100)
+    o_lo = 2 * (min(k * h_lo, k * h_hi) + a_lo)
+    o_hi = 2 * (max(k * h_lo, k * h_hi) + a_hi)
+    assert lo <= o_hi and o_lo <= hi
+    ln_y = math.log(a) - math.log(b) + shift * math.log(2)
+    assert lo - 1e-9 <= ln_y <= hi + 1e-9
 
 
 def test_log_checks_run_without_mpmath():

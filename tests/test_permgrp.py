@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from grigorchuk.errors import CapExceeded
 from grigorchuk.permgrp import (
@@ -29,6 +30,18 @@ def test_cycle_roundtrip():
     assert to_cycles(p) == [(0, 1, 2), (4, 5)]
     assert perm_order(p) == 6
     assert pmul(p, pinv(p)) == tuple(range(6))
+
+
+@given(
+    st.integers(min_value=1, max_value=40).flatmap(
+        lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
+    )
+)
+def test_pmul_composes_pointwise(pq):
+    p, q = (tuple(x) for x in pq)
+    r = pmul(p, q)
+    assert type(r) is tuple and len(r) == len(q)
+    assert all(r[i] == p[q[i]] for i in range(len(q)))
 
 
 def test_closure_orders():
