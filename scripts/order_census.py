@@ -13,7 +13,7 @@ import random
 import sys
 from collections import Counter
 
-from grigorchuk.growth import ball_grigorchuk
+from grigorchuk.growth import iter_spheres
 from grigorchuk.wreath import order, order_by_squaring
 
 
@@ -24,8 +24,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    table = ball_grigorchuk(args.maxn)
-    reps = [w for level in table.representatives for w in level]
+    reps = [w for sphere in iter_spheres(args.maxn) for w in sphere]
     orders = {w: order(w) for w in reps}
     census = Counter(orders.values())
     print(f"{len(reps)} distinct elements in the {args.maxn}-ball")

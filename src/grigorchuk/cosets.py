@@ -88,25 +88,19 @@ class _Enumerator:
     def _col(self, g: str, e: int) -> int:
         return 2 * self.gidx[g] + (0 if e == 1 else 1)
 
-    def _inv_col(self, col: int) -> int:
-        return col ^ 1
-
     def get(self, c: int, col: int):
         v = self.table[c][col]
         return None if v is None else self.find(v)
 
     def set_edge(self, c: int, col: int, d: int) -> None:
         """Record c . col = d (and the inverse edge), merging on conflict."""
-        pending = [(c, col, d)]
-        while pending:
-            c, col, d = pending.pop()
-            c, d = self.find(c), self.find(d)
-            for x, xcol, y in ((c, col, d), (d, self._inv_col(col), c)):
-                cur = self.get(x, xcol)
-                if cur is None:
-                    self.table[x][xcol] = y
-                elif cur != y:
-                    self.coincide(cur, y)
+        c, d = self.find(c), self.find(d)
+        for x, xcol, y in ((c, col, d), (d, col ^ 1, c)):
+            cur = self.get(x, xcol)
+            if cur is None:
+                self.table[x][xcol] = y
+            elif cur != y:
+                self.coincide(cur, y)
 
     def coincide(self, a: int, b: int) -> None:
         queue = [(a, b)]
@@ -127,9 +121,9 @@ class _Enumerator:
                 cur = self.get(a, col)
                 if cur is None:
                     self.table[a][col] = target
-                    back = self.get(target, self._inv_col(col))
+                    back = self.get(target, col ^ 1)
                     if back is None:
-                        self.table[target][self._inv_col(col)] = a
+                        self.table[target][col ^ 1] = a
                     elif back != a:
                         queue.append((back, a))
                 elif cur != target:

@@ -12,11 +12,13 @@ enclosures, never as floats posing as exact values.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
 from .cubic import ln_enclosure
+from .errors import CapExceeded
 from .permgrp import identity, pmul
 from .words import BCD, LETTERS, invert, multiply
 from .wreath import _SPLIT_IMAGE, is_trivial, level_action
@@ -32,13 +34,9 @@ def free_sphere_sizes(n: int) -> list[int]:
     with a = #geodesics ending in a and b = #ending in {b, c, d}."""
     if n < 0:
         raise ValueError("radius must be >= 0")
-    out = [1]
-    a, b = 0, 0
-    for k in range(1, n + 1):
-        if k == 1:
-            a, b = 1, 3
-        else:
-            a, b = b, 3 * a
+    out, a, b = [1], 1, 1  # the identity seeds both recurrences
+    for _ in range(n):
+        a, b = b, 3 * a
         out.append(a + b)
     return out
 
@@ -58,7 +56,6 @@ class GrowthRow:
 @dataclass
 class GrowthTable:
     rows: list[GrowthRow]
-    representatives: list[list[str]]  # new shortlex geodesics per radius
     complete: bool = True
 
     def ball_sizes(self) -> list[int]:
@@ -190,12 +187,10 @@ def _reduces(rep: str, g: str) -> bool:
     return bool(rep) and (g == rep[-1] or (g in BCD and rep[-1] in BCD))
 
 
-def ball_grigorchuk(
-    maxn: int,
-    use_signatures: bool = True,
-    budget: int | None = None,
-) -> GrowthTable:
-    """Ball sizes of the limit group up to radius ``maxn`` by BFS.
+def iter_spheres(
+    maxn: int, use_signatures: bool = True, budget: int | None = None
+) -> Iterator[list[str]]:
+    """The sorted new shortlex geodesics of each radius 0..``maxn``, by BFS.
 
     Representatives are first-found shortlex geodesics; every new element
     at depth k has free normal form of length exactly k, because shorter
@@ -204,7 +199,8 @@ def ball_grigorchuk(
     is the reduced word rep + g or reduces to a shorter word, an element
     already in the ball; such candidates are skipped without a probe.  The
     representatives of a sphere are sorted and of one length, so the
-    candidates rep + g come in sorted order and so do the new ones.
+    candidates rep + g come in sorted order and so do the new ones.  No
+    ball of words is kept: only the last sphere and the one being built.
 
     Each representative travels with its key, and a candidate's key is the
     representative's key times g.  With ``use_signatures`` the key is the
@@ -213,9 +209,9 @@ def ball_grigorchuk(
     decided by the word problem within its buckets, the independent oracle.
 
     With a ``budget`` the search stops at the first candidate, reducing or
-    not, reached once ``budget`` elements are counted, and the table is
-    marked incomplete.  Raises ValueError when ``maxn`` < 0 or ``budget``
-    < 1.
+    not, reached once ``budget`` elements are counted: it yields the sphere
+    as it stands and raises CapExceeded.  Raises ValueError when ``maxn``
+    < 0 or ``budget`` < 1.
     """
     if maxn < 0:
         raise ValueError("radius must be >= 0")
@@ -223,10 +219,8 @@ def ball_grigorchuk(
         raise ValueError("budget must be >= 1")
     eq = _SignatureEquality() if use_signatures else _PureEquality()
     eq.probe("", eq.identity)
-    table = GrowthTable(rows=[], representatives=[])
-    table.rows.append(GrowthRow(0, 1, 1, _entropy_enclosure(1, 0)))
-    table.representatives.append([""])
     sphere, keys = [""], [eq.identity]
+    yield sphere
     total = 1
     for k in range(1, maxn + 1):
         eq.next_sphere()
@@ -235,32 +229,41 @@ def ball_grigorchuk(
         for rep, key in zip(sphere, keys):
             for g in LETTERS:
                 if budget is not None and total + len(new) >= budget:
-                    table.complete = False
-                    table.representatives.append(new)
-                    total += len(new)
-                    table.rows.append(
-                        GrowthRow(k, total, len(new), _entropy_enclosure(total, k))
-                    )
-                    return table
+                    yield new
+                    raise CapExceeded(f"budget {budget} reached at radius {k}")
                 if _reduces(rep, g):
                     continue
                 w, t = rep + g, eq.times(key, g)
                 if eq.probe(w, t):
                     new.append(w)
                     new_keys.append(t)
+        yield new
         total += len(new)
-        table.representatives.append(new)
-        table.rows.append(GrowthRow(k, total, len(new), _entropy_enclosure(total, k)))
         sphere, keys = new, new_keys
+
+
+def _table(sphere_sizes: list[int], complete: bool = True) -> GrowthTable:
+    table, ball = GrowthTable([], complete), 0
+    for k, s in enumerate(sphere_sizes):
+        ball += s
+        table.rows.append(GrowthRow(k, ball, s, _entropy_enclosure(ball, k)))
     return table
+
+
+def ball_grigorchuk(
+    maxn: int,
+    use_signatures: bool = True,
+    budget: int | None = None,
+) -> GrowthTable:
+    """Ball sizes of the limit group to radius ``maxn``: a fold of ``iter_spheres``."""
+    sizes: list[int] = []
+    try:
+        for sphere in iter_spheres(maxn, use_signatures, budget):
+            sizes.append(len(sphere))
+    except CapExceeded:
+        return _table(sizes, complete=False)
+    return _table(sizes)
 
 
 def growth_table_free(maxn: int) -> GrowthTable:
-    spheres = free_sphere_sizes(maxn)
-    table = GrowthTable(rows=[], representatives=[])
-    total = 0
-    for k, s in enumerate(spheres):
-        total += s
-        table.rows.append(GrowthRow(k, total, s, _entropy_enclosure(total, k)))
-    return table
-
+    return _table(free_sphere_sizes(maxn))

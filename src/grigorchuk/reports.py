@@ -401,7 +401,7 @@ def check_core_lemma_corpus(cfg: CheckConfig) -> Iterator[CheckReport]:
 def check_growth_cross(cfg: CheckConfig) -> Iterator[CheckReport]:
     sig = growth.ball_grigorchuk(cfg.growth_maxn, use_signatures=True)
     pure = growth.ball_grigorchuk(cfg.growth_maxn, use_signatures=False)
-    free_counts = [growth.ball_free_product(n) for n in range(cfg.growth_maxn + 1)]
+    free_counts = growth.growth_table_free(cfg.growth_maxn).ball_sizes()
     sizes = sig.ball_sizes()
     ok = (
         sizes == pure.ball_sizes()

@@ -1,9 +1,12 @@
+import contextlib
 import csv
 import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grigorchuk import presentations, reports
 from grigorchuk.cli import main
@@ -590,4 +593,79 @@ def test_odd_inputs_exit_cleanly_and_fast(capsys, tmp_path, argv, expected):
     err = capsys.readouterr().err
     assert code == expected
     assert (err != "") == (expected == 2)
+    assert elapsed < 1.0
+
+
+# the vocabulary of the argv property test: odd words, integers -3..6 and a
+# file that does not exist (MISSING) as values; as options, each
+# subcommand's own (True when it takes a value) and --format csv.  check-all
+# runs for seconds, so only the fixed table above covers it; coset and
+# abelianize always name a presentation source, and coset always ends in a
+# cap of at most 5000 cosets
+_VALUES = [
+    "", "1", "a", "abba", "xyz", "a b", "ab,ad", "adadadad", "dcb", "-a", "acab", "free",
+    *(str(n) for n in range(-3, 7)),
+    "MISSING",
+]
+_POSITIONAL = {"reduce", "order", "split", "certify", "verify-nball", "ball"}
+_PRES_OPTIONS = {"--pres": True, "--gamma0": False, "--level": True, "--close": True}
+_OPTIONS = {
+    "reduce": {"--min-conjugate": False},
+    "order": {},
+    "split": {},
+    "certify": {"--level": True},
+    "verify-nball": {},
+    "ball": {"--cap": True, "--lengths": False},
+    "growth": {"--group": True, "--maxn": True, "--budget": True},
+    "relators": {"--level": True},
+    "present": {"--level": True, "--gamma0-coxeter": False},
+    "coset": {
+        **_PRES_OPTIONS, "--subgroup": True, "--xi": False,
+        "--emit-quotient": False, "--emit-subgroup-pres": False,
+    },
+    "abelianize": _PRES_OPTIONS,
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    values = st.sampled_from(_VALUES)
+    chunks = st.one_of(
+        values.map(lambda v: [v]),
+        st.just(["--format", "csv"]),
+        *(
+            values.map(lambda v, o=option: [o, v]) if takes_value else st.just([option])
+            for option, takes_value in _OPTIONS[command].items()
+        ),
+    )
+    argv = [command]
+    if command in _POSITIONAL:
+        argv.append(draw(values))
+    if command in ("coset", "abelianize"):
+        argv += draw(st.sampled_from([["--gamma0"]] + [["--level", str(n)] for n in range(-3, 7)]))
+    for chunk in draw(st.lists(chunks, max_size=4)):
+        argv.extend(chunk)
+    if command == "coset":
+        argv += ["--cap", str(draw(st.integers(-3, 5000)))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argvs())
+def test_any_argv_exits_cleanly_and_fast(tmp_path_factory, argv):
+    """Every argv from the vocabulary exits 0, 1, 2 or 3 within a second
+    and prints no traceback; any exception other than SystemExit fails."""
+    missing = str(tmp_path_factory.getbasetemp() / "no-such-dir" / "missing")
+    argv = [missing if a == "MISSING" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse, and a presentation source left out
+            code = exc.code
+    elapsed = time.perf_counter() - t0
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
     assert elapsed < 1.0

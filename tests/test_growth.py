@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from fractions import Fraction
 
@@ -6,7 +7,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import reduced_words
+from grigorchuk.errors import CapExceeded
 from grigorchuk.growth import (
+    GrowthTable,
     _PureEquality,
     _reduces,
     _SignatureEquality,
@@ -14,6 +17,7 @@ from grigorchuk.growth import (
     ball_grigorchuk,
     free_sphere_sizes,
     growth_table_free,
+    iter_spheres,
 )
 from grigorchuk.words import LETTERS, a_parity, invert, is_reduced, multiply, reduce_word
 from grigorchuk.wreath import is_trivial, level_action, split
@@ -59,7 +63,7 @@ def test_pipelines_agree():
     sig = ball_grigorchuk(16, use_signatures=True)
     pure = ball_grigorchuk(16, use_signatures=False)
     assert sig.ball_sizes() == pure.ball_sizes()
-    assert sig.representatives == pure.representatives
+    assert list(iter_spheres(16)) == list(iter_spheres(16, use_signatures=False))
 
 
 def test_grigorchuk_spheres_pinned_to_radius_24():
@@ -69,8 +73,8 @@ def test_grigorchuk_spheres_pinned_to_radius_24():
         1, 4, 6, 12, 17, 28, 40, 68, 95, 156, 216, 356, 488, 772, 1054, 1660,
         2240, 3448, 4642, 7128, 9518, 14392, 19186, 28984, 38237,
     ]
-    # the first 21 spheres are those of ball_grigorchuk(20)
-    text = "\n".join(" ".join(level) for level in table.representatives[:21])
+    # the spheres of iter_spheres(20), the first 21 of the radius-24 BFS
+    text = "\n".join(" ".join(sphere) for sphere in iter_spheres(20))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "f1c78075c0a01d05bd74d163480c1f9a83875895b264fb0b13688ccca1817c68"
     )
@@ -146,8 +150,7 @@ def test_canonical_key_nucleus():
 
 
 def test_representatives_are_distinct_elements():
-    table = ball_grigorchuk(4)
-    reps = [w for level in table.representatives for w in level]
+    reps = [w for sphere in iter_spheres(4) for w in sphere]
     assert all(is_reduced(w) for w in reps)
     for i, u in enumerate(reps):
         for v in reps[i + 1:]:
@@ -177,9 +180,37 @@ def test_budget_edge_cases(budget, maxn, spheres, complete):
     table = ball_grigorchuk(maxn, budget=budget)
     assert [r.sphere for r in table.rows] == spheres
     assert table.complete == complete
-    full = ball_grigorchuk(maxn).representatives
-    assert table.representatives[:-1] == full[: len(spheres) - 1]
-    assert table.representatives[-1] == full[len(spheres) - 1][: spheres[-1]]
+    cut, ran_out = [], False
+    try:
+        for sphere in iter_spheres(maxn, budget=budget):
+            cut.append(sphere)
+    except CapExceeded:
+        ran_out = True
+    assert ran_out != complete
+    full = list(iter_spheres(maxn))
+    assert cut[:-1] == full[: len(spheres) - 1]
+    assert cut[-1] == full[len(spheres) - 1][: spheres[-1]]
+
+
+@pytest.mark.parametrize("maxn, budget", [(-1, None), (3, 0)])
+def test_iter_spheres_rejects_on_first_next(maxn, budget):
+    spheres = iter_spheres(maxn, budget=budget)
+    with pytest.raises(ValueError):
+        next(spheres)
+
+
+def test_iter_spheres_yields_partial_sphere_then_raises():
+    full = list(iter_spheres(4))
+    spheres = iter_spheres(8, budget=30)
+    assert [next(spheres) for _ in range(4)] == full[:4]
+    # 23 elements fill the 3-ball; the 7 more of radius 4 reach the budget
+    assert next(spheres) == full[4][:7]
+    with pytest.raises(CapExceeded):
+        next(spheres)
+
+
+def test_growth_table_keeps_no_words():
+    assert [f.name for f in dataclasses.fields(GrowthTable)] == ["rows", "complete"]
 
 
 def test_entropy_enclosures_bracket_and_decrease():

@@ -18,3 +18,13 @@ def test_order_census_smoke():
     )
     assert proc.returncode == 0, proc.stderr
     assert "squaring oracle agrees" in proc.stdout
+    # the census of the 4-ball, as the script printed it when it still read
+    # the words from ball_grigorchuk
+    assert proc.stdout.splitlines()[:6] == [
+        "40 distinct elements in the 4-ball",
+        "  order   1: 1 elements",
+        "  order   2: 11 elements",
+        "  order   4: 6 elements",
+        "  order   8: 10 elements",
+        "  order  16: 12 elements",
+    ]
