@@ -28,14 +28,20 @@ _KLEIN = {
     ("d", "c"): "b",
 }
 
+# a letter pair that no reduced word holds, or a letter outside "abcd"
+_UNREDUCED = re.compile("aa|[bcd][bcd]|[^abcd]")
+
 
 def reduce_word(raw) -> str:
     """Normal form of a letter sequence, via a single left-to-right stack pass.
 
     Merge rules: xx -> 1 for every letter x, and the product of two distinct
     letters of {b, c, d} is the third.  One pass suffices because the group
-    is a free product of finite groups.
+    is a free product of finite groups.  A string that is already reduced
+    is returned as it is.
     """
+    if type(raw) is str and _UNREDUCED.search(raw) is None:
+        return raw
     stack = []
     for ch in raw:
         if ch not in LETTERS:
@@ -55,10 +61,6 @@ def reduce_word(raw) -> str:
             stack.append(ch)
             break
     return "".join(stack)
-
-
-# a letter pair that no reduced word holds, or a letter outside "abcd"
-_UNREDUCED = re.compile("aa|[bcd][bcd]|[^abcd]")
 
 
 def is_reduced(w) -> bool:

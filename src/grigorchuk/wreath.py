@@ -34,7 +34,7 @@ from .permgrp import pmul
 from .words import (
     a_parity,
     format_word,
-    is_reduced,
+    invert,
     iter_ball_classes,
     iter_ball_free,
     min_conjugate,
@@ -48,11 +48,12 @@ _SPLIT_IMAGE = {"b": ("a", "c"), "c": ("a", "d"), "d": ("", "b")}
 
 
 def split(w: str) -> tuple[str, str]:
-    """Subtree components (w0, w1) of a reduced parity-0 word.
+    """Subtree components (w0, w1) of a parity-0 word, reduced first.
 
     Scans left to right tracking the parity p of a's seen so far; a letter
     x in {b, c, d} contributes x0 to side p and x1 to side 1-p.
     """
+    w = reduce_word(w)
     if a_parity(w) != 0:
         raise PreconditionError(f"split needs an even number of a's: {w!r}")
     sides = [[], []]
@@ -184,12 +185,14 @@ def lemma_split_contraction_check(x: str) -> ContractionReport:
     # 2L^3 = L^2 + L + 1 gives 2L*t = (t2, 2t0 + t2, 2t1 + t2); the bounds
     # are d = 2L*t - 2|x| <= 0 and d - 2|a| <= 0, with 2|a| = (-4, 4, 0)
     d0, d1, d2 = t2 - 2 * s0, 2 * t0 + t2 - 2 * s1, 2 * t1 + t2 - 2 * s2
+    # |a| > 0, so the strong bound implies the weak one
+    strong = triple_sign(d0, d1, d2) <= 0
     return ContractionReport(
         word=x,
         adjusted=adjusted,
         components=(x0, x1),
-        strong_holds=triple_sign(d0, d1, d2) <= 0,
-        weak_holds=triple_sign(d0 + 4, d1 - 4, d2) <= 0,
+        strong_holds=strong,
+        weak_holds=strong or triple_sign(d0 + 4, d1 - 4, d2) <= 0,
     )
 
 
@@ -279,16 +282,24 @@ def _in_open_ball(na: int, nb: int, nc: int, nd: int, r: int) -> bool:
     return triple_compare_power(count_triple(na, nb, nc, nd), r) < 0
 
 
+def _check_level(n) -> None:
+    """Reject a level that is not an int (a bool is not a level) or is
+    below -1, the last level the ball argument defines."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"level must be an int, not {type(n).__name__}")
+    if n < -1:
+        raise ValueError("level must be >= -1")
+
+
 def _ball_class(w: str, n: int) -> str:
     """The minimal conjugate of w, once w passes the test the step at level
     n makes of it; otherwise RadiusViolation naming w itself.
 
     At level n > 0 the word must lie in the open L^(n-1)-ball; at level 0
-    or -1 its minimal conjugate must be a base case.
+    or -1 its minimal conjugate must be a base case.  The caller has
+    checked n.
     """
     if n <= 0:
-        if n < -1:
-            raise ValueError("level must be >= -1")
         m = min_conjugate(w)
         if m not in _BASE_EXPONENT or (n == -1 and m not in _LETTERS_SET):
             bound = "L^-1" if n == 0 else "L^-2"
@@ -316,7 +327,7 @@ def _class_step(m: str, n: int) -> tuple[str, int, tuple[str, ...]]:
         return "letter-case", _BASE_EXPONENT[m], ()
     if a_parity(m) == 0:
         return "inactive-split", 0, split(m)
-    return "active-square", 1, split(multiply(m, m))[:1]
+    return "active-square", 1, split(m + m)[:1]
 
 
 def certify_exponent(w: str, n: int) -> tuple[int, int]:
@@ -328,9 +339,10 @@ def certify_exponent(w: str, n: int) -> tuple[int, int]:
     ``_class_exponent`` caches it under (m, n), once per conjugacy class.
 
     Raises RadiusViolation, whose ``failure`` is the CertificateFailure
-    that ``certify_torsion`` returns for the same input, and ValueError for
-    levels below -1.
+    that ``certify_torsion`` returns for the same input, TypeError for a
+    level that is not an int and ValueError for levels below -1.
     """
+    _check_level(n)
     return _class_exponent(_ball_class(w, n), n)
 
 
@@ -350,8 +362,8 @@ def certify_torsion(w: str, n: int):
     """Torsion certificate for w at approximant level n, or a failure report.
 
     The tree records each step of the ball argument (see ``_class_step``);
-    every node's exponent is the one ``certify_exponent`` gives it.  Levels
-    below -1 raise ValueError.
+    every node's exponent is the one ``certify_exponent`` gives it, which
+    also checks the level.
     """
     w = reduce_word(w)
     try:
@@ -403,23 +415,23 @@ def verify_nball_proposition(n: int, words=None, level: int | None = None) -> NB
     ``iter_ball_free(n)``, so failures keep their shortlex order.
 
     ``words`` overrides the exhaustive free-product ball (e.g. for random
-    sampling); a word that is not a reduced string is reduced first, so a
-    letter outside "abcd" raises ValueError.
-    ``level`` overrides the computed radius index.
+    sampling); each word is reduced first, so a letter outside "abcd"
+    raises ValueError.
+    ``level`` overrides the computed radius index; a level that is not an
+    int raises TypeError.
     """
     if n < 2 and level is None:
         raise ValueError("need n >= 2 for a nonnegative level")
     if level is None:
         level = cubic.radius_index(n)
-    if level < -1:
-        raise ValueError("level must be >= -1")
+    _check_level(level)
     if words is None:
         report = _class_sweep(n, level)
         if report is not None:
             return report
         words = iter_ball_free(n)
     else:
-        words = (w if is_reduced(w) else reduce_word(w) for w in words)
+        words = map(reduce_word, words)
     report = NBallReport(radius=n, level=level, word_count=0, max_exponent=0, max_depth=0)
     for w in words:
         report.word_count += 1
@@ -441,18 +453,33 @@ def _class_sweep(n: int, level: int) -> NBallReport | None:
     A word passes iff its letter counts pass the radius test (at level > 0)
     and its class certifies, so a (class, count vector) pair decides all
     the words it counts.  Each class is visited once, so its own step runs
-    uncached and only its children go through ``_class_exponent``.
+    uncached and only its children go through ``_class_exponent``.  At
+    level > 0 an enumerated m is minimal and its own counts are in its
+    tally, so the tally's radius test is all ``_ball_class`` would do.
+
+    A class and its inverse are certified once.  Inversion reverses a word,
+    so it keeps the letter counts (hence the tally and the radius test) and
+    maps base cases to base cases.  For a parity-0 word a letter's a-parity
+    is the same counted from either end, so split(w^-1) is the pair of
+    inverses of split(w), sides in the same order; for an active class
+    (m.m)^-1 = m^-1.m^-1.  By induction the class of m^-1 has m's tally,
+    exponent, depth and verdict, so only the lesser of m and
+    min_conjugate(m^-1) is certified, and its words count twice unless the
+    class is its own inverse.
     """
     report = NBallReport(radius=n, level=level, word_count=0, max_exponent=0, max_depth=0)
     histogram = report.exponent_histogram
     for m, tally in iter_ball_classes(n):
+        inverse = min_conjugate(invert(m))
+        if inverse < m:
+            continue  # counted with its inverse
         if level > 0 and not all(_in_open_ball(*counts, level - 1) for counts in tally):
             return None
         try:
-            e, d = _class_exponent.__wrapped__(_ball_class(m, level), level)
+            e, d = _class_exponent.__wrapped__(m if level > 0 else _ball_class(m, level), level)
         except RadiusViolation:
             return None
-        words = sum(tally.values())
+        words = sum(tally.values()) * (1 if inverse == m else 2)
         report.word_count += words
         report.max_exponent = max(report.max_exponent, e)
         report.max_depth = max(report.max_depth, d)

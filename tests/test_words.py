@@ -43,6 +43,19 @@ def test_is_reduced_iff_fixed_by_reduction(w):
     assert is_reduced(w) == (reduce_word(w) == w)
 
 
+@given(reduced_words())
+def test_reduce_returns_a_reduced_string_itself(w):
+    assert reduce_word(w) is w
+
+
+def test_reduce_still_checks_letters_and_takes_sequences():
+    for bad in ("abx", "ab x"):
+        with pytest.raises(ValueError, match="invalid letter"):
+            reduce_word(bad)
+    assert reduce_word(list("abba")) == ""
+    assert reduce_word(["a", "b", "a", "c"]) == "abac"
+
+
 def test_is_reduced_rejects_other_letters_and_non_strings():
     assert not is_reduced("abx")
     assert not is_reduced(["a", "b"])

@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import reduced_words
+from conftest import raw_words, reduced_words
 from grigorchuk import wreath
 from grigorchuk.cubic import LAMBDA_INV, lambda_length, radius_index
 from grigorchuk.errors import CapExceeded, GrigError, PreconditionError
@@ -16,6 +16,7 @@ from grigorchuk.words import (
     iter_ball_free,
     min_conjugate,
     multiply,
+    reduce_word,
 )
 from grigorchuk.wreath import (
     CertificateFailure,
@@ -49,6 +50,27 @@ def test_split_conjugation_by_a_swaps_components(w):
 def test_split_rejects_active_words():
     with pytest.raises(PreconditionError):
         split("ab")
+
+
+def test_split_rejects_bad_input_as_reduce_word_does():
+    with pytest.raises(ValueError, match="invalid letter 'x'"):
+        split("axa")
+    with pytest.raises(TypeError):
+        split(123)
+
+
+@given(raw_words)
+def test_split_reduces_its_input(w):
+    if a_parity(w):
+        return
+    assert split(w) == split(list(w)) == split(reduce_word(w))
+
+
+@given(reduced_words(max_size=24))
+def test_split_of_an_inverse_is_the_inverse_pair(w):
+    if a_parity(w):
+        return
+    assert split(invert(w)) == tuple(map(invert, split(w)))
 
 
 @given(reduced_words(max_size=16), reduced_words(max_size=16))
@@ -270,11 +292,34 @@ def test_nball_20_is_pinned():
     # the sweep caches only the child classes, not the 9 508 top-level ones
     wreath._class_exponent.cache_clear()
     rep = verify_nball_proposition(20)
-    assert wreath._class_exponent.cache_info().currsize == 374
+    assert wreath._class_exponent.cache_info().currsize == 347
     assert rep.ok
     assert (rep.word_count, rep.max_exponent, rep.max_depth) == (295241, 7, 9)
     histogram = {1: 11795, 2: 32108, 3: 79990, 4: 147068, 5: 17968, 6: 5664, 7: 648}
     assert rep.exponent_histogram == histogram
+
+
+def test_a_class_and_its_inverse_certify_alike():
+    level = radius_index(16)
+    for m, _tally in iter_ball_classes(16):
+        assert certify_exponent(m, level) == certify_exponent(min_conjugate(invert(m)), level), m
+
+
+def test_sweep_steps_once_per_pair_of_inverse_classes(monkeypatch):
+    # 9 508 classes, 1 094 of them their own inverse: (9 508 + 1 094) / 2
+    level = radius_index(20)
+    top = []
+    real = wreath._class_step
+
+    def counted(m, n):
+        if n == level:
+            top.append(m)
+        return real(m, n)
+
+    monkeypatch.setattr(wreath, "_class_step", counted)
+    assert verify_nball_proposition(20).ok
+    assert len(top) == len(set(top)) == 5301
+    assert all(m <= min_conjugate(invert(m)) for m in top)
 
 
 def test_class_orders_within_their_certificates_on_the_20_ball():
@@ -301,6 +346,23 @@ def test_levels_below_minus_one_are_rejected():
     with pytest.raises(ValueError, match="level must be >= -1"):
         verify_nball_proposition(5, words=[], level=-2)
     assert verify_nball_proposition(2, level=-1).word_count == 11
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda level: verify_nball_proposition(5, level=level),
+        lambda level: verify_nball_proposition(5, words=[], level=level),
+        lambda level: certify_torsion("ab", level),
+        lambda level: certify_exponent("ab", level),
+    ],
+    ids=["sweep", "words", "certify_torsion", "certify_exponent"],
+)
+@pytest.mark.parametrize("level", [2.5, True, "2"])
+def test_levels_that_are_not_ints_are_rejected(call, level):
+    # a bool is an int to Python, but True would run as level 1
+    with pytest.raises(TypeError, match="level must be an int"):
+        call(level)
 
 
 # SHA-256 of the compact JSON of every NBallReport below, captured before
