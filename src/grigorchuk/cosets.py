@@ -19,13 +19,20 @@ from .snf import smith_normal_form
 DEFAULT_COSET_CAP = 1_000_000
 
 
+def _columns(generators) -> dict[tuple[str, int], int]:
+    """Table column of each signed generator: 2i for the i-th generator
+    and 2i + 1 for its inverse."""
+    return {(g, e): 2 * i + (e == -1) for i, g in enumerate(generators) for e in (1, -1)}
+
+
 @dataclass
 class CosetTable:
     """Completed (or overflowed) coset table.
 
     ``rows[c][2*g]`` is the coset reached from ``c`` by generator ``g``,
     ``rows[c][2*g+1]`` the one reached by its inverse.  For involutory
-    generators the two columns coincide.
+    generators the two columns coincide.  An overflowed table marks the
+    entries it never defined -1.
     """
 
     presentation: Presentation
@@ -37,13 +44,10 @@ class CosetTable:
     def index(self) -> int:
         return len(self.rows)
 
-    def step(self, coset: int, gen_index: int, exponent: int) -> int:
-        return self.rows[coset][2 * gen_index + (0 if exponent == 1 else 1)]
-
     def trace(self, coset: int, word: Relator) -> int:
-        g_index = {g: i for i, g in enumerate(self.presentation.generators)}
-        for g, e in word:
-            coset = self.step(coset, g_index[g], e)
+        columns = _columns(self.presentation.generators)
+        for letter in word:
+            coset = self.rows[coset][columns[letter]]
         return coset
 
     def verify(self) -> bool:
@@ -58,9 +62,7 @@ class CosetTable:
 class _Enumerator:
     def __init__(self, presentation: Presentation, subgroup_words, cap: int):
         self.pres = presentation
-        self.gens = presentation.generators
-        self.ngens = len(self.gens)
-        self.gidx = {g: i for i, g in enumerate(self.gens)}
+        self.columns = _columns(presentation.generators)
         self.sub_words = tuple(subgroup_words)
         self.cap = cap
         self.table: list[list[int | None]] = []
@@ -81,12 +83,9 @@ class _Enumerator:
             raise CapExceeded(
                 f"coset cap {self.cap} exceeded", partial=len(self.table) - self.dead
             )
-        self.table.append([None] * (2 * self.ngens))
+        self.table.append([None] * len(self.columns))
         self.rep.append(len(self.table) - 1)
         return len(self.table) - 1
-
-    def _col(self, g: str, e: int) -> int:
-        return 2 * self.gidx[g] + (0 if e == 1 else 1)
 
     def get(self, c: int, col: int):
         v = self.table[c][col]
@@ -128,14 +127,14 @@ class _Enumerator:
                         queue.append((back, a))
                 elif cur != target:
                     queue.append((cur, target))
-            self.table[b] = [None] * (2 * self.ngens)
+            self.table[b] = [None] * len(self.columns)
 
     # -- scanning -------------------------------------------------------
 
     def scan_and_fill(self, start: int, word: Relator) -> None:
         """Trace ``word`` from start, defining cosets as needed; the trace
         must close back at start."""
-        cols = [self._col(g, e) for g, e in word]
+        cols = [self.columns[letter] for letter in word]
         c = self.find(start)
         start = c
         for i, col in enumerate(cols):
@@ -153,12 +152,15 @@ class _Enumerator:
             self.coincide(c, start)
 
     def run(self) -> CosetTable:
+        """HLT in one pass: the subgroup words at coset 0, then every relator
+        at each live coset in order, and a new coset for an entry they leave
+        empty.  A closed cycle stays closed when cosets merge, and a merge
+        keeps the smaller coset, already scanned: no second pass is needed."""
         try:
+            for w in self.sub_words:
+                self.scan_and_fill(0, w)
+            alpha = hole = 0
             while True:
-                before = (len(self.table), self.dead)
-                for w in self.sub_words:
-                    self.scan_and_fill(self.find(0), w)
-                alpha = 0
                 while alpha < len(self.table):
                     if self.find(alpha) == alpha:
                         for rel in self.pres.relators:
@@ -166,8 +168,12 @@ class _Enumerator:
                             if self.find(alpha) != alpha:
                                 break
                     alpha += 1
-                if (len(self.table), self.dead) == before:
+                # a live coset's entries, once defined, stay defined
+                while hole < alpha and (self.find(hole) != hole or None not in self.table[hole]):
+                    hole += 1
+                if hole == alpha:
                     break
+                self.set_edge(hole, self.table[hole].index(None), self._new_coset())
             status = "complete"
         except CapExceeded:
             status = "overflowed"
@@ -176,13 +182,7 @@ class _Enumerator:
     def _freeze(self, status: str) -> CosetTable:
         live = [c for c in range(len(self.table)) if self.find(c) == c]
         renum = {c: i for i, c in enumerate(live)}
-        rows = []
-        for c in live:
-            row = []
-            for col in range(2 * self.ngens):
-                v = self.get(c, col)
-                row.append(-1 if v is None else renum[v])
-            rows.append(row)
+        rows = [[-1 if v is None else renum[self.find(v)] for v in self.table[c]] for c in live]
         return CosetTable(
             presentation=self.pres,
             subgroup_words=self.sub_words,
@@ -199,17 +199,20 @@ def todd_coxeter(
     """HLT coset enumeration of the subgroup generated by ``subgroup_words``.
 
     Words may be strings over single-letter generators or pre-parsed
-    signed relators; a word over an undeclared generator, or a ``cap`` < 1,
-    raises ValueError.
+    signed relators; a word over an undeclared generator or with an
+    exponent other than 1 or -1, or a ``cap`` < 1, raises ValueError.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     words = tuple(
         w if isinstance(w, tuple) else relator_from_string(w) for w in subgroup_words
     )
-    undeclared = [g for w in words for g, _e in w if g not in presentation.generators]
-    if undeclared:
-        raise ValueError(f"subgroup word uses undeclared generator {undeclared[0]!r}")
+    columns = _columns(presentation.generators)
+    bad = [letter for w in words for letter in w if letter not in columns]
+    if bad:
+        g, e = bad[0]
+        what = f"exponent {e}" if g in presentation.generators else f"undeclared generator {g!r}"
+        raise ValueError(f"subgroup word uses {what}")
     return _Enumerator(presentation, words, cap).run()
 
 
@@ -228,11 +231,9 @@ def quotient_group(table: CosetTable) -> PermGroup:
     its order equals the coset count."""
     if table.status != "complete":
         raise ValueError("coset table is not complete")
-    n = table.index
-    perms = []
-    for gi in range(len(table.presentation.generators)):
-        perms.append(tuple(table.rows[c][2 * gi] for c in range(n)))
-    return perm_closure(perms, degree=n, cap=max(2 * n, 16))
+    columns = _columns(table.presentation.generators)
+    perms = [tuple(row[columns[g, 1]] for row in table.rows) for g in table.presentation.generators]
+    return perm_closure(perms, degree=table.index, cap=max(2 * table.index, 16))
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +245,10 @@ def _schreier_tree(table: CosetTable) -> dict[int, tuple[int, int]]:
     tree: dict[int, tuple[int, int]] = {}
     seen = {0}
     frontier = [0]
-    ncols = 2 * len(table.presentation.generators)
     while frontier:
         nxt = []
         for c in frontier:
-            for col in range(ncols):
-                d = table.rows[c][col]
+            for col, d in enumerate(table.rows[c]):
                 if d >= 0 and d not in seen:
                     seen.add(d)
                     tree[d] = (c, col)
@@ -275,26 +274,26 @@ def reidemeister_schreier(presentation: Presentation, table: CosetTable) -> Pres
         tree_edges.add((d, col ^ 1))
 
     # one Schreier generator per non-tree forward edge (coset, generator)
+    columns = _columns(presentation.generators)
     gen_name: dict[tuple[int, int], str] = {}
     for c in range(table.index):
-        for gi in range(len(presentation.generators)):
-            col = 2 * gi
+        for g in presentation.generators:
+            col = columns[g, 1]
             if (c, col) not in tree_edges:
                 gen_name[(c, col)] = f"x{len(gen_name)}"
 
     def rewrite(start: int, word: Relator) -> list[tuple[str, int]]:
         out: list[tuple[str, int]] = []
         c = start
-        for g, e in word:
-            gi = presentation.generators.index(g)
-            col = 2 * gi + (0 if e == 1 else 1)
+        for letter in word:
+            col = columns[letter]
             d = table.rows[c][col]
             if (c, col) not in tree_edges:
-                if e == 1:
+                if letter[1] == 1:
                     out.append((gen_name[(c, col)], 1))
                 else:
-                    # the inverse step crosses the forward edge (d, 2*gi)
-                    out.append((gen_name[(d, 2 * gi)], -1))
+                    # the inverse step crosses the forward edge (d, col - 1)
+                    out.append((gen_name[(d, col - 1)], -1))
             c = d
         assert c == start
         # free cancellation

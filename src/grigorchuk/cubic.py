@@ -333,11 +333,16 @@ def _power_ceiling(k: int) -> int:
 _LOG_LAMBDA = math.log(_ENCLOSURE.num_lo / (1 << _ENCLOSURE.k))
 
 
+def _check_int(n, message: str) -> None:
+    """TypeError "message, not <type>" unless n is an int (a bool is not)."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"{message}, not {type(n).__name__}")
+
+
 def radius_index(n: int) -> int:
     """The unique m with L^(m+1) <= n < L^(m+2), for an integer n >= 1, by
     comparisons with the exact integer thresholds ceil(L^k)."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise TypeError(f"radius_index needs an int, not {type(n).__name__}")
+    _check_int(n, "radius_index needs an int")
     if n < 1:
         raise ValueError("radius_index needs n >= 1")
     m = max(int(math.log(n) / _LOG_LAMBDA) - 3, -1)

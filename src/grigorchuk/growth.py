@@ -20,7 +20,7 @@ from functools import reduce
 from .cubic import ln_enclosure
 from .errors import CapExceeded
 from .permgrp import identity, pmul
-from .words import BCD, LETTERS, invert, multiply
+from .words import BCD, FOLLOWERS, LETTERS, invert, multiply
 from .wreath import _SPLIT_IMAGE, is_trivial, level_action
 
 # depth of the tree action that buckets the word-problem oracle's candidates
@@ -89,14 +89,14 @@ class _SignatureEquality:
     """
 
     def __init__(self):
-        # a = (1, 1)·a, b = (a, c), c = (a, d), d = (1, b)
-        self.triples = [(0, 0, 0), (1, 0, 0), (0, 1, 3), (0, 1, 4), (0, 0, 2)]
+        # 1 = (1, 1), a = (1, 1)·a, and b, c, d split into the nucleus
+        self.triples = [(0, 0, 0), (1, 0, 0)]
+        self.triples += [(0, *map(_NUCLEUS.index, _SPLIT_IMAGE[x])) for x in BCD]
         self.ids = {t: i for i, t in enumerate(self.triples)}
-        self.products = {(0, g): i for i, g in enumerate(_NUCLEUS)}
-        for x in BCD:
-            for y in BCD:
-                xy = "" if x == y else BCD.replace(x, "").replace(y, "")
-                self.products[_NUCLEUS.index(x), y] = _NUCLEUS.index(xy)
+        self.products = {
+            (i, g): _NUCLEUS.index(multiply(x, g))
+            for i, x in enumerate(_NUCLEUS) for g in LETTERS if multiply(x, g) in _NUCLEUS
+        }
         self.identity = self.triples[0]
         self.spheres: tuple[set, set, set] = (set(), set(), set())
 
@@ -181,12 +181,6 @@ class _PureEquality:
         return True
 
 
-def _reduces(rep: str, g: str) -> bool:
-    """True when the reduced word rep followed by the letter g is not
-    reduced: g repeats the last letter, or both lie in {b, c, d}."""
-    return bool(rep) and (g == rep[-1] or (g in BCD and rep[-1] in BCD))
-
-
 def iter_spheres(
     maxn: int, use_signatures: bool = True, budget: int | None = None
 ) -> Iterator[list[str]]:
@@ -227,11 +221,12 @@ def iter_spheres(
         new: list[str] = []
         new_keys = []
         for rep, key in zip(sphere, keys):
+            followers = FOLLOWERS[rep[-1:]]
             for g in LETTERS:
                 if budget is not None and total + len(new) >= budget:
                     yield new
                     raise CapExceeded(f"budget {budget} reached at radius {k}")
-                if _reduces(rep, g):
+                if g not in followers:
                     continue
                 w, t = rep + g, eq.times(key, g)
                 if eq.probe(w, t):

@@ -17,6 +17,9 @@ from .errors import CapExceeded, PreconditionError, WordParseError
 LETTERS = "abcd"
 BCD = "bcd"
 IDENTITY = ""
+# the letters that may follow a reduced word, by its last letter ("" for the
+# empty word): a alternates with a letter of {b, c, d}
+FOLLOWERS = {"": LETTERS, "a": BCD, "b": "a", "c": "a", "d": "a"}
 
 # product of two distinct letters of the Klein four-group {1, b, c, d}
 _KLEIN = {
@@ -138,27 +141,16 @@ def min_conjugate(w: str) -> str:
 def iter_ball_free(n: int):
     """Yield all reduced words of word length <= n, in shortlex order.
 
-    Reduced words are exactly the walks avoiding a after a and a {b,c,d}
-    letter after another, so extension never needs re-reduction.
+    Reduced words are exactly the walks that append to each word only the
+    ``FOLLOWERS`` of its last letter, so extension never needs re-reduction.
     """
     if n < 0:
         raise ValueError("radius must be >= 0")
     level = [IDENTITY]
     yield IDENTITY
     for _ in range(n):
-        nxt = []
-        for w in level:
-            if not w:
-                choices = LETTERS
-            elif w[-1] == "a":
-                choices = BCD
-            else:
-                choices = "a"
-            for g in choices:
-                nxt.append(w + g)
-        for w in nxt:
-            yield w
-        level = nxt
+        level = [w + g for w in level for g in FOLLOWERS[w[-1:]]]
+        yield from level
 
 
 def _necklaces(k: int):

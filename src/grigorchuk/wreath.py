@@ -285,8 +285,7 @@ def _in_open_ball(na: int, nb: int, nc: int, nd: int, r: int) -> bool:
 def _check_level(n) -> None:
     """Reject a level that is not an int (a bool is not a level) or is
     below -1, the last level the ball argument defines."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise TypeError(f"level must be an int, not {type(n).__name__}")
+    cubic._check_int(n, "level must be an int")
     if n < -1:
         raise ValueError("level must be >= -1")
 
@@ -393,6 +392,13 @@ class NBallReport:
     def ok(self) -> bool:
         return not self.failures
 
+    def add(self, exponent: int, depth: int, words: int = 1) -> None:
+        """Count ``words`` words certified with this exponent and depth."""
+        self.word_count += words
+        self.max_exponent = max(self.max_exponent, exponent)
+        self.max_depth = max(self.max_depth, depth)
+        self.exponent_histogram[exponent] = self.exponent_histogram.get(exponent, 0) + words
+
     def to_dict(self) -> dict:
         return {
             "radius": self.radius,
@@ -417,13 +423,17 @@ def verify_nball_proposition(n: int, words=None, level: int | None = None) -> NB
     ``words`` overrides the exhaustive free-product ball (e.g. for random
     sampling); each word is reduced first, so a letter outside "abcd"
     raises ValueError.
-    ``level`` overrides the computed radius index; a level that is not an
-    int raises TypeError.
+    ``level`` overrides the computed radius index.  A radius or level that
+    is not an int raises TypeError, and a radius below 0 (below 2 without
+    ``level``) raises ValueError.
     """
-    if n < 2 and level is None:
-        raise ValueError("need n >= 2 for a nonnegative level")
+    cubic._check_int(n, "radius must be an int")
     if level is None:
+        if n < 2:
+            raise ValueError("need n >= 2 for a nonnegative level")
         level = cubic.radius_index(n)
+    elif n < 0:
+        raise ValueError("radius must be >= 0")
     _check_level(level)
     if words is None:
         report = _class_sweep(n, level)
@@ -434,15 +444,11 @@ def verify_nball_proposition(n: int, words=None, level: int | None = None) -> NB
         words = map(reduce_word, words)
     report = NBallReport(radius=n, level=level, word_count=0, max_exponent=0, max_depth=0)
     for w in words:
-        report.word_count += 1
         try:
-            e, d = certify_exponent(w, level)
+            report.add(*certify_exponent(w, level))
         except RadiusViolation as exc:
+            report.word_count += 1
             report.failures.append(exc.failure)
-            continue
-        report.max_exponent = max(report.max_exponent, e)
-        report.max_depth = max(report.max_depth, d)
-        report.exponent_histogram[e] = report.exponent_histogram.get(e, 0) + 1
     return report
 
 
@@ -468,7 +474,6 @@ def _class_sweep(n: int, level: int) -> NBallReport | None:
     class is its own inverse.
     """
     report = NBallReport(radius=n, level=level, word_count=0, max_exponent=0, max_depth=0)
-    histogram = report.exponent_histogram
     for m, tally in iter_ball_classes(n):
         inverse = min_conjugate(invert(m))
         if inverse < m:
@@ -479,9 +484,5 @@ def _class_sweep(n: int, level: int) -> NBallReport | None:
             e, d = _class_exponent.__wrapped__(m if level > 0 else _ball_class(m, level), level)
         except RadiusViolation:
             return None
-        words = sum(tally.values()) * (1 if inverse == m else 2)
-        report.word_count += words
-        report.max_exponent = max(report.max_exponent, e)
-        report.max_depth = max(report.max_depth, d)
-        histogram[e] = histogram.get(e, 0) + words
+        report.add(e, d, sum(tally.values()) * (1 if inverse == m else 2))
     return report

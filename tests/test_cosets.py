@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, permutations
 from math import gcd, prod
 
@@ -72,6 +73,53 @@ def test_cap_overflow_reports_partial_state():
 def test_subgroup_word_with_undeclared_generator_is_rejected():
     with pytest.raises(ValueError, match="subgroup word uses undeclared generator 'c'"):
         todd_coxeter(gamma0_coxeter_presentation(), ["ac"])
+
+
+def test_subgroup_word_with_a_bad_exponent_is_rejected():
+    with pytest.raises(ValueError, match="subgroup word uses exponent 2"):
+        todd_coxeter(gamma0_coxeter_presentation(), [(("a", 1), ("b", 2))])
+
+
+def test_a_generator_in_no_relator_is_a_free_factor():
+    # <x, y | xx> is C2 * Z: every y entry must be defined, so the trivial
+    # subgroup overflows, while the normal closure of y has index 2
+    p = Presentation.from_strings("xy", ["xx"])
+    assert todd_coxeter(p, cap=100).status == "overflowed"
+    t = todd_coxeter(p, ["y", "xyx"], cap=100)
+    assert (t.status, t.index) == ("complete", 2)
+    assert t.verify()
+
+
+def _random_presentation(rng):
+    """2 or 3 generators and up to 4 relators of 2 to 8 signed letters; a
+    generator may occur in no relator."""
+    gens = "xyz"[: rng.choice((2, 3))]
+    letters = [(g, e) for g in gens for e in (1, -1)]
+    relators = tuple(
+        tuple(rng.choice(letters) for _ in range(rng.randint(2, 8)))
+        for _ in range(rng.randint(len(gens), 4))
+    )
+    return Presentation(tuple(gens), relators), letters
+
+
+def test_random_presentations_give_verified_tables():
+    rng = random.Random(2025)
+    complete = 0
+    for _ in range(150):
+        p, letters = _random_presentation(rng)
+        subgroup = []
+        if rng.random() < 0.3:
+            subgroup.append(tuple(rng.choice(letters) for _ in range(rng.randint(1, 3))))
+        t = todd_coxeter(p, subgroup, cap=2000)
+        if t.status != "complete":
+            continue
+        complete += 1
+        assert all(-1 not in row for row in t.rows)
+        assert t.verify()
+        if not subgroup:
+            # the regular representation of the group
+            assert quotient_group(t).order == t.index
+    assert complete >= 100
 
 
 def test_relator_order_independence():

@@ -11,7 +11,6 @@ from grigorchuk.errors import CapExceeded
 from grigorchuk.growth import (
     GrowthTable,
     _PureEquality,
-    _reduces,
     _SignatureEquality,
     ball_free_product,
     ball_grigorchuk,
@@ -19,7 +18,15 @@ from grigorchuk.growth import (
     growth_table_free,
     iter_spheres,
 )
-from grigorchuk.words import LETTERS, a_parity, invert, is_reduced, multiply, reduce_word
+from grigorchuk.words import (
+    FOLLOWERS,
+    LETTERS,
+    a_parity,
+    invert,
+    is_reduced,
+    multiply,
+    reduce_word,
+)
 from grigorchuk.wreath import is_trivial, level_action, split
 
 RELATORS = ["ad" * 4, "ac" * 8, "ab" * 16]
@@ -133,9 +140,23 @@ def test_bucket_key_is_tree_action(pair):
 @example("ab", "d")
 @example("ab", "a")
 def test_skip_exactly_the_reducing_candidates(rep, g):
-    assert _reduces(rep, g) != is_reduced(rep + g)
-    if _reduces(rep, g):
+    follows = g in FOLLOWERS[rep[-1:]]
+    assert follows == is_reduced(rep + g)
+    if not follows:
         assert len(multiply(rep, g)) < len(rep) + 1
+
+
+def test_nucleus_seeds_are_pinned():
+    eq = _SignatureEquality()
+    # 1, a = (1, 1)·a, b = (a, c), c = (a, d), d = (1, b) as ids 0..4
+    assert eq.triples == [(0, 0, 0), (1, 0, 0), (0, 1, 3), (0, 1, 4), (0, 0, 2)]
+    # 1·x = x, x·x = 1 and x·y = the third of b, c, d
+    assert eq.products == {
+        (0, "a"): 1, (0, "b"): 2, (0, "c"): 3, (0, "d"): 4, (1, "a"): 0,
+        (2, "b"): 0, (2, "c"): 4, (2, "d"): 3,
+        (3, "b"): 4, (3, "c"): 0, (3, "d"): 2,
+        (4, "b"): 3, (4, "c"): 2, (4, "d"): 0,
+    }
 
 
 def test_canonical_key_nucleus():

@@ -365,6 +365,24 @@ def test_levels_that_are_not_ints_are_rejected(call, level):
         call(level)
 
 
+@pytest.mark.parametrize("words", [None, []], ids=["sweep", "words"])
+@pytest.mark.parametrize("level", [None, 3])
+@pytest.mark.parametrize("n", [5.5, True, "5"])
+def test_radii_that_are_not_ints_are_rejected(n, level, words):
+    # True would run as the 1-ball
+    with pytest.raises(TypeError, match="radius must be an int"):
+        verify_nball_proposition(n, words=words, level=level)
+
+
+@pytest.mark.parametrize("words", [None, []], ids=["sweep", "words"])
+def test_negative_radii_are_rejected(words):
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        verify_nball_proposition(-1, words=words, level=3)
+    with pytest.raises(ValueError, match="need n >= 2"):
+        verify_nball_proposition(-1, words=words)
+    assert verify_nball_proposition(0, words=words, level=3).ok
+
+
 # SHA-256 of the compact JSON of every NBallReport below, captured before
 # certification was keyed on conjugacy classes; 44 118 failures, each naming
 # the word that left the ball rather than its minimal conjugate
