@@ -199,8 +199,9 @@ def todd_coxeter(
     """HLT coset enumeration of the subgroup generated by ``subgroup_words``.
 
     Words may be strings over single-letter generators or pre-parsed
-    signed relators; a word over an undeclared generator or with an
-    exponent other than 1 or -1, or a ``cap`` < 1, raises ValueError.
+    signed relators; a relator or word over an undeclared generator or
+    with an exponent other than 1 or -1, or a ``cap`` < 1, raises
+    ValueError.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -208,11 +209,12 @@ def todd_coxeter(
         w if isinstance(w, tuple) else relator_from_string(w) for w in subgroup_words
     )
     columns = _columns(presentation.generators)
-    bad = [letter for w in words for letter in w if letter not in columns]
-    if bad:
-        g, e = bad[0]
-        what = f"exponent {e}" if g in presentation.generators else f"undeclared generator {g!r}"
-        raise ValueError(f"subgroup word uses {what}")
+    for kind, ws in (("relator", presentation.relators), ("subgroup word", words)):
+        bad = [letter for w in ws for letter in w if letter not in columns]
+        if bad:
+            g, e = bad[0]
+            what = f"exponent {e}" if g in presentation.generators else f"undeclared generator {g!r}"
+            raise ValueError(f"{kind} uses {what}")
     return _Enumerator(presentation, words, cap).run()
 
 

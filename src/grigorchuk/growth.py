@@ -20,13 +20,11 @@ from functools import reduce
 from .cubic import ln_enclosure
 from .errors import CapExceeded
 from .permgrp import identity, pmul
-from .words import BCD, FOLLOWERS, LETTERS, invert, multiply
+from .words import BCD, FOLLOWERS, LETTERS, NUCLEUS, invert, multiply
 from .wreath import _SPLIT_IMAGE, is_trivial, level_action
 
 # depth of the tree action that buckets the word-problem oracle's candidates
 _BUCKET_DEPTH = 5
-# ids 0..4 of the nucleus
-_NUCLEUS = ("", "a", "b", "c", "d")
 
 
 def free_sphere_sizes(n: int) -> list[int]:
@@ -91,11 +89,11 @@ class _SignatureEquality:
     def __init__(self):
         # 1 = (1, 1), a = (1, 1)·a, and b, c, d split into the nucleus
         self.triples = [(0, 0, 0), (1, 0, 0)]
-        self.triples += [(0, *map(_NUCLEUS.index, _SPLIT_IMAGE[x])) for x in BCD]
+        self.triples += [(0, *map(NUCLEUS.index, _SPLIT_IMAGE[x])) for x in BCD]
         self.ids = {t: i for i, t in enumerate(self.triples)}
         self.products = {
-            (i, g): _NUCLEUS.index(multiply(x, g))
-            for i, x in enumerate(_NUCLEUS) for g in LETTERS if multiply(x, g) in _NUCLEUS
+            (i, g): NUCLEUS.index(multiply(x, g))
+            for i, x in enumerate(NUCLEUS) for g in LETTERS if multiply(x, g) in NUCLEUS
         }
         self.identity = self.triples[0]
         self.spheres: tuple[set, set, set] = (set(), set(), set())

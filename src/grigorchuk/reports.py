@@ -5,6 +5,11 @@ Each check carries an ``anchor``: the mathematical statement being
 verified, so reports are auditable on their own.  Statuses are ``pass``,
 ``fail`` or ``skipped``; the suite's aggregate status is ``fail`` if any
 check fails, else ``pass``.
+
+Every verdict is exact.  Most checks are proofs or exhaustive sweeps: the
+contraction lemma, for one, is decided from finitely many facts in Q(L)
+and the grammar of reduced words.  Only the random n-ball sweep and the
+random radius samples draw from ``CheckConfig.seed``.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from .cosets import (
     todd_coxeter,
 )
 from .cubic import CubicNumber, LAMBDA, LAMBDA_INV, WEIGHT, lambda_length
-from .words import BCD, LETTERS, min_conjugate
-from .wreath import lemma_split_contraction_check, order, split
+from .words import _KLEIN, BCD, FOLLOWERS, LETTERS
+from .wreath import _SPLIT_IMAGE, order
 
 
 @dataclass
@@ -34,7 +39,6 @@ class CheckConfig:
     nball_radii: tuple[int, ...] = (2, 5, 10, 20)
     nball_random_max: int = 0  # random sweep over radii 2..this (below 2 = off)
     nball_random_samples: int = 100_000
-    lemma_samples: int = 10_000
     radius_exhaustive: int = 10_000
     radius_random: int = 200
     radius_max: int = 1_000_000
@@ -73,7 +77,6 @@ _CONFIG_MINIMUM = {
     "nball_radii": 2,
     "nball_random_max": 0,
     "nball_random_samples": 1,
-    "lemma_samples": 1,
     "radius_exhaustive": 1,
     "radius_random": 0,
     "radius_max": 1,
@@ -186,56 +189,104 @@ def check_weight_identities(cfg: CheckConfig) -> Iterator[CheckReport]:
     )
 
 
+def _splitting_identities() -> dict[str, bool]:
+    """|g0| + |g1| = (|g| + |a|)/L for each inactive letter g, whose
+    splitting is its first-level image (g0, g1)."""
+    return {
+        g: lambda_length(g0) + lambda_length(g1) == LAMBDA_INV * (WEIGHT[g] + WEIGHT["a"])
+        for g, (g0, g1) in _SPLIT_IMAGE.items()
+    }
+
+
 @_timed
 def check_splitting_identity(cfg: CheckConfig) -> Iterator[CheckReport]:
-    wit = {}
-    ok = True
-    for xi in BCD:
-        x0, x1 = split(xi)
-        lhs = lambda_length(x0) + lambda_length(x1)
-        rhs = LAMBDA_INV * (WEIGHT[xi] + WEIGHT["a"])
-        wit[xi] = lhs == rhs
-        ok = ok and wit[xi]
+    wit = _splitting_identities()
     yield CheckReport(
         "splitting-length-identity",
         "|x0|+|x1| = (|x|+|a|)/L for each inactive generator's splitting",
-        _status(ok),
+        _status(all(wit.values())),
         wit,
     )
 
 
+# each letter's part in the letter excess n_bcd - n_a of a word
+_EXCESS = {"a": -1, "b": 1, "c": 1, "d": 1}
+
+
+def _excess_values() -> tuple[set[int], set[int]]:
+    """The letter excesses of the reduced words, and of the cyclically
+    reduced words of length >= 2, decided from ``FOLLOWERS``.
+
+    A nonempty reduced word is a walk that appends a follower of the last
+    letter, so its state (first letter, last letter, excess) fixes the
+    states of its extensions, and a word of length >= 2 is cyclically
+    reduced iff its first letter may follow its last.  A state whose excess
+    leaves [-1, 1] is recorded but not extended, so the closure is finite
+    for any grammar, and the values are complete when all lie in [-1, 1].
+    """
+    todo = [(g, g, _EXCESS[g]) for g in FOLLOWERS[""]]
+    reduced = {0, *(e for _, _, e in todo)}
+    longer: set[tuple[str, str, int]] = set()
+    while todo:
+        first, last, e = todo.pop()
+        if abs(e) > 1:
+            continue
+        for g in FOLLOWERS[last]:
+            state = (first, g, e + _EXCESS[g])
+            if state not in longer:
+                longer.add(state)
+                todo.append(state)
+    reduced.update(e for _, _, e in longer)
+    cyclic = {e for first, last, e in longer if first in FOLLOWERS[last]}
+    return reduced, cyclic
+
+
 @_timed
 def check_lemma_ineq(cfg: CheckConfig) -> Iterator[CheckReport]:
-    rng = random.Random(cfg.seed)
-    strong_checked = weak_checked = 0
-    violations = []
-    # one verdict per distinct word; the witnesses still count samples
-    weak_holds: dict[str, bool] = {}
-    strong_holds: dict[str, bool] = {}
-    while strong_checked < cfg.lemma_samples:
-        w = random_reduced_word(rng.randint(0, 24), rng)
-        if w not in weak_holds:
-            weak_holds[w] = lemma_split_contraction_check(w).weak_holds
-        if not weak_holds[w]:
-            violations.append(("weak", w))
-        weak_checked += 1
-        m = min_conjugate(w)
-        if m in BCD:
-            continue
-        if m not in strong_holds:
-            strong_holds[m] = lemma_split_contraction_check(m).strong_holds
-        if not strong_holds[m]:
-            violations.append(("strong", m))
-        strong_checked += 1
+    """The contraction lemma, proved from finite facts in Q(L):
+
+    (a) every letter weight and 1/L are positive;
+    (b) |g0| + |g1| = (|g| + |a|)/L for g in {b, c, d} (``_SPLIT_IMAGE``);
+    (c) |k| <= |g| + |h| for every Klein merge gh -> k;
+    (d) the excess e = n_bcd - n_a is <= 1 on reduced words and 0 on
+        cyclically reduced words of length >= 2.
+
+    ``split`` sends each letter of y = x (or x.a, for odd parity) to its
+    image on the two sides and an a to nothing, so by (b) the sides weigh
+    (|y| + e(y)|a|)/L before reduction.  Appending or cancelling a final a
+    moves |y| by +-|a| and e(y)|a| by -+|a|, so that is (|x| + e(x)|a|)/L
+    in both cases.  Each step of the ``reduce_word`` stack cancels a pair,
+    lowering the weight by (a), or merges two letters, not raising it by
+    (c).  So (d) gives the weak bound for every word and the strong one for
+    minimal conjugates outside {b, c, d}: "" and a have e <= 0, the rest
+    are cyclically reduced.
+    ``wreath.lemma_split_contraction_check`` is the word-by-word oracle.
+    """
+    positive = {f"|{g}|": WEIGHT[g].sign() > 0 for g in LETTERS}
+    positive["1/L"] = LAMBDA_INV.sign() > 0
+    splitting = _splitting_identities()
+    merges = {
+        f"{g}{h}->{k}": WEIGHT[k] <= WEIGHT[g] + WEIGHT[h] for (g, h), k in _KLEIN.items()
+    }
+    reduced, cyclic = _excess_values()
+    ok = (
+        all(positive.values())
+        and all(splitting.values())
+        and all(merges.values())
+        and reduced <= {-1, 0, 1}
+        and cyclic <= {0}
+    )
     yield CheckReport(
         "lemma-contraction",
         "splitting contracts weighted length: |x0|+|x1| <= |x|/L for minimal "
         "conjugates outside {b,c,d}; <= (|x|+|a|)/L always",
-        _status(not violations),
+        _status(ok),
         {
-            "strong_checked": strong_checked,
-            "weak_checked": weak_checked,
-            "violations": violations[:10],
+            "weights_positive": positive,
+            "splitting_identity": splitting,
+            "klein_merges": merges,
+            "excess_reduced": sorted(reduced),
+            "excess_cyclic": sorted(cyclic),
         },
     )
 

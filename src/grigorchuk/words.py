@@ -20,6 +20,9 @@ IDENTITY = ""
 # the letters that may follow a reduced word, by its last letter ("" for the
 # empty word): a alternates with a letter of {b, c, d}
 FOLLOWERS = {"": LETTERS, "a": BCD, "b": "a", "c": "a", "d": "a"}
+# the nucleus of the automaton: the identity and the four letters, in the
+# order of their ids 0..4 among growth's section triples
+NUCLEUS = (IDENTITY, *LETTERS)
 
 # product of two distinct letters of the Klein four-group {1, b, c, d}
 _KLEIN = {
@@ -127,12 +130,12 @@ def min_conjugate(w: str) -> str:
     rotations of s that start at min(s) are candidates.  A word that is
     not reduced raises PreconditionError.
     """
+    if not is_reduced(w):
+        raise PreconditionError(f"min_conjugate needs a reduced word: {w!r}")
     w = cyclically_reduce(w)
     if len(w) <= 1:
         return w
     s = w[1::2] if w[0] == "a" else w[::2]
-    if "a" in s or 2 * w.count("a") != len(w):
-        raise PreconditionError(f"min_conjugate needs a reduced word: {w!r}")
     first = min(s)
     r = min(s[i:] + s[:i] for i, ch in enumerate(s) if ch == first)
     return "a" + "a".join(r)

@@ -32,6 +32,7 @@ from .cubic import (
 from .errors import CapExceeded, GrigError, PreconditionError
 from .permgrp import pmul
 from .words import (
+    NUCLEUS,
     a_parity,
     format_word,
     invert,
@@ -127,7 +128,9 @@ def _word_action(w: str, k: int) -> tuple[int, ...]:
 
 
 def level_action(w: str, k: int) -> tuple[int, ...]:
-    """Permutation induced by w on the 2^k vertices at depth k of the tree."""
+    """Permutation induced by w on the 2^k vertices at depth k of the tree;
+    a depth that is not an int raises TypeError, one below 0 ValueError."""
+    cubic._check_int(k, "depth must be an int")
     if k < 0:
         raise ValueError("depth must be >= 0")
     return _word_action(reduce_word(w), k)
@@ -199,8 +202,8 @@ def lemma_split_contraction_check(x: str) -> ContractionReport:
 # ---------------------------------------------------------------------------
 # torsion certification
 
-_BASE_EXPONENT = {"": 1, "a": 1, "b": 1, "c": 1, "d": 1, "ad": 2, "da": 2}
-_LETTERS_SET = frozenset(["", "a", "b", "c", "d"])
+# the letter cases are the nucleus; at level <= 0 also the classes of ad
+_BASE_EXPONENT = {**dict.fromkeys(NUCLEUS, 1), "ad": 2, "da": 2}
 
 
 @dataclass(frozen=True)
@@ -300,7 +303,7 @@ def _ball_class(w: str, n: int) -> str:
     """
     if n <= 0:
         m = min_conjugate(w)
-        if m not in _BASE_EXPONENT or (n == -1 and m not in _LETTERS_SET):
+        if m not in _BASE_EXPONENT or (n == -1 and m not in NUCLEUS):
             bound = "L^-1" if n == 0 else "L^-2"
             raise RadiusViolation(CertificateFailure(w, n, lambda_length(w), bound))
         return m
@@ -322,7 +325,7 @@ def _class_step(m: str, n: int) -> tuple[str, int, tuple[str, ...]]:
     """
     if n <= 0:
         return "base-case", _BASE_EXPONENT[m], ()
-    if m in _LETTERS_SET:
+    if m in NUCLEUS:
         return "letter-case", _BASE_EXPONENT[m], ()
     if a_parity(m) == 0:
         return "inactive-split", 0, split(m)

@@ -3,7 +3,10 @@
 Each criterion asserts on the ``reports.check_*`` builders that
 ``grig check-all`` runs, with this module's seed and sample sizes, so every
 check exists once.  The witnesses are asserted to hold the full sample
-sizes, so a smaller configuration cannot pass silently.
+sizes, so a smaller configuration cannot pass silently.  Criterion 3 also
+runs a seeded sample of 10 000 minimal conjugates through
+``lemma_split_contraction_check``, the independent oracle of the
+contraction lemma's proof in ``check-all``.
 
 All numeric claims are exact (zero tolerance) unless a rational enclosure
 width is stated explicitly.  Criterion 2 is asserted twice over the
@@ -18,8 +21,11 @@ approximant maps, so the 2-ball needs exponent 4 > i(2)+1 = 3.  The pinned
 test asserts that tightness.
 """
 
+import random
+
 import pytest
 
+from grigorchuk import cubic, words, wreath
 from grigorchuk.cubic import compare_power_to_int, radius_index
 from grigorchuk.reports import (
     CheckConfig,
@@ -33,8 +39,15 @@ from grigorchuk.reports import (
     check_radius_index,
     check_splitting_identity,
     check_weight_identities,
+    random_reduced_word,
 )
-from grigorchuk.wreath import certify_exponent, order, verify_nball_proposition
+from grigorchuk.words import BCD, min_conjugate
+from grigorchuk.wreath import (
+    certify_exponent,
+    lemma_split_contraction_check,
+    order,
+    verify_nball_proposition,
+)
 
 SEED = 2025
 NBALL_RADII = (2, 5, 10, 20)
@@ -131,11 +144,70 @@ def test_criterion_02_random_words(nball_reports):
     )
 
 
+LEMMA_SAMPLES = 10_000
+
+
+def sampled_lemma_violations(samples: int = LEMMA_SAMPLES) -> tuple[int, list]:
+    """The proof's independent oracle: seeded random reduced words of
+    length 0..24, drawn until ``samples`` minimal conjugates lie outside
+    {b, c, d}, each run through ``lemma_split_contraction_check``.  Returns
+    the number of words drawn and the (bound, word) violations, one verdict
+    per distinct word."""
+    rng = random.Random(SEED)
+    weak: dict[str, bool] = {}
+    strong: dict[str, bool] = {}
+    drawn = strong_checked = 0
+    while strong_checked < samples:
+        w = random_reduced_word(rng.randint(0, 24), rng)
+        drawn += 1
+        if w not in weak:
+            weak[w] = lemma_split_contraction_check(w).weak_holds
+        m = min_conjugate(w)
+        if m in BCD:
+            continue
+        if m not in strong:
+            strong[m] = lemma_split_contraction_check(m).strong_holds
+        strong_checked += 1
+    violations = [("weak", w) for w, ok in weak.items() if not ok]
+    violations += [("strong", m) for m, ok in strong.items() if not ok]
+    return drawn, violations
+
+
 def test_criterion_03_contraction_inequality():
-    (rep,) = check_lemma_ineq(CheckConfig(seed=SEED, lemma_samples=10_000))
-    strong = rep.witnesses["strong_checked"]
-    ok = rep.status == "pass" and strong == 10_000
-    assert report("03 contraction inequality", ok, f"{strong} minimal conjugates, exact")
+    (rep,) = check_lemma_ineq(CheckConfig())
+    drawn, violations = sampled_lemma_violations()
+    ok = rep.status == "pass" and not violations
+    detail = f"proved exactly; oracle: {drawn} words, {LEMMA_SAMPLES} minimal conjugates"
+    assert report("03 contraction inequality", ok, detail)
+
+
+def test_negative_control_lemma_perturbed_weight(monkeypatch):
+    """A perturbed letter weight breaks the splitting identities the proof
+    rests on."""
+    monkeypatch.setitem(cubic.WEIGHT, "c", cubic.WEIGHT["d"])
+    (rep,) = check_lemma_ineq(CheckConfig())
+    assert rep.status == "fail"
+    assert rep.witnesses["splitting_identity"] == {"b": True, "c": False, "d": True}
+
+
+def test_negative_control_lemma_wrong_split_image(monkeypatch):
+    """d = (a, b) instead of (1, b): the splitting gains |a| per d, so the
+    proof and the sampled oracle both fail."""
+    monkeypatch.setitem(wreath._SPLIT_IMAGE, "d", ("a", "b"))
+    (rep,) = check_lemma_ineq(CheckConfig())
+    assert rep.status == "fail"
+    assert rep.witnesses["splitting_identity"] == {"b": True, "c": True, "d": False}
+    _drawn, violations = sampled_lemma_violations(200)
+    assert violations
+
+
+def test_negative_control_lemma_grammar_allows_bb(monkeypatch):
+    """A grammar in which b may follow b reaches letter excess 2, so the
+    closure (d) fails the proof."""
+    monkeypatch.setitem(words.FOLLOWERS, "b", "ab")
+    (rep,) = check_lemma_ineq(CheckConfig())
+    assert rep.status == "fail"
+    assert 2 in rep.witnesses["excess_reduced"]
 
 
 def test_criterion_04_order_table():

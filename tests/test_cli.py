@@ -235,7 +235,6 @@ def test_check_all_deterministic_json(capsys, tmp_path):
     cfg.write_text(
         "# light configuration for the test suite\n"
         "nball_radii = 2\n"
-        "lemma_samples = 200\n"
         "radius_exhaustive = 200\n"
         "radius_random = 20\n"
         "growth_maxn = 5\n"
@@ -251,23 +250,24 @@ def test_check_all_deterministic_json(capsys, tmp_path):
     assert ids == sorted(ids)
 
 
-def test_check_all_seed_and_csv(capsys, tmp_path):
+def test_check_all_seed_and_csv(capsys, monkeypatch, tmp_path):
     cfg = tmp_path / "grig.cfg"
-    cfg.write_text(
-        "nball_radii = 2\nlemma_samples = 100\n"
-        "radius_exhaustive = 100\nradius_random = 5\ngrowth_maxn = 4\n"
-    )
+    cfg.write_text("nball_radii = 2\nradius_exhaustive = 100\nradius_random = 5\ngrowth_maxn = 4\n")
     args = ["check-all", "--config", str(cfg), "--no-timestamp", "--seed", "7"]
+    given = []
+    real = reports.check_all
+    monkeypatch.setattr(reports, "check_all", lambda c: given.append(c) or real(c))
     code, out, _ = run(capsys, *args)
     assert code == 0
     checks = json.loads(out)["checks"]
-    (lemma,) = [c for c in checks if c["check_id"] == "lemma-contraction"]
-    # the seed shows in how many words it took to draw 100 strong samples
-    drawn = {
-        seed: reports.check_lemma_ineq(reports.CheckConfig(lemma_samples=100, seed=seed))[0].witnesses
-        for seed in (0, 7)
-    }
-    assert lemma["witnesses"] == drawn[7] != drawn[0]
+    # the file's keys and the seed reach the builders as one config, and the
+    # output is that config's in-process run
+    expected = reports.CheckConfig(
+        nball_radii=(2,), radius_exhaustive=100, radius_random=5, growth_maxn=4, seed=7
+    )
+    assert given == [expected]
+    in_process = [{k: v for k, v in r.to_dict().items() if k != "wall_time"} for r in real(expected)]
+    assert checks == json.loads(json.dumps(in_process))
     # with the timestamp, csv keeps each check's wall time
     code, out, _ = run(capsys, *(a for a in args if a != "--no-timestamp"), "--format", "csv")
     assert code == 0
@@ -279,10 +279,7 @@ def test_check_all_seed_and_csv(capsys, tmp_path):
 
 def test_check_all_nball_skip(capsys, tmp_path):
     cfg = tmp_path / "grig.cfg"
-    cfg.write_text(
-        "nball_radii = 2\nlemma_samples = 100\n"
-        "radius_exhaustive = 100\nradius_random = 5\ngrowth_maxn = 4\n"
-    )
+    cfg.write_text("nball_radii = 2\nradius_exhaustive = 100\nradius_random = 5\ngrowth_maxn = 4\n")
     code, out, _ = run(
         capsys, "check-all", "--config", str(cfg), "--no-timestamp", "--nball", "0"
     )
@@ -324,8 +321,7 @@ _BAD_CONFIG_LINES = {
     "from_file = 3": "unknown key 'from_file'",
     "__class__ = 1": "unknown key '__class__'",
     "growth_maxn = -3": "growth_maxn must be >= 2, not -3",
-    "lemma_samples = -5": "lemma_samples must be >= 1, not -5",
-    "lemma_samples = ten": "lemma_samples must be an integer, not 'ten'",
+    "lemma_samples = 100": "unknown key 'lemma_samples'",
     "nball_radii = 2, 1": "nball_radii must be >= 2, not 1",
 }
 
@@ -364,7 +360,7 @@ def test_config_minimums_cover_every_field():
 
 
 _SMALL_CONFIG = reports.CheckConfig(
-    nball_radii=(2,), lemma_samples=10, radius_exhaustive=100, radius_random=5, growth_maxn=3
+    nball_radii=(2,), radius_exhaustive=100, radius_random=5, growth_maxn=3
 )
 
 
@@ -431,7 +427,7 @@ def test_negative_control_nball_level_too_low(monkeypatch):
 
 # SHA-256 of `grig check-all --no-timestamp` at the default configuration;
 # it must change only with a deliberate change to some check's output
-_CHECK_ALL_SHA256 = "a6a05032ef2140b84d4a95d6539fe1b352da32e122ed89aac0e815a836c4121d"
+_CHECK_ALL_SHA256 = "90384ac0054b75010d8d3f2b868f6d85900f8252777c726778559361d8594d1a"
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "12345"])
@@ -454,50 +450,31 @@ def test_check_all_output_is_pinned(hash_seed):
     assert hashlib.sha256(proc.stdout).hexdigest() == _CHECK_ALL_SHA256
 
 
-def test_lemma_witnesses_count_samples():
+def test_lemma_witnesses_are_pinned():
+    """The proof's facts, each exact: positive weights, the splitting
+    identities, the Klein merges and the letter excesses."""
     (rep,) = reports.check_lemma_ineq(reports.CheckConfig())
     assert rep.status == "pass"
-    assert rep.witnesses == {"strong_checked": 10_000, "weak_checked": 11_097, "violations": []}
+    assert rep.witnesses == {
+        "weights_positive": {"|a|": True, "|b|": True, "|c|": True, "|d|": True, "1/L": True},
+        "splitting_identity": {"b": True, "c": True, "d": True},
+        "klein_merges": dict.fromkeys(["bc->d", "cb->d", "bd->c", "db->c", "cd->b", "dc->b"], True),
+        "excess_reduced": [-1, 0, 1],
+        "excess_cyclic": [0],
+    }
 
 
-def test_negative_control_lemma_verdict_per_distinct_word(monkeypatch):
-    """A failing weak verdict for one word is reported once per sample of
-    that word, while the lemma is checked once per distinct word."""
-    import dataclasses
-    import random
-    from collections import Counter
+def test_check_all_ids_match_the_benchmark_reference():
+    """The benchmark times each check by the ids its reference lists, so a
+    renamed or added check must fail here first."""
+    import importlib.util
+    import pathlib
 
-    from grigorchuk.words import BCD, min_conjugate
-
-    cfg = reports.CheckConfig(lemma_samples=2_000)
-    rng = random.Random(cfg.seed)
-    drawn = Counter()
-    conjugates = set()
-    strong = 0
-    while strong < cfg.lemma_samples:  # the stream check_lemma_ineq draws
-        w = reports.random_reduced_word(rng.randint(0, 24), rng)
-        drawn[w] += 1
-        m = min_conjugate(w)
-        if m not in BCD:
-            conjugates.add(m)
-            strong += 1
-    target, k = max(((w, c) for w, c in drawn.items() if c > 1), key=lambda p: (len(p[0]), p[0]))
-
-    real = reports.lemma_split_contraction_check
-    calls = []
-
-    def patched(x):
-        calls.append(x)
-        rep = real(x)
-        return dataclasses.replace(rep, weak_holds=False) if x == target else rep
-
-    monkeypatch.setattr(reports, "lemma_split_contraction_check", patched)
-    (rep,) = reports.check_lemma_ineq(cfg)
-    assert k > 1
-    assert rep.status == "fail"
-    assert rep.witnesses["violations"] == [("weak", target)] * min(k, 10)
-    assert rep.witnesses["weak_checked"] == sum(drawn.values())
-    assert len(calls) == len(drawn) + len(conjugates)
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    assert [r.check_id for r in reports.check_all()] == reference.CHECK_IDS
 
 
 def _random_reduced_word_by_choice(length, rng):

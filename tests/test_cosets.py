@@ -80,6 +80,14 @@ def test_subgroup_word_with_a_bad_exponent_is_rejected():
         todd_coxeter(gamma0_coxeter_presentation(), [(("a", 1), ("b", 2))])
 
 
+def test_relator_with_a_bad_exponent_is_rejected():
+    # a presentation built without validate(): the column map has no (x, 2)
+    with pytest.raises(ValueError, match="relator uses exponent 2"):
+        todd_coxeter(Presentation(("x",), ((("x", 2), ("x", 1)),)))
+    with pytest.raises(ValueError, match="relator uses undeclared generator 'y'"):
+        todd_coxeter(Presentation(("x",), ((("y", 1),),)))
+
+
 def test_a_generator_in_no_relator_is_a_free_factor():
     # <x, y | xx> is C2 * Z: every y entry must be defined, so the trivial
     # subgroup overflows, while the normal closure of y has index 2

@@ -150,7 +150,8 @@ def test_min_conjugate_memory_is_linear():
 
 
 def test_min_conjugate_rejects_unreduced_words():
-    for w in ("aab", "abcb", "abbcab"):
+    # "aa", "abaa", "bcb" and "xa" used to come back as "", "ab", "c", "ax"
+    for w in ("aab", "abcb", "abbcab", "aa", "abaa", "bcb", "xa"):
         with pytest.raises(PreconditionError):
             min_conjugate(w)
 

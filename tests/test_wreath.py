@@ -128,6 +128,14 @@ def test_level_action_depth1():
     assert level_action("b", 1) == (0, 1)
 
 
+def test_level_action_rejects_a_depth_that_is_not_an_int():
+    for k in (1.5, True):
+        with pytest.raises(TypeError, match="depth must be an int"):
+            level_action("ab", k)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        level_action("ab", -1)
+
+
 @given(reduced_words(max_size=12), reduced_words(max_size=12))
 @settings(max_examples=40)
 def test_level_action_is_a_homomorphism(u, v):
