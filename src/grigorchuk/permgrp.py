@@ -7,6 +7,7 @@ pruned brute-force generator-image search.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import CapExceeded
@@ -75,7 +76,7 @@ class PermGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
+    @functools.cached_property
     def element_set(self) -> frozenset:
         return frozenset(self.elements)
 
@@ -207,9 +208,12 @@ def enumerate_subgroups(G: PermGroup) -> list[PermGroup]:
     for g in G.elements:
         S = closure([g], degree=G.degree)
         found.setdefault(S.element_set, S)
-    while True:
+    # a join depends only on S and g, so each subgroup is joined in the round
+    # after the one that found it, and never again
+    frontier = list(found.values())
+    while frontier:
         new = []
-        for S in list(found.values()):
+        for S in frontier:
             for g in G.elements:
                 if g in S.element_set:
                     continue
@@ -219,8 +223,7 @@ def enumerate_subgroups(G: PermGroup) -> list[PermGroup]:
                     found[J.element_set] = J
                     if len(found) > _SUBGROUP_CAP:
                         raise CapExceeded("subgroup cap exceeded", partial=len(found))
-        if not new:
-            break
+        frontier = new
     return sorted(found.values(), key=lambda S: (S.order, S.elements))
 
 

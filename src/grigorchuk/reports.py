@@ -472,13 +472,31 @@ def check_growth_cross(cfg: CheckConfig) -> Iterator[CheckReport]:
 
 @_timed
 def check_radius_index(cfg: CheckConfig) -> Iterator[CheckReport]:
+    """Check i(n) = radius_index(n) for n = 1..radius_exhaustive and for
+    radius_random samples up to radius_max.
+
+    For an integer n, L^k <= n iff ceil(L^k) <= n, and n < L^k iff
+    n < ceil(L^k).  So each threshold T_k = ``cubic._power_ceiling(k)`` that
+    some n needs is proved once, by two exact comparisons in Q(L)
+    (L^k <= T_k and L^k > T_k - 1), and every n is then checked by
+    T_(i(n)+1) <= n < T_(i(n)+2) in integers.
+    """
     rng = random.Random(cfg.seed)
     bad = []
     prev = None
+    thresholds: dict[int, int | None] = {}  # k -> T_k, or None if unproved
+
+    def threshold(k):
+        if k not in thresholds:
+            t = cubic._power_ceiling(k)
+            proved = cubic.compare_power_to_int(k, t) <= 0 < cubic.compare_power_to_int(k, t - 1)
+            thresholds[k] = t if proved else None
+        return thresholds[k]
 
     def good(n):
         m = cubic.radius_index(n)
-        if cubic.compare_power_to_int(m + 1, n) > 0 or cubic.compare_power_to_int(m + 2, n) <= 0:
+        lo, hi = threshold(m + 1), threshold(m + 2)
+        if lo is None or hi is None or not lo <= n < hi:
             return None
         return m
 

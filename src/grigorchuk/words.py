@@ -34,8 +34,10 @@ _KLEIN = {
     ("d", "c"): "b",
 }
 
-# a letter pair that no reduced word holds, or a letter outside "abcd"
-_UNREDUCED = re.compile("aa|[bcd][bcd]|[^abcd]")
+# the longest reduced prefix of a string: a alternates with a letter of
+# {b, c, d}; the possessive repeat keeps no backtracking state, so a long
+# word is scanned in constant memory
+_REDUCED_PREFIX = re.compile("a?(?:[bcd]a)*+[bcd]?")
 
 
 def reduce_word(raw) -> str:
@@ -43,12 +45,16 @@ def reduce_word(raw) -> str:
 
     Merge rules: xx -> 1 for every letter x, and the product of two distinct
     letters of {b, c, d} is the third.  One pass suffices because the group
-    is a free product of finite groups.  A string that is already reduced
-    is returned as it is.
+    is a free product of finite groups.  The pass would keep the longest
+    reduced prefix of a string as it is, so that prefix starts the stack,
+    and a string that is already reduced is returned as it is.
     """
-    if type(raw) is str and _UNREDUCED.search(raw) is None:
-        return raw
     stack = []
+    if type(raw) is str:
+        start = _REDUCED_PREFIX.match(raw).end()
+        if start == len(raw):
+            return raw
+        stack, raw = list(raw[:start]), raw[start:]
     for ch in raw:
         if ch not in LETTERS:
             raise ValueError(f"invalid letter {ch!r}")
@@ -71,7 +77,7 @@ def reduce_word(raw) -> str:
 
 def is_reduced(w) -> bool:
     """True iff w is a string in reduced normal form."""
-    return isinstance(w, str) and _UNREDUCED.search(w) is None
+    return isinstance(w, str) and _REDUCED_PREFIX.fullmatch(w) is not None
 
 
 def multiply(u: str, v: str) -> str:
@@ -181,6 +187,27 @@ def _necklaces(k: int):
             a[j] = a[j - p]
 
 
+def _bracelets(k: int):
+    """Yield (r, p, symmetric) for every necklace r of ``_necklaces(k)``
+    that is at most the necklace of its reversal, in the same order;
+    symmetric is True iff the two are equal.
+
+    The necklace of reversed r is its least rotation.  Only the first p
+    rotations are distinct, and one below r must start with r's least
+    letter, so those are the only rotations compared.
+    """
+    for r, p in _necklaces(k):
+        rotations = r[::-1] * 2
+        first = r[0]
+        i = rotations.find(first)
+        while i < p:
+            if rotations[i : i + k] < r:
+                break
+            i = rotations.find(first, i + 1)
+        else:
+            yield r, p, r in rotations
+
+
 @functools.cache
 def _conjugator_tally(length: int, last: str) -> tuple[tuple[tuple[int, int, int, int], int], ...]:
     """((2na, 2nb, 2nc, 2nd), number of words) over the reduced words u of
@@ -202,9 +229,14 @@ def _conjugator_tally(length: int, last: str) -> tuple[tuple[tuple[int, int, int
     return tuple(out)
 
 
-# counts of (nb, nc, nd) that x.v.y adds to those of z.v: less z, plus x and
-# y, the two other letters of {b, c, d}
-_MERGE_DELTA = {"b": (-1, 1, 1), "c": (1, -1, 1), "d": (1, 1, -1)}
+# counts of (nb, nc, nd) that x.v.y adds to those of z.v, where xy = z: less
+# z, plus x and y
+_MERGE_DELTA = {
+    z: tuple((w in xy) - (w == z) for w in BCD)
+    for z in BCD
+    for xy, product in _KLEIN.items()
+    if product == z and xy < xy[::-1]
+}
 
 
 def iter_ball_classes(n: int):
@@ -224,6 +256,36 @@ def iter_ball_classes(n: int):
       the two other letters of {b, c, d}, y = xz, and u is empty or ends
       in a.  Both choices of x give the same counts.
     """
+    yield from _letter_classes(n)
+    for k in range(1, n // 2 + 1):
+        conjugators = _cycle_conjugators(n, k)
+        for r, p in _necklaces(k):
+            yield "a" + "a".join(r), _cycle_tally(r, p, conjugators)
+
+
+def iter_ball_bracelets(n: int):
+    """Yield (m, tally, self_inverse) for every pair of mutually inverse
+    conjugacy classes that meets the n-ball, in the order of
+    ``iter_ball_classes``: m is the lesser of the two minimal conjugates,
+    tally is m's (see ``iter_ball_classes``), and self_inverse is True iff
+    the class is its own inverse.
+
+    Inversion reverses a word, so it keeps the letter counts, and the class
+    of m = "a" + "a".join(r) has the inverse "a" + "a".join(s), where s is
+    the necklace of r reversed: the classes up to inversion are the
+    bracelets over "bcd", and no class is built to be dropped.  The classes
+    1, a, b, c, d are involutions.
+    """
+    for m, tally in _letter_classes(n):
+        yield m, tally, True
+    for k in range(1, n // 2 + 1):
+        conjugators = _cycle_conjugators(n, k)
+        for r, p, symmetric in _bracelets(k):
+            yield "a" + "a".join(r), _cycle_tally(r, p, conjugators), symmetric
+
+
+def _letter_classes(n: int):
+    """(m, tally) for the classes 1, a, b, c, d that meet the n-ball."""
     if n < 0:
         raise ValueError("radius must be >= 0")
     yield IDENTITY, {(0, 0, 0, 0): 1}
@@ -235,20 +297,29 @@ def iter_ball_classes(n: int):
         yield x, {
             (xa + ua, xb + ub, xc + uc, xd + ud): count for (ua, ub, uc, ud), count in conjugators
         }
-    for k in range(1, n // 2 + 1):
-        conjugators = _conjugator_tally((n - 2 * k - 1) // 2, "a") if 2 * k < n else ()
-        for r, p in _necklaces(k):
-            nb, nc, nd = r.count("b"), r.count("c"), r.count("d")
-            tally = {(k, nb, nc, nd): 2 * p}
-            for z, (db, dc, dd) in _MERGE_DELTA.items():
-                rotations = r.count(z, 0, p)
-                if not rotations:
-                    continue
-                b, c, d = nb + db, nc + dc, nd + dd
-                for (ua, ub, uc, ud), count in conjugators:
-                    key = (k + ua, b + ub, c + uc, d + ud)
-                    tally[key] = tally.get(key, 0) + 2 * rotations * count
-            yield "a" + "a".join(r), tally
+
+
+def _cycle_conjugators(n: int, k: int):
+    """The conjugator tally of the odd-length words of the n-ball in a class
+    "a" + "a".join(r) with r of length k."""
+    return _conjugator_tally((n - 2 * k - 1) // 2, "a") if 2 * k < n else ()
+
+
+def _cycle_tally(r: str, p: int, conjugators) -> dict:
+    """The tally of the class "a" + "a".join(r), r a necklace of least
+    period p (see ``iter_ball_classes``)."""
+    k = len(r)
+    nb, nc, nd = r.count("b"), r.count("c"), r.count("d")
+    tally = {(k, nb, nc, nd): 2 * p}
+    for z, (db, dc, dd) in _MERGE_DELTA.items():
+        rotations = r.count(z, 0, p)
+        if not rotations:
+            continue
+        b, c, d = nb + db, nc + dc, nd + dd
+        for (ua, ub, uc, ud), count in conjugators:
+            key = (k + ua, b + ub, c + uc, d + ud)
+            tally[key] = tally.get(key, 0) + 2 * rotations * count
+    return tally
 
 
 def enumerate_ball_free(n: int, cap: int | None = None) -> list[str]:

@@ -35,8 +35,7 @@ from .words import (
     NUCLEUS,
     a_parity,
     format_word,
-    invert,
-    iter_ball_classes,
+    iter_ball_bracelets,
     iter_ball_free,
     min_conjugate,
     multiply,
@@ -51,22 +50,29 @@ _SPLIT_IMAGE = {"b": ("a", "c"), "c": ("a", "d"), "d": ("", "b")}
 def split(w: str) -> tuple[str, str]:
     """Subtree components (w0, w1) of a parity-0 word, reduced first.
 
-    Scans left to right tracking the parity p of a's seen so far; a letter
-    x in {b, c, d} contributes x0 to side p and x1 to side 1-p.
+    A letter x in {b, c, d} contributes its section x0 to side p and x1 to
+    side 1-p, where p is the parity of the a's before it.  In a reduced word
+    these letters alternate with a, so their parities alternate too: the
+    letters of parity 1 are upper-cased, and one table read from
+    ``_SPLIT_IMAGE`` (x -> x0, X -> x1) translates the tagged letters into
+    side 0 and the case-swapped ones into side 1.
     """
     w = reduce_word(w)
     if a_parity(w) != 0:
         raise PreconditionError(f"split needs an even number of a's: {w!r}")
-    sides = [[], []]
-    p = 0
-    for ch in w:
-        if ch == "a":
-            p ^= 1
-        else:
-            x0, x1 = _SPLIT_IMAGE[ch]
-            sides[p].append(x0)
-            sides[1 - p].append(x1)
-    return reduce_word("".join(sides[0])), reduce_word("".join(sides[1]))
+    sections = {}  # an empty section maps to None, which deletes
+    for x, (x0, x1) in _SPLIT_IMAGE.items():
+        sections[ord(x)] = x0 or None
+        sections[ord(x.upper())] = x1 or None
+    # the first letter of {b, c, d} has parity 1 iff w starts with a
+    odd = w[:1] == "a"
+    tagged = bytearray(w[odd::2], "ascii")
+    tagged[1 - odd :: 2] = tagged[1 - odd :: 2].upper()
+    tagged = tagged.decode()
+    return (
+        reduce_word(tagged.translate(sections)),
+        reduce_word(tagged.swapcase().translate(sections)),
+    )
 
 
 def is_trivial(w: str) -> bool:
@@ -417,11 +423,12 @@ class NBallReport:
 def verify_nball_proposition(n: int, words=None, level: int | None = None) -> NBallReport:
     """Certify torsion for every word of word length <= n at level i(n).
 
-    The exhaustive sweep goes by conjugacy class: ``iter_ball_classes``
-    gives each class with the letter counts of its words, so each class is
-    certified once and each (class, count vector) pair gets one radius
-    test.  If any word fails, the report is rebuilt word by word over
-    ``iter_ball_free(n)``, so failures keep their shortlex order.
+    The exhaustive sweep goes by conjugacy class: ``iter_ball_bracelets``
+    gives each pair of mutually inverse classes with the letter counts of
+    its words, so each pair is certified once and each (class, count
+    vector) pair gets one radius test.  If any word fails, the report is
+    rebuilt word by word over ``iter_ball_free(n)``, so failures keep their
+    shortlex order.
 
     ``words`` overrides the exhaustive free-product ball (e.g. for random
     sampling); each word is reduced first, so a letter outside "abcd"
@@ -472,20 +479,17 @@ def _class_sweep(n: int, level: int) -> NBallReport | None:
     is the same counted from either end, so split(w^-1) is the pair of
     inverses of split(w), sides in the same order; for an active class
     (m.m)^-1 = m^-1.m^-1.  By induction the class of m^-1 has m's tally,
-    exponent, depth and verdict, so only the lesser of m and
-    min_conjugate(m^-1) is certified, and its words count twice unless the
-    class is its own inverse.
+    exponent, depth and verdict.  So the sweep visits the bracelets of
+    ``iter_ball_bracelets``, one class of each inverse pair, and a class's
+    words count twice unless it is its own inverse.
     """
     report = NBallReport(radius=n, level=level, word_count=0, max_exponent=0, max_depth=0)
-    for m, tally in iter_ball_classes(n):
-        inverse = min_conjugate(invert(m))
-        if inverse < m:
-            continue  # counted with its inverse
+    for m, tally, self_inverse in iter_ball_bracelets(n):
         if level > 0 and not all(_in_open_ball(*counts, level - 1) for counts in tally):
             return None
         try:
             e, d = _class_exponent.__wrapped__(m if level > 0 else _ball_class(m, level), level)
         except RadiusViolation:
             return None
-        report.add(e, d, sum(tally.values()) * (1 if inverse == m else 2))
+        report.add(e, d, sum(tally.values()) * (1 if self_inverse else 2))
     return report

@@ -256,6 +256,31 @@ def test_criterion_09_growth_cross_validation():
     assert report("09 growth cross-validation", ok, f"balls {sizes}")
 
 
+def test_negative_control_radius_threshold_off_by_one(monkeypatch):
+    """A threshold ceil(L^k) one off at a single k fails its proof, in
+    either direction."""
+    real = cubic._power_ceiling
+    for delta in (1, -1):
+        monkeypatch.setattr(cubic, "_power_ceiling", lambda k: real(k) + delta * (k == 12))
+        (rep,) = check_radius_index(CheckConfig())
+        assert rep.status == "fail"
+        assert rep.witnesses["violations"]
+
+
+def test_negative_control_radius_index_one_off(monkeypatch):
+    """i(777) + 1 lies above 777's bracket; i(n) - 1 for every n stays
+    nondecreasing but lies below every bracket."""
+    real = cubic.radius_index
+    monkeypatch.setattr(cubic, "radius_index", lambda n: real(n) + (n == 777))
+    (rep,) = check_radius_index(CheckConfig())
+    assert rep.status == "fail"
+    assert rep.witnesses["violations"][0] == 777
+    monkeypatch.setattr(cubic, "radius_index", lambda n: real(n) - 1)
+    (rep,) = check_radius_index(CheckConfig())
+    assert rep.status == "fail"
+    assert rep.witnesses["violations"] == list(range(1, 11))
+
+
 def test_criterion_10_radius_index_and_log():
     cfg = CheckConfig(seed=SEED, radius_exhaustive=10_000, radius_random=500, radius_max=1_000_000)
     (rep,) = check_radius_index(cfg)

@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
+from grigorchuk import permgrp
 from grigorchuk.errors import CapExceeded
 from grigorchuk.permgrp import (
     alternating_4,
@@ -107,6 +110,36 @@ def test_core_lemma_corpus_has_no_violations():
 def test_subgroup_counts():
     assert len(enumerate_subgroups(klein_four())) == 5
     assert len(enumerate_subgroups(dihedral(4))) == 10
+
+
+# (count, sha256 of repr([(S.generators, S.elements) for S in subgroups]))
+_CORPUS_SUBGROUPS = {
+    "Z2xD8": (35, "a5b9e11d01e60d41c89fd04d0818a90304cad8cbb2657063f6a0835790f5728c"),
+    "D16": (19, "bba381a6ad466e58a7ed59f69bc9e0e124b235be65b465b20f7a2640311caf11"),
+    "C2xC2xC2": (16, "84ce9be977a3a2b9979a9d0241d1a9e0151301aeb67d78438c6f635e3e0a96b4"),
+    "C16": (5, "24e4b8a02bbcaccf59d9d9e2611ac7667c0015059684bb4414662ea5afc68657"),
+}
+
+
+def test_corpus_subgroups_are_pinned_and_each_joined_once(monkeypatch):
+    """The subgroups, their generators and their order are pinned; each
+    subgroup is joined with the elements outside it once, in the round
+    after the one that found it (1 681 closures when every round rejoined
+    all subgroups found so far)."""
+    corpus = lemma_corpus()
+    calls = []
+    real = permgrp.closure
+    monkeypatch.setattr(permgrp, "closure", lambda *a, **k: calls.append(1) or real(*a, **k))
+    for name, G in corpus.items():
+        subgroups = enumerate_subgroups(G)
+        pairs = repr([(S.generators, S.elements) for S in subgroups])
+        assert (len(subgroups), hashlib.sha256(pairs.encode()).hexdigest()) == _CORPUS_SUBGROUPS[name]
+    assert len(calls) == 812
+
+
+def test_element_set_is_built_once_per_group():
+    G = z2_times_d8()
+    assert G.element_set is G.element_set == frozenset(G.elements)
 
 
 def test_isomorphism_positive():

@@ -7,12 +7,15 @@ from conftest import raw_words, reduced_words
 from grigorchuk.errors import CapExceeded, PreconditionError, WordParseError
 from grigorchuk.growth import ball_free_product
 from grigorchuk.words import (
+    _bracelets,
+    _necklaces,
     a_parity,
     cyclically_reduce,
     enumerate_ball_free,
     format_word,
     invert,
     is_reduced,
+    iter_ball_bracelets,
     iter_ball_classes,
     iter_ball_free,
     min_conjugate,
@@ -46,6 +49,13 @@ def test_is_reduced_iff_fixed_by_reduction(w):
 @given(reduced_words())
 def test_reduce_returns_a_reduced_string_itself(w):
     assert reduce_word(w) is w
+
+
+@given(raw_words)
+def test_reduce_agrees_with_the_pass_from_the_first_letter(w):
+    # a list takes the stack pass from its first letter, a string from the
+    # end of its longest reduced prefix
+    assert reduce_word(w) == reduce_word(list(w))
 
 
 def test_reduce_still_checks_letters_and_takes_sequences():
@@ -204,6 +214,32 @@ def test_ball_classes_are_distinct_minimal_conjugates():
     assert all(min_conjugate(m) == m for m in reps)
 
 
+def test_bracelets_are_the_necklaces_up_to_inversion():
+    # the oracle: the inverse class of every necklace, by min_conjugate
+    for k in range(1, 11):
+        want = []
+        for r, p in _necklaces(k):
+            m = "a" + "a".join(r)
+            inverse = min_conjugate(invert(m))
+            if m <= inverse:
+                want.append((r, p, m == inverse))
+        assert list(_bracelets(k)) == want, k
+
+
+def test_ball_bracelets_are_the_classes_up_to_inversion():
+    # 9 508 classes in the 20-ball, 1 094 of them their own inverse
+    classes = dict(iter_ball_classes(20))
+    kept = [m for m in classes if m <= min_conjugate(invert(m))]
+    bracelets = list(iter_ball_bracelets(20))
+    assert [m for m, _tally, _self_inverse in bracelets] == kept
+    assert len(kept) == 5301
+    assert sum(self_inverse for _m, _tally, self_inverse in bracelets) == 1094
+    for m, tally, self_inverse in bracelets:
+        assert tally == classes[m]
+        assert self_inverse == (m == min_conjugate(invert(m)))
+
+
 def test_ball_classes_reject_negative_radius():
-    with pytest.raises(ValueError, match="radius must be >= 0"):
-        next(iter_ball_classes(-1))
+    for classes in (iter_ball_classes, iter_ball_bracelets):
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            next(classes(-1))

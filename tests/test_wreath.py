@@ -39,6 +39,28 @@ def test_split_of_generators():
     assert split("d") == ("", "b")
 
 
+def _split_by_letters(w):
+    """The reference splitting: each letter x of {b, c, d} appends x0 to
+    side p and x1 to side 1 - p, p the parity of the a's before it."""
+    sides = ["", ""]
+    p = 0
+    for ch in w:
+        if ch == "a":
+            p ^= 1
+        else:
+            x0, x1 = wreath._SPLIT_IMAGE[ch]
+            sides[p] += x0
+            sides[1 - p] += x1
+    return reduce_word(sides[0]), reduce_word(sides[1])
+
+
+def test_split_matches_the_letter_by_letter_reference():
+    words = [w for w in iter_ball_free(12) if a_parity(w) == 0]
+    assert len(words) == 2185
+    for w in words:
+        assert split(w) == _split_by_letters(w), w
+
+
 @given(reduced_words(max_size=16))
 def test_split_conjugation_by_a_swaps_components(w):
     if a_parity(w):
