@@ -264,24 +264,23 @@ def iter_ball_classes(n: int):
 
 
 def iter_ball_bracelets(n: int):
-    """Yield (m, tally, self_inverse) for every pair of mutually inverse
-    conjugacy classes that meets the n-ball, in the order of
-    ``iter_ball_classes``: m is the lesser of the two minimal conjugates,
-    tally is m's (see ``iter_ball_classes``), and self_inverse is True iff
-    the class is its own inverse.
+    """Yield (r, p, self_inverse) for every pair of mutually inverse
+    conjugacy classes "a" + "a".join(r) that meets the n-ball, in the order
+    of ``iter_ball_classes``: r is a necklace over "bcd" of length 1..n // 2
+    and least period p, its class is the lesser of the pair, and
+    self_inverse is True iff the class is its own inverse.  The tally of the
+    class is ``_cycle_tally(r, p, _cycle_conjugators(n, len(r)))``; the
+    classes 1, a, b, c, d of ``_letter_classes`` are involutions.
 
     Inversion reverses a word, so it keeps the letter counts, and the class
     of m = "a" + "a".join(r) has the inverse "a" + "a".join(s), where s is
     the necklace of r reversed: the classes up to inversion are the
-    bracelets over "bcd", and no class is built to be dropped.  The classes
-    1, a, b, c, d are involutions.
+    bracelets over "bcd", and no class is built to be dropped.
     """
-    for m, tally in _letter_classes(n):
-        yield m, tally, True
+    if n < 0:
+        raise ValueError("radius must be >= 0")
     for k in range(1, n // 2 + 1):
-        conjugators = _cycle_conjugators(n, k)
-        for r, p, symmetric in _bracelets(k):
-            yield "a" + "a".join(r), _cycle_tally(r, p, conjugators), symmetric
+        yield from _bracelets(k)
 
 
 def _letter_classes(n: int):
@@ -305,9 +304,19 @@ def _cycle_conjugators(n: int, k: int):
     return _conjugator_tally((n - 2 * k - 1) // 2, "a") if 2 * k < n else ()
 
 
+def _rotation_words(conjugators) -> int:
+    """The number of words that each of the p distinct rotations z.v of r
+    adds to the class "a" + "a".join(r), given the conjugator tally of
+    ``_cycle_conjugators``: the two rotations of m that start with a and
+    with z, and u.x.v.y.u^-1 for both choices of x and every u.  So
+    ``p * _rotation_words(conjugators)`` is the sum of ``_cycle_tally``."""
+    return 2 * (1 + sum(count for _counts, count in conjugators))
+
+
 def _cycle_tally(r: str, p: int, conjugators) -> dict:
     """The tally of the class "a" + "a".join(r), r a necklace of least
-    period p (see ``iter_ball_classes``)."""
+    period p (see ``iter_ball_classes``).  Its keys depend on r only through
+    the letter counts (nb, nc, nd), which also say which letters occur."""
     k = len(r)
     nb, nc, nd = r.count("b"), r.count("c"), r.count("d")
     tally = {(k, nb, nc, nd): 2 * p}

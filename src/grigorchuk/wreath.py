@@ -8,6 +8,9 @@ upper bounds valid at the stated approximant level; orders themselves are
 computed in the limit group, where the splitting is injective on the
 parity kernel.  The exhaustive n-ball sweep certifies each conjugacy class
 of the ball once and never builds the ball's words, unless some word fails.
+Within a sweep, each distinct child word is certified once, and the radius
+tests of a class's tally are decided once per letter-count vector of its
+bracelet.
 
 The memos are ``functools.cache`` on pure functions (``_is_trivial``,
 ``_order``, ``_letter_action``, ``_in_open_ball``, ``_class_exponent``),
@@ -33,6 +36,10 @@ from .errors import CapExceeded, GrigError, PreconditionError
 from .permgrp import pmul
 from .words import (
     NUCLEUS,
+    _cycle_conjugators,
+    _cycle_tally,
+    _letter_classes,
+    _rotation_words,
     a_parity,
     format_word,
     iter_ball_bracelets,
@@ -48,31 +55,44 @@ _SPLIT_IMAGE = {"b": ("a", "c"), "c": ("a", "d"), "d": ("", "b")}
 
 
 def split(w: str) -> tuple[str, str]:
-    """Subtree components (w0, w1) of a parity-0 word, reduced first.
+    """Subtree components (w0, w1) of a parity-0 word, reduced first."""
+    w = reduce_word(w)
+    if a_parity(w) != 0:
+        raise PreconditionError(f"split needs an even number of a's: {w!r}")
+    return _split_reduced(w, _section_table())
+
+
+def _section_table() -> dict[int, str | None]:
+    """The ``str.translate`` table of ``_SPLIT_IMAGE``: x -> x0 and
+    X -> x1, an empty section mapped to None, which deletes.  Built per call
+    from the dict, so that a patch of ``_SPLIT_IMAGE`` reaches every split."""
+    sections = {}
+    for x, (x0, x1) in _SPLIT_IMAGE.items():
+        sections[ord(x)] = x0 or None
+        sections[ord(x.upper())] = x1 or None
+    return sections
+
+
+def _split_reduced(w: str, sections: dict[int, str | None], sides: int = 2) -> tuple[str, ...]:
+    """The first ``sides`` components of ``split(w)``, for a word w that is
+    already reduced and of parity 0.
 
     A letter x in {b, c, d} contributes its section x0 to side p and x1 to
     side 1-p, where p is the parity of the a's before it.  In a reduced word
     these letters alternate with a, so their parities alternate too: the
-    letters of parity 1 are upper-cased, and one table read from
-    ``_SPLIT_IMAGE`` (x -> x0, X -> x1) translates the tagged letters into
-    side 0 and the case-swapped ones into side 1.
+    letters of parity 1 are upper-cased, and one read of ``sections``
+    translates the tagged letters into side 0 and the case-swapped ones into
+    side 1.
     """
-    w = reduce_word(w)
-    if a_parity(w) != 0:
-        raise PreconditionError(f"split needs an even number of a's: {w!r}")
-    sections = {}  # an empty section maps to None, which deletes
-    for x, (x0, x1) in _SPLIT_IMAGE.items():
-        sections[ord(x)] = x0 or None
-        sections[ord(x.upper())] = x1 or None
     # the first letter of {b, c, d} has parity 1 iff w starts with a
     odd = w[:1] == "a"
     tagged = bytearray(w[odd::2], "ascii")
     tagged[1 - odd :: 2] = tagged[1 - odd :: 2].upper()
     tagged = tagged.decode()
-    return (
-        reduce_word(tagged.translate(sections)),
-        reduce_word(tagged.swapcase().translate(sections)),
-    )
+    w0 = reduce_word(tagged.translate(sections))
+    if sides == 1:
+        return (w0,)
+    return w0, reduce_word(tagged.swapcase().translate(sections))
 
 
 def is_trivial(w: str) -> bool:
@@ -87,7 +107,7 @@ def _is_trivial(w: str) -> bool:
         return True
     if a_parity(w) == 1 or len(w) == 1:
         return False  # b, c, d are nontrivial involutions
-    w0, w1 = split(w)
+    w0, w1 = _split_reduced(w, _section_table())
     return _is_trivial(w0) and _is_trivial(w1)
 
 
@@ -333,9 +353,10 @@ def _class_step(m: str, n: int) -> tuple[str, int, tuple[str, ...]]:
         return "base-case", _BASE_EXPONENT[m], ()
     if m in NUCLEUS:
         return "letter-case", _BASE_EXPONENT[m], ()
+    # m is cyclically reduced, so m.m is reduced, and of parity 0
     if a_parity(m) == 0:
-        return "inactive-split", 0, split(m)
-    return "active-square", 1, split(m + m)[:1]
+        return "inactive-split", 0, _split_reduced(m, _section_table())
+    return "active-square", 1, _split_reduced(m + m, _section_table(), 1)
 
 
 def certify_exponent(w: str, n: int) -> tuple[int, int]:
@@ -469,9 +490,9 @@ def _class_sweep(n: int, level: int) -> NBallReport | None:
     A word passes iff its letter counts pass the radius test (at level > 0)
     and its class certifies, so a (class, count vector) pair decides all
     the words it counts.  Each class is visited once, so its own step runs
-    uncached and only its children go through ``_class_exponent``.  At
-    level > 0 an enumerated m is minimal and its own counts are in its
-    tally, so the tally's radius test is all ``_ball_class`` would do.
+    uncached.  At level > 0 an enumerated m is minimal and its own counts
+    are in its tally, so the tally's radius test is all ``_ball_class``
+    would do.
 
     A class and its inverse are certified once.  Inversion reverses a word,
     so it keeps the letter counts (hence the tally and the radius test) and
@@ -482,14 +503,53 @@ def _class_sweep(n: int, level: int) -> NBallReport | None:
     exponent, depth and verdict.  So the sweep visits the bracelets of
     ``iter_ball_bracelets``, one class of each inverse pair, and a class's
     words count twice unless it is its own inverse.
+
+    Each distinct piece of work runs once per sweep.  Many classes share a
+    child word, so the child step ``certify_exponent(child, level - 1)`` is
+    kept per word in a dict that lives as long as the call; a child that
+    fails ends the sweep and is never kept.  The tally keys of a bracelet r
+    of length k = nb + nc + nd are (k, nb, nc, nd) and that vector moved by
+    the merge delta of each letter in r and by the conjugators of (n, k).
+    The letters in r are those with a nonzero count, so the keys, and the
+    tally's radius test, are fixed by (nb, nc, nd): the test is decided
+    once per count vector, and a tally is built only for a new one.  A
+    class's words are counted by ``_rotation_words``, without its tally.
     """
     report = NBallReport(radius=n, level=level, word_count=0, max_exponent=0, max_depth=0)
-    for m, tally, self_inverse in iter_ball_bracelets(n):
-        if level > 0 and not all(_in_open_ball(*counts, level - 1) for counts in tally):
-            return None
-        try:
-            e, d = _class_exponent.__wrapped__(m if level > 0 else _ball_class(m, level), level)
-        except RadiusViolation:
-            return None
-        report.add(e, d, sum(tally.values()) * (1 if self_inverse else 2))
+    children = {}  # child word -> certify_exponent(child, level - 1)
+
+    def certify(m: str, words: int) -> None:
+        _rule, added, kids = _class_step(m if level > 0 else _ball_class(m, level), level)
+        exponent = depth = 0
+        for child in kids:
+            found = children.get(child)
+            if found is None:
+                found = children[child] = certify_exponent(child, level - 1)
+            exponent = max(exponent, found[0])
+            depth = max(depth, found[1])
+        report.add(exponent + added, depth + 1, words)
+
+    verdicts = {}  # (nb, nc, nd) -> whether every tally key is in the ball
+    k = 0
+    try:
+        for m, tally in _letter_classes(n):
+            if level > 0 and not all(_in_open_ball(*counts, level - 1) for counts in tally):
+                return None
+            certify(m, sum(tally.values()))
+        for r, p, self_inverse in iter_ball_bracelets(n):
+            if len(r) != k:
+                k = len(r)
+                conjugators = _cycle_conjugators(n, k)
+                per_rotation = _rotation_words(conjugators)
+            if level > 0:
+                key = (r.count("b"), r.count("c"), r.count("d"))
+                verdict = verdicts.get(key)
+                if verdict is None:
+                    tally = _cycle_tally(r, p, conjugators)
+                    verdict = verdicts[key] = all(_in_open_ball(*c, level - 1) for c in tally)
+                if not verdict:
+                    return None
+            certify("a" + "a".join(r), p * per_rotation * (1 if self_inverse else 2))
+    except RadiusViolation:
+        return None
     return report

@@ -8,7 +8,11 @@ from grigorchuk.errors import CapExceeded, PreconditionError, WordParseError
 from grigorchuk.growth import ball_free_product
 from grigorchuk.words import (
     _bracelets,
+    _cycle_conjugators,
+    _cycle_tally,
+    _letter_classes,
     _necklaces,
+    _rotation_words,
     a_parity,
     cyclically_reduce,
     enumerate_ball_free,
@@ -227,16 +231,28 @@ def test_bracelets_are_the_necklaces_up_to_inversion():
 
 
 def test_ball_bracelets_are_the_classes_up_to_inversion():
-    # 9 508 classes in the 20-ball, 1 094 of them their own inverse
+    # 9 508 classes in the 20-ball, 1 094 of them their own inverse; the
+    # letter classes are involutions, and a bracelet's tally is built apart
     classes = dict(iter_ball_classes(20))
     kept = [m for m in classes if m <= min_conjugate(invert(m))]
-    bracelets = list(iter_ball_bracelets(20))
+    bracelets = [(m, tally, True) for m, tally in _letter_classes(20)]
+    for r, p, self_inverse in iter_ball_bracelets(20):
+        tally = _cycle_tally(r, p, _cycle_conjugators(20, len(r)))
+        bracelets.append(("a" + "a".join(r), tally, self_inverse))
     assert [m for m, _tally, _self_inverse in bracelets] == kept
     assert len(kept) == 5301
     assert sum(self_inverse for _m, _tally, self_inverse in bracelets) == 1094
     for m, tally, self_inverse in bracelets:
         assert tally == classes[m]
         assert self_inverse == (m == min_conjugate(invert(m)))
+
+
+def test_rotation_words_count_the_tally():
+    # the sweep weighs a bracelet by p * _rotation_words, never its tally
+    for n in range(21):
+        for r, p, _self_inverse in iter_ball_bracelets(n):
+            conjugators = _cycle_conjugators(n, len(r))
+            assert p * _rotation_words(conjugators) == sum(_cycle_tally(r, p, conjugators).values())
 
 
 def test_ball_classes_reject_negative_radius():

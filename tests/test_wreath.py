@@ -12,6 +12,7 @@ from grigorchuk.words import (
     BCD,
     a_parity,
     invert,
+    iter_ball_bracelets,
     iter_ball_classes,
     iter_ball_free,
     min_conjugate,
@@ -327,6 +328,66 @@ def test_nball_20_is_pinned():
     assert (rep.word_count, rep.max_exponent, rep.max_depth) == (295241, 7, 9)
     histogram = {1: 11795, 2: 32108, 3: 79990, 4: 147068, 5: 17968, 6: 5664, 7: 648}
     assert rep.exponent_histogram == histogram
+
+
+def test_step_children_are_the_split_of_m_or_its_square():
+    # the step hands m, or m.m, to the split kernel without reducing it
+    for r, _p, _self_inverse in iter_ball_bracelets(24):
+        m = "a" + "a".join(r)
+        want = split(m) if len(r) % 2 == 0 else split(m + m)[:1]
+        assert wreath._class_step(m, 1)[2] == want, m
+
+
+def test_sweep_certifies_each_child_word_once(monkeypatch):
+    # 9 123 children of the 5 301 classes, 1 003 of them distinct words
+    level = radius_index(20)
+    top, children = [], []
+    real_step, real_certify = wreath._class_step, wreath.certify_exponent
+
+    def step(m, n):
+        if n == level:
+            top.append(m)
+        return real_step(m, n)
+
+    def certify(w, n):
+        if n == level - 1:
+            children.append(w)
+        return real_certify(w, n)
+
+    wreath._class_exponent.cache_clear()
+    monkeypatch.setattr(wreath, "_class_step", step)
+    monkeypatch.setattr(wreath, "certify_exponent", certify)
+    assert verify_nball_proposition(20).ok
+    assert len(top) == 5301
+    assert len(children) == len(set(children)) == 1003
+
+
+@pytest.mark.parametrize("counts, below", [((6, 0, 0, 6), 1), ((5, 0, 5, 0), 2)], ids=["class", "child"])
+def test_sweep_hands_over_when_one_radius_test_fails(monkeypatch, counts, below):
+    """One count vector made to fail the radius test of the 12-ball's
+    classes (radius level - 1) or of their children (level - 2): the sweep
+    must hand over to the word loop, whatever verdicts and children it has
+    kept for other classes.  A cached class exponent would skip the test,
+    so the cache starts cold."""
+    level = radius_index(12)
+    wreath._class_exponent.cache_clear()
+    real = wreath._in_open_ball
+    key = (*counts, level - below)
+    monkeypatch.setattr(wreath, "_in_open_ball", lambda *args: args != key and real(*args))
+    rep = verify_nball_proposition(12)
+    assert rep.failures
+    assert rep.to_dict() == verify_nball_proposition(12, words=iter_ball_free(12)).to_dict()
+
+
+# SHA-256 of the compact JSON of the exhaustive reports for radii 2..22,
+# from before the sweep kept child steps and tally verdicts per sweep
+NBALL_REPORTS_SHA256 = "2a0fdb51b8f984dbfc2f5b029378fb3978365fedae558dae3814879d1b2bd3f7"
+
+
+def test_nball_reports_to_22_are_pinned():
+    reports = [verify_nball_proposition(n).to_dict() for n in range(2, 23)]
+    text = json.dumps(reports, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == NBALL_REPORTS_SHA256
 
 
 def test_a_class_and_its_inverse_certify_alike():
