@@ -2,7 +2,11 @@
 
 Everything here is desk scale (orders well below 10^4), so naive
 breadth-first closure replaces stabilizer chains, and isomorphism is a
-pruned brute-force generator-image search.
+pruned brute-force generator-image search.  Subgroups are enumerated by
+joins with one element per right coset, and the core-index lemma check
+reads the core and the normalizer's index from the one orbit of H under
+conjugation by G's generators; ``core`` and ``normalizer``, which
+conjugate by every element, are kept as its oracles.
 """
 
 from __future__ import annotations
@@ -177,18 +181,41 @@ def _two_power_exponent(n: int) -> int | None:
     return e if n == 1 else None
 
 
+def _conjugation_orbit(G: PermGroup, H: PermGroup) -> list[frozenset]:
+    """The distinct conjugates g.H.g^-1 of a subgroup H by the elements g
+    of G, as element sets, H first: the orbit of H under conjugation by G's
+    generators, which generate G."""
+    orbit = [H.element_set]
+    seen = set(orbit)
+    for K in orbit:
+        for g in G.generators:
+            gi = pinv(g)
+            conj = frozenset([pmul(pmul(g, h), gi) for h in K])
+            if conj not in seen:
+                seen.add(conj)
+                orbit.append(conj)
+    return orbit
+
+
 def check_core_lemma(G: PermGroup, H: PermGroup) -> CoreLemmaReport:
     """Core-index bound for a proper subgroup of 2-power index normalized
-    by an index-<=2 subgroup: the core has index 2^b with b <= 2a - 1."""
+    by an index-<=2 subgroup: the core has index 2^b with b <= 2a - 1.
+
+    Both the core and the normalizer come from the one orbit of H under
+    conjugation (``_conjugation_orbit``): the core is the intersection of
+    the orbit, and by orbit-stabilizer the normalizer's index is the
+    orbit's size.  ``core`` and ``normalizer`` are the element-by-element
+    oracles.
+    """
     ih = index(G, H)
-    N = core(G, H)
-    core_index = index(G, N)
+    orbit = _conjugation_orbit(G, H)
+    core_index = G.order // len(frozenset.intersection(*orbit))
     a = _two_power_exponent(ih)
     if ih == 1:
         return CoreLemmaReport(False, "H is not proper", ih, None, core_index, None, None)
     if a is None:
         return CoreLemmaReport(False, "index is not a 2-power", ih, None, core_index, None, None)
-    norm_index = index(G, normalizer(G, H))
+    norm_index = len(orbit)
     if norm_index > 2:
         return CoreLemmaReport(
             False, f"normalizer has index {norm_index} > 2", ih, a, core_index, None, None
@@ -199,7 +226,15 @@ def check_core_lemma(G: PermGroup, H: PermGroup) -> CoreLemmaReport:
 
 
 def enumerate_subgroups(G: PermGroup) -> list[PermGroup]:
-    """All subgroups, by join-closure over cyclic seeds; |G| <= 64."""
+    """All subgroups, by join-closure over cyclic seeds; |G| <= 64.
+
+    A join depends only on S and g, so each subgroup is joined in the round
+    after the one that found it, and never again.  Since <S, s.g> = <S, g>
+    for every s in S, the join with g is the join with every element of its
+    right coset S.g.  So S is joined only with the first g of each right
+    coset in G's element order, the g that found that join when every g was
+    tried: the subgroups, their generators and their order are the same.
+    """
     if G.order > 64:
         raise ValueError("subgroup enumeration is limited to |G| <= 64")
     found: dict[frozenset, PermGroup] = {}
@@ -208,15 +243,15 @@ def enumerate_subgroups(G: PermGroup) -> list[PermGroup]:
     for g in G.elements:
         S = closure([g], degree=G.degree)
         found.setdefault(S.element_set, S)
-    # a join depends only on S and g, so each subgroup is joined in the round
-    # after the one that found it, and never again
     frontier = list(found.values())
     while frontier:
         new = []
         for S in frontier:
+            covered = set(S.element_set)
             for g in G.elements:
-                if g in S.element_set:
+                if g in covered:
                     continue
+                covered.update([pmul(s, g) for s in S.elements])
                 J = closure(list(S.generators) + [g], degree=G.degree)
                 if J.element_set not in found:
                     new.append(J)

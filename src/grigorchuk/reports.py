@@ -443,7 +443,7 @@ def check_core_lemma_corpus(cfg: CheckConfig) -> Iterator[CheckReport]:
     rep = permgrp.check_core_lemma(A4, H)
     yield CheckReport(
         "core-lemma-a4-sharpness",
-        "in A4 an index-4 subgroup has normalizer of index 3 (hypothesis "
+        "in A4 an index-4 subgroup has normalizer of index 4 (hypothesis "
         "fails) and core of index 12, not a 2-power",
         _status(not rep.applicable and rep.core_index == 12),
         {"applicable": rep.applicable, "core_index": rep.core_index, "reason": rep.reason},
@@ -478,36 +478,39 @@ def check_radius_index(cfg: CheckConfig) -> Iterator[CheckReport]:
     For an integer n, L^k <= n iff ceil(L^k) <= n, and n < L^k iff
     n < ceil(L^k).  So each threshold T_k = ``cubic._power_ceiling(k)`` that
     some n needs is proved once, by two exact comparisons in Q(L)
-    (L^k <= T_k and L^k > T_k - 1), and every n is then checked by
-    T_(i(n)+1) <= n < T_(i(n)+2) in integers.
+    (L^k <= T_k and L^k > T_k - 1), and n is then checked in integers.
+    The exhaustive range is walked in order: m starts at -1 (T_0 = 1 <= 1
+    < T_1) and steps up while T_(m+2) <= n, so T_(m+1) <= n < T_(m+2)
+    holds for the walked m, and radius_index(n) must equal it; this also
+    makes i nondecreasing.  A random sample n is checked by
+    T_(i(n)+1) <= n < T_(i(n)+2).
     """
     rng = random.Random(cfg.seed)
     bad = []
-    prev = None
-    thresholds: dict[int, int | None] = {}  # k -> T_k, or None if unproved
+    proved: dict[int, bool] = {}  # k -> whether T_k's two comparisons hold
 
     def threshold(k):
-        if k not in thresholds:
-            t = cubic._power_ceiling(k)
-            proved = cubic.compare_power_to_int(k, t) <= 0 < cubic.compare_power_to_int(k, t - 1)
-            thresholds[k] = t if proved else None
-        return thresholds[k]
+        t = cubic._power_ceiling(k)
+        if k not in proved:
+            proved[k] = cubic.compare_power_to_int(k, t) <= 0 < cubic.compare_power_to_int(k, t - 1)
+        return t, proved[k]
 
-    def good(n):
-        m = cubic.radius_index(n)
-        lo, hi = threshold(m + 1), threshold(m + 2)
-        if lo is None or hi is None or not lo <= n < hi:
-            return None
-        return m
-
+    # the walk keeps T_(m+1) <= n < hi = T_(m+2): a step up makes hi the lower end
+    m = -1
+    lo_proved = threshold(0)[1]
+    hi, hi_proved = threshold(1)
     for n in range(1, cfg.radius_exhaustive + 1):
-        m = good(n)
-        if m is None or (prev is not None and m < prev):
+        while hi <= n:
+            m += 1
+            lo_proved = hi_proved
+            hi, hi_proved = threshold(m + 2)
+        if not (lo_proved and hi_proved) or cubic.radius_index(n) != m:
             bad.append(n)
-        prev = m
     for _ in range(cfg.radius_random):
         n = rng.randint(cfg.radius_exhaustive, cfg.radius_max)
-        if good(n) is None:
+        i = cubic.radius_index(n)
+        (lo, lo_proved), (hi, hi_proved) = threshold(i + 1), threshold(i + 2)
+        if not (lo_proved and hi_proved and lo <= n < hi):
             bad.append(n)
     lo, hi = cubic.log_lambda_enclosure(4)
     rounded_660 = lo >= Fraction(6595, 1000) and hi <= Fraction(6605, 1000)

@@ -34,6 +34,9 @@ _KLEIN = {
     ("d", "c"): "b",
 }
 
+# the successor of each letter of {b, c, d} but the last, in "bcd" order
+_NEXT_LETTER = dict(zip(BCD, BCD[1:]))
+
 # the longest reduced prefix of a string: a alternates with a letter of
 # {b, c, d}; the possessive repeat keeps no backtracking state, so a long
 # word is scanned in constant memory
@@ -169,22 +172,21 @@ def _necklaces(k: int):
     A necklace is the least rotation of its class.  This is the
     Fredricksen-Kessler-Maiorana algorithm: it steps through the
     prenecklaces in lexicographic order, and a prenecklace whose longest
-    Lyndon prefix has length p is a necklace iff p divides k.
+    Lyndon prefix has length p is a necklace iff p divides k.  The next
+    prenecklace drops the trailing d's, raises the last letter left, and
+    repeats that prefix of length p to length k, so each is built from its
+    prefix by string operations and yielded at once.
     """
-    a = [0] * k
-    p = 1
+    r, p = "b" * k, 1
     while True:
         if k % p == 0:
-            yield "".join([BCD[x] for x in a]), p
-        i = k - 1
-        while i >= 0 and a[i] == 2:
-            i -= 1
-        if i < 0:
+            yield r, p
+        prefix = r.rstrip("d")
+        if not prefix:
             return
-        a[i] += 1
-        p = i + 1
-        for j in range(p, k):
-            a[j] = a[j - p]
+        p = len(prefix)
+        prefix = prefix[:-1] + _NEXT_LETTER[prefix[-1]]
+        r = (prefix * (k // p + 1))[:k]
 
 
 def _bracelets(k: int):

@@ -13,8 +13,9 @@ tests of a class's tally are decided once per letter-count vector of its
 bracelet.
 
 The memos are ``functools.cache`` on pure functions (``_is_trivial``,
-``_order``, ``_letter_action``, ``_in_open_ball``, ``_class_exponent``),
-each with ``cache_info()`` and ``cache_clear()``.
+``_order``, ``_letter_action``, ``_in_open_ball``, ``_class_exponent``,
+and ``_section_table`` of ``_SPLIT_IMAGE``), each with ``cache_info()``
+and ``cache_clear()``.
 """
 
 from __future__ import annotations
@@ -49,9 +50,23 @@ from .words import (
     reduce_word,
 )
 
+
+class _Image(dict):
+    """A dict that drops the cached ``_section_table`` whenever an item is
+    set or deleted, so that a patched image reaches every split."""
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        _section_table.cache_clear()
+
+    def __delitem__(self, key):
+        super().__delitem__(key)
+        _section_table.cache_clear()
+
+
 # first-level images of the inactive generators: i(b) = (a, c), i(c) = (a, d),
 # i(d) = (1, b)
-_SPLIT_IMAGE = {"b": ("a", "c"), "c": ("a", "d"), "d": ("", "b")}
+_SPLIT_IMAGE = _Image(b=("a", "c"), c=("a", "d"), d=("", "b"))
 
 
 def split(w: str) -> tuple[str, str]:
@@ -62,10 +77,11 @@ def split(w: str) -> tuple[str, str]:
     return _split_reduced(w, _section_table())
 
 
+@functools.cache
 def _section_table() -> dict[int, str | None]:
     """The ``str.translate`` table of ``_SPLIT_IMAGE``: x -> x0 and
-    X -> x1, an empty section mapped to None, which deletes.  Built per call
-    from the dict, so that a patch of ``_SPLIT_IMAGE`` reaches every split."""
+    X -> x1, an empty section mapped to None, which deletes.  Built once
+    per state of the image, which clears it on every write."""
     sections = {}
     for x, (x0, x1) in _SPLIT_IMAGE.items():
         sections[ord(x)] = x0 or None
@@ -513,10 +529,12 @@ def _class_sweep(n: int, level: int) -> NBallReport | None:
     The letters in r are those with a nonzero count, so the keys, and the
     tally's radius test, are fixed by (nb, nc, nd): the test is decided
     once per count vector, and a tally is built only for a new one.  A
-    class's words are counted by ``_rotation_words``, without its tally.
+    class's words are counted by ``_rotation_words``, without its tally,
+    and added up by (exponent, depth), so the report is filled once per
+    pair at the end.
     """
-    report = NBallReport(radius=n, level=level, word_count=0, max_exponent=0, max_depth=0)
     children = {}  # child word -> certify_exponent(child, level - 1)
+    counts = {}  # (exponent, depth) -> words certified with them
 
     def certify(m: str, words: int) -> None:
         _rule, added, kids = _class_step(m if level > 0 else _ball_class(m, level), level)
@@ -527,7 +545,8 @@ def _class_sweep(n: int, level: int) -> NBallReport | None:
                 found = children[child] = certify_exponent(child, level - 1)
             exponent = max(exponent, found[0])
             depth = max(depth, found[1])
-        report.add(exponent + added, depth + 1, words)
+        key = (exponent + added, depth + 1)
+        counts[key] = counts.get(key, 0) + words
 
     verdicts = {}  # (nb, nc, nd) -> whether every tally key is in the ball
     k = 0
@@ -552,4 +571,7 @@ def _class_sweep(n: int, level: int) -> NBallReport | None:
             certify("a" + "a".join(r), p * per_rotation * (1 if self_inverse else 2))
     except RadiusViolation:
         return None
+    report = NBallReport(radius=n, level=level, word_count=0, max_exponent=0, max_depth=0)
+    for (exponent, depth), words in counts.items():
+        report.add(exponent, depth, words)
     return report

@@ -17,6 +17,7 @@ CACHES = {
     "wreath._order",
     "wreath._letter_action",
     "wreath._class_exponent",
+    "wreath._section_table",
 }
 
 

@@ -123,9 +123,10 @@ _CORPUS_SUBGROUPS = {
 
 def test_corpus_subgroups_are_pinned_and_each_joined_once(monkeypatch):
     """The subgroups, their generators and their order are pinned; each
-    subgroup is joined with the elements outside it once, in the round
-    after the one that found it (1 681 closures when every round rejoined
-    all subgroups found so far)."""
+    subgroup S is joined once, in the round after the one that found it,
+    with one element of each right coset S.g outside S (812 closures when
+    S was joined with every element outside it, 1 681 when every round
+    rejoined all subgroups found so far)."""
     corpus = lemma_corpus()
     calls = []
     real = permgrp.closure
@@ -134,7 +135,23 @@ def test_corpus_subgroups_are_pinned_and_each_joined_once(monkeypatch):
         subgroups = enumerate_subgroups(G)
         pairs = repr([(S.generators, S.elements) for S in subgroups])
         assert (len(subgroups), hashlib.sha256(pairs.encode()).hexdigest()) == _CORPUS_SUBGROUPS[name]
-    assert len(calls) == 812
+    assert len(calls) == 357
+
+
+def _orbit_cases():
+    for G in lemma_corpus().values():
+        for H in enumerate_subgroups(G):
+            yield G, H
+    yield alternating_4(), closure([from_cycles(4, [(0, 1, 2)])])
+
+
+def test_conjugation_orbit_gives_the_core_and_the_normalizer_index():
+    # the oracles conjugate H by every element of G
+    for G, H in _orbit_cases():
+        orbit = permgrp._conjugation_orbit(G, H)
+        assert orbit[0] == H.element_set and len(set(orbit)) == len(orbit)
+        assert frozenset.intersection(*orbit) == core(G, H).element_set
+        assert len(orbit) == index(G, normalizer(G, H))
 
 
 def test_element_set_is_built_once_per_group():

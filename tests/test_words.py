@@ -1,4 +1,5 @@
 from collections import Counter, defaultdict
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,7 @@ from conftest import raw_words, reduced_words
 from grigorchuk.errors import CapExceeded, PreconditionError, WordParseError
 from grigorchuk.growth import ball_free_product
 from grigorchuk.words import (
+    BCD,
     _bracelets,
     _cycle_conjugators,
     _cycle_tally,
@@ -216,6 +218,23 @@ def test_ball_classes_are_distinct_minimal_conjugates():
     reps = [m for m, _tally in iter_ball_classes(20)]
     assert len(reps) == len(set(reps)) == 9508
     assert all(min_conjugate(m) == m for m in reps)
+
+
+def test_necklaces_are_the_least_rotations():
+    # the oracle: every word over "bcd", by its least rotation and period
+    for k in range(1, 9):
+        want = set()
+        for w in map("".join, product(BCD, repeat=k)):
+            p = next(p for p in range(1, k + 1) if k % p == 0 and w[:p] * (k // p) == w)
+            want.add((min(w[i:] + w[:i] for i in range(k)), p))
+        assert list(_necklaces(k)) == sorted(want), k
+
+
+def test_bracelets_stream_without_a_list_per_length():
+    # a generator that built a length's list first would not return here
+    assert next(iter_ball_bracelets(400)) == ("b", 1, True)
+    assert next(_bracelets(300)) == ("b" * 300, 1, True)
+    assert next(_necklaces(300)) == ("b" * 300, 1)
 
 
 def test_bracelets_are_the_necklaces_up_to_inversion():

@@ -62,6 +62,18 @@ def test_split_matches_the_letter_by_letter_reference():
         assert split(w) == _split_by_letters(w), w
 
 
+def test_split_follows_every_write_to_the_image(monkeypatch):
+    # the section table is cached, and each write to the image drops it
+    assert split("d") == ("", "b")
+    with monkeypatch.context() as patch:
+        patch.setitem(wreath._SPLIT_IMAGE, "d", ("a", "b"))
+        assert split("d") == ("a", "b")
+        patch.delitem(wreath._SPLIT_IMAGE, "d")
+        assert ord("d") not in wreath._section_table()
+    assert split("d") == ("", "b")
+    assert split("ada") == ("b", "")
+
+
 @given(reduced_words(max_size=16))
 def test_split_conjugation_by_a_swaps_components(w):
     if a_parity(w):
