@@ -345,7 +345,7 @@ def radius_index(n: int) -> int:
     _check_int(n, "radius_index needs an int")
     if n < 1:
         raise ValueError("radius_index needs n >= 1")
-    m = max(int(math.log(n) / _LOG_LAMBDA) - 3, -1)
+    m = max(int(math.log(n) / _LOG_LAMBDA) - 1, -1)
     while _power_ceiling(m + 2) <= n:
         m += 1
     while m >= 0 and _power_ceiling(m + 1) > n:

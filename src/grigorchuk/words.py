@@ -195,17 +195,20 @@ def _bracelets(k: int):
     symmetric is True iff the two are equal.
 
     The necklace of reversed r is its least rotation.  Only the first p
-    rotations are distinct, and one below r must start with r's least
-    letter, so those are the only rotations compared.
+    rotations are distinct.  r starts with a run of its least letter, no
+    shorter than any run of that letter around r (a rotation starting at a
+    longer one would be below r), and reversal keeps the runs; so a
+    rotation below r starts with r's leading run, and those are the only
+    rotations compared.
     """
     for r, p in _necklaces(k):
         rotations = r[::-1] * 2
-        first = r[0]
-        i = rotations.find(first)
+        lead = r[: k - len(r.lstrip(r[0]))]
+        i = rotations.find(lead)
         while i < p:
             if rotations[i : i + k] < r:
                 break
-            i = rotations.find(first, i + 1)
+            i = rotations.find(lead, i + 1)
         else:
             yield r, p, r in rotations
 

@@ -8,14 +8,16 @@ upper bounds valid at the stated approximant level; orders themselves are
 computed in the limit group, where the splitting is injective on the
 parity kernel.  The exhaustive n-ball sweep certifies each conjugacy class
 of the ball once and never builds the ball's words, unless some word fails.
-Within a sweep, each distinct child word is certified once, and the radius
-tests of a class's tally are decided once per letter-count vector of its
-bracelet.
+Within a sweep, a class's children are split straight from its bracelet,
+an unreduced side is reduced once while the sweep keeps it, each distinct
+child word is certified once, and the radius tests of a class's tally are
+decided once per letter-count vector of its bracelet.
 
 The memos are ``functools.cache`` on pure functions (``_is_trivial``,
 ``_order``, ``_letter_action``, ``_in_open_ball``, ``_class_exponent``,
 and ``_section_table`` of ``_SPLIT_IMAGE``), each with ``cache_info()``
-and ``cache_clear()``.
+and ``cache_clear()``.  A write to ``_SPLIT_IMAGE`` clears every memo
+derived from it.
 """
 
 from __future__ import annotations
@@ -52,16 +54,22 @@ from .words import (
 
 
 class _Image(dict):
-    """A dict that drops the cached ``_section_table`` whenever an item is
-    set or deleted, so that a patched image reaches every split."""
+    """A dict that drops every memo derived from it whenever an item is set
+    or deleted, so that a patched image reaches every split, and nothing
+    computed under a patch outlives it."""
 
     def __setitem__(self, key, value):
         super().__setitem__(key, value)
-        _section_table.cache_clear()
+        self._changed()
 
     def __delitem__(self, key):
         super().__delitem__(key)
-        _section_table.cache_clear()
+        self._changed()
+
+    @staticmethod
+    def _changed() -> None:
+        for memo in (_section_table, _is_trivial, _letter_action, _order, _class_exponent):
+            memo.cache_clear()
 
 
 # first-level images of the inactive generators: i(b) = (a, c), i(c) = (a, d),
@@ -89,9 +97,12 @@ def _section_table() -> dict[int, str | None]:
     return sections
 
 
-def _split_reduced(w: str, sections: dict[int, str | None], sides: int = 2) -> tuple[str, ...]:
-    """The first ``sides`` components of ``split(w)``, for a word w that is
-    already reduced and of parity 0.
+def _split_letters(
+    letters: str, first: int, sections: dict[int, str | None], sides: int = 2
+) -> tuple[str, ...]:
+    """The first ``sides`` components of the splitting, not reduced, from
+    the letters of {b, c, d} of a reduced parity-0 word in their order, the
+    first of them of a-parity ``first``.
 
     A letter x in {b, c, d} contributes its section x0 to side p and x1 to
     side 1-p, where p is the parity of the a's before it.  In a reduced word
@@ -100,15 +111,21 @@ def _split_reduced(w: str, sections: dict[int, str | None], sides: int = 2) -> t
     translates the tagged letters into side 0 and the case-swapped ones into
     side 1.
     """
+    tagged = bytearray(letters, "ascii")
+    tagged[1 - first :: 2] = tagged[1 - first :: 2].upper()
+    tagged = tagged.decode()
+    if sides == 1:
+        return (tagged.translate(sections),)
+    return tagged.translate(sections), tagged.swapcase().translate(sections)
+
+
+def _split_reduced(w: str, sections: dict[int, str | None], sides: int = 2) -> tuple[str, ...]:
+    """The first ``sides`` components of ``split(w)``, for a word w that is
+    already reduced and of parity 0: ``_split_letters`` of its letters of
+    {b, c, d}, each side reduced."""
     # the first letter of {b, c, d} has parity 1 iff w starts with a
     odd = w[:1] == "a"
-    tagged = bytearray(w[odd::2], "ascii")
-    tagged[1 - odd :: 2] = tagged[1 - odd :: 2].upper()
-    tagged = tagged.decode()
-    w0 = reduce_word(tagged.translate(sections))
-    if sides == 1:
-        return (w0,)
-    return w0, reduce_word(tagged.swapcase().translate(sections))
+    return tuple(map(reduce_word, _split_letters(w[odd::2], odd, sections, sides)))
 
 
 def is_trivial(w: str) -> bool:
@@ -499,6 +516,12 @@ def verify_nball_proposition(n: int, words=None, level: int | None = None) -> NB
     return report
 
 
+# the most unreduced sides a sweep keeps before it starts over: the 20-ball
+# has 4 021 and the 28-ball 148 180, which, all kept, would raise a cold
+# 28-ball's peak memory by about 13 MB for few more hits
+_SIDE_MEMO_SIZE = 1 << 14
+
+
 def _class_sweep(n: int, level: int) -> NBallReport | None:
     """The exhaustive n-ball report, one certificate per conjugacy class;
     None as soon as some word of the ball fails at this level.
@@ -520,29 +543,42 @@ def _class_sweep(n: int, level: int) -> NBallReport | None:
     ``iter_ball_bracelets``, one class of each inverse pair, and a class's
     words count twice unless it is its own inverse.
 
-    Each distinct piece of work runs once per sweep.  Many classes share a
-    child word, so the child step ``certify_exponent(child, level - 1)`` is
-    kept per word in a dict that lives as long as the call; a child that
-    fails ends the sweep and is never kept.  The tally keys of a bracelet r
-    of length k = nb + nc + nd are (k, nb, nc, nd) and that vector moved by
-    the merge delta of each letter in r and by the conjugators of (n, k).
-    The letters in r are those with a nonzero count, so the keys, and the
-    tally's radius test, are fixed by (nb, nc, nd): the test is decided
-    once per count vector, and a tally is built only for a new one.  A
-    class's words are counted by ``_rotation_words``, without its tally,
-    and added up by (exponent, depth), so the report is filled once per
-    pair at the end.
+    Each distinct piece of work runs once per sweep.  At level > 0 a
+    bracelet's step is taken from r itself: m = "a" + "a".join(r) has k a's
+    and the letters r, the first of a-parity 1, so ``_split_letters`` of r
+    (k even) or of r + r (k odd, one side of m.m, one more factor of two)
+    gives the children of ``_class_step(m, n)`` before reduction, and no m
+    is built.  Many classes share a side, so a side is reduced once while
+    the sweep keeps it (at most ``_SIDE_MEMO_SIZE`` sides, emptied when
+    full), and the child step ``certify_exponent(child, level - 1)`` is
+    kept per child word in a dict that lives as long as the call; a child
+    that fails ends the sweep and is never kept.  The tally keys of a
+    bracelet r of length k = nb + nc + nd are (k, nb, nc, nd) and that
+    vector moved by the merge delta of each letter in r and by the
+    conjugators of (n, k).  The letters in r are those with a nonzero
+    count, so the keys, and the tally's radius test, are fixed by (nb, nc,
+    nd): the test is decided once per count vector, and a tally is built
+    only for a new one.  A class's words are counted by
+    ``_rotation_words``, without its tally, and added up by (exponent,
+    depth), so the report is filled once per pair at the end.
     """
-    children = {}  # child word -> certify_exponent(child, level - 1)
+    sections = _section_table()
+    certified = {}  # child word -> certify_exponent(child, level - 1)
+    by_side = {}  # unreduced side -> certified[reduce_word(side)]
     counts = {}  # (exponent, depth) -> words certified with them
 
-    def certify(m: str, words: int) -> None:
-        _rule, added, kids = _class_step(m if level > 0 else _ball_class(m, level), level)
+    def certify(added: int, sides, words: int) -> None:
         exponent = depth = 0
-        for child in kids:
-            found = children.get(child)
+        for side in sides:
+            found = by_side.get(side)
             if found is None:
-                found = children[child] = certify_exponent(child, level - 1)
+                child = reduce_word(side)
+                found = certified.get(child)
+                if found is None:
+                    found = certified[child] = certify_exponent(child, level - 1)
+                if len(by_side) == _SIDE_MEMO_SIZE:
+                    by_side.clear()
+                by_side[side] = found
             exponent = max(exponent, found[0])
             depth = max(depth, found[1])
         key = (exponent + added, depth + 1)
@@ -554,21 +590,29 @@ def _class_sweep(n: int, level: int) -> NBallReport | None:
         for m, tally in _letter_classes(n):
             if level > 0 and not all(_in_open_ball(*counts, level - 1) for counts in tally):
                 return None
-            certify(m, sum(tally.values()))
+            _rule, added, kids = _class_step(m if level > 0 else _ball_class(m, level), level)
+            certify(added, kids, sum(tally.values()))
         for r, p, self_inverse in iter_ball_bracelets(n):
             if len(r) != k:
                 k = len(r)
                 conjugators = _cycle_conjugators(n, k)
                 per_rotation = _rotation_words(conjugators)
-            if level > 0:
-                key = (r.count("b"), r.count("c"), r.count("d"))
-                verdict = verdicts.get(key)
-                if verdict is None:
-                    tally = _cycle_tally(r, p, conjugators)
-                    verdict = verdicts[key] = all(_in_open_ball(*c, level - 1) for c in tally)
-                if not verdict:
-                    return None
-            certify("a" + "a".join(r), p * per_rotation * (1 if self_inverse else 2))
+            words = p * per_rotation * (1 if self_inverse else 2)
+            if level <= 0:
+                _rule, added, kids = _class_step(_ball_class("a" + "a".join(r), level), level)
+                certify(added, kids, words)
+                continue
+            key = (r.count("b"), r.count("c"), r.count("d"))
+            verdict = verdicts.get(key)
+            if verdict is None:
+                tally = _cycle_tally(r, p, conjugators)
+                verdict = verdicts[key] = all(_in_open_ball(*c, level - 1) for c in tally)
+            if not verdict:
+                return None
+            if k & 1:
+                certify(1, _split_letters(r + r, 1, sections, 1), words)
+            else:
+                certify(0, _split_letters(r, 1, sections), words)
     except RadiusViolation:
         return None
     report = NBallReport(radius=n, level=level, word_count=0, max_exponent=0, max_depth=0)

@@ -402,6 +402,17 @@ def test_radius_index_agrees_with_exact_comparison():
     assert [radius_index(n) for n in ns] == [_radius_index_by_comparison(n) for n in ns]
 
 
+def test_radius_index_reads_two_thresholds_per_n(monkeypatch):
+    # the float estimate less one is i(n) here, so each correcting loop
+    # reads one threshold and stops; n = 1 (m = -1) skips the second
+    calls = []
+    real = cubic._power_ceiling
+    monkeypatch.setattr(cubic, "_power_ceiling", lambda k: calls.append(k) or real(k))
+    for n in range(1, 10_001):
+        radius_index(n)
+    assert len(calls) == 2 * 10_000 - 1
+
+
 @given(cubics, st.integers(min_value=-(10**12), max_value=10**12))
 def test_compare_with_int_agrees_with_cubic(x, n):
     assert x.compare(n) == x.compare(CubicNumber(n))

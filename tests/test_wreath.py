@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,7 @@ from grigorchuk.cubic import LAMBDA_INV, lambda_length, radius_index
 from grigorchuk.errors import CapExceeded, GrigError, PreconditionError
 from grigorchuk.words import (
     BCD,
+    _bracelets,
     a_parity,
     invert,
     iter_ball_bracelets,
@@ -72,6 +74,26 @@ def test_split_follows_every_write_to_the_image(monkeypatch):
         assert ord("d") not in wreath._section_table()
     assert split("d") == ("", "b")
     assert split("ada") == ("b", "")
+
+
+def test_image_writes_clear_every_memo_derived_from_it(monkeypatch):
+    """Nothing computed under a patched image outlives it: the word problem,
+    the level action, the certificates and the orders all read the image."""
+
+    def probes():
+        return is_trivial("adadadad"), level_action("d", 2), certify_exponent("ad", 3)
+
+    with monkeypatch.context() as patch:
+        patch.setitem(wreath._SPLIT_IMAGE, "d", ("a", "b"))
+        for memo in (wreath._is_trivial, wreath._letter_action, wreath._order, wreath._class_exponent):
+            memo.cache_clear()
+        assert probes() == (False, (1, 0, 2, 3), (5, 4))
+    assert probes() == (True, (0, 1, 2, 3), (2, 2))
+    assert order("abad") == 16
+    with monkeypatch.context() as patch:
+        patch.setitem(wreath._SPLIT_IMAGE, "d", ("", "c"))
+        assert order("abad") == 8
+    assert order("abad") == 16
 
 
 @given(reduced_words(max_size=16))
@@ -350,16 +372,65 @@ def test_step_children_are_the_split_of_m_or_its_square():
         assert wreath._class_step(m, 1)[2] == want, m
 
 
-def test_sweep_certifies_each_child_word_once(monkeypatch):
-    # 9 123 children of the 5 301 classes, 1 003 of them distinct words
-    level = radius_index(20)
-    top, children = [], []
-    real_step, real_certify = wreath._class_step, wreath.certify_exponent
+def _record_sweep_steps(monkeypatch, level):
+    """The top-level steps of a sweep at this level, as they are taken: the
+    letter classes through ``_class_step``, the bracelets through the split
+    kernel that ``_class_sweep`` calls itself.  Each entry is (m, raw sides),
+    raw sides None for a letter class."""
+    steps = []
+    real_step, real_kernel = wreath._class_step, wreath._split_letters
 
     def step(m, n):
         if n == level:
-            top.append(m)
+            steps.append((m, None))
         return real_step(m, n)
+
+    def kernel(letters, first, sections, sides=2):
+        raw = real_kernel(letters, first, sections, sides)
+        if sys._getframe(1).f_code is wreath._class_sweep.__code__:
+            assert first == 1
+            r = letters[: len(letters) // 2] if sides == 1 else letters
+            steps.append(("a" + "a".join(r), raw))
+        return raw
+
+    monkeypatch.setattr(wreath, "_class_step", step)
+    monkeypatch.setattr(wreath, "_split_letters", kernel)
+    return steps
+
+
+def test_sweep_sides_are_the_class_step_children(monkeypatch):
+    """The sweep takes a bracelet's children from r, without m.  Reduced,
+    its raw sides are the children of ``_class_step(m, n)`` and the split of
+    m, or side 0 of the split of m.m, letter by letter.  The 20-ball's
+    bracelets are every bracelet of length <= 10; their 9 123 raw sides are
+    4 021 distinct words, which reduce to 1 003 distinct children."""
+    level = radius_index(20)
+    steps = _record_sweep_steps(monkeypatch, level)
+    assert verify_nball_proposition(20).ok
+    bracelets = [(m, raw) for m, raw in steps if raw is not None]
+    assert len(bracelets) == 5296
+    assert {m[1::2] for m, _raw in bracelets} == {r for k in range(1, 11) for r, _p, _s in _bracelets(k)}
+    for m, raw in bracelets:
+        want = _split_by_letters(m) if a_parity(m) == 0 else _split_by_letters(m + m)[:1]
+        assert tuple(map(reduce_word, raw)) == wreath._class_step(m, level)[2] == want, m
+    sides = [side for _m, raw in bracelets for side in raw]
+    assert len(sides) == 9123
+    assert len(set(sides)) == 4021
+    assert len(set(map(reduce_word, sides))) == 1003
+
+
+def test_sweep_side_memo_starting_over_changes_no_report(monkeypatch):
+    # a full side memo is emptied; a side met again is reduced again
+    want = [verify_nball_proposition(n).to_dict() for n in (12, 16)]
+    monkeypatch.setattr(wreath, "_SIDE_MEMO_SIZE", 8)
+    assert [verify_nball_proposition(n).to_dict() for n in (12, 16)] == want
+
+
+def test_sweep_certifies_each_child_word_once(monkeypatch):
+    # 9 123 children of the 5 301 classes, 1 003 of them distinct words
+    level = radius_index(20)
+    children = []
+    real_certify = wreath.certify_exponent
 
     def certify(w, n):
         if n == level - 1:
@@ -367,7 +438,7 @@ def test_sweep_certifies_each_child_word_once(monkeypatch):
         return real_certify(w, n)
 
     wreath._class_exponent.cache_clear()
-    monkeypatch.setattr(wreath, "_class_step", step)
+    top = _record_sweep_steps(monkeypatch, level)
     monkeypatch.setattr(wreath, "certify_exponent", certify)
     assert verify_nball_proposition(20).ok
     assert len(top) == 5301
@@ -409,18 +480,11 @@ def test_a_class_and_its_inverse_certify_alike():
 
 
 def test_sweep_steps_once_per_pair_of_inverse_classes(monkeypatch):
-    # 9 508 classes, 1 094 of them their own inverse: (9 508 + 1 094) / 2
-    level = radius_index(20)
-    top = []
-    real = wreath._class_step
-
-    def counted(m, n):
-        if n == level:
-            top.append(m)
-        return real(m, n)
-
-    monkeypatch.setattr(wreath, "_class_step", counted)
+    # 9 508 classes, 1 094 of them their own inverse: (9 508 + 1 094) / 2,
+    # the 5 letter classes and 5 296 bracelets
+    steps = _record_sweep_steps(monkeypatch, radius_index(20))
     assert verify_nball_proposition(20).ok
+    top = [m for m, _raw in steps]
     assert len(top) == len(set(top)) == 5301
     assert all(m <= min_conjugate(invert(m)) for m in top)
 
