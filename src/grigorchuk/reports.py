@@ -8,8 +8,8 @@ check fails, else ``pass``.
 
 Every verdict is exact.  Most checks are proofs or exhaustive sweeps: the
 contraction lemma, for one, is decided from finitely many facts in Q(L)
-and the grammar of reduced words.  Only the random n-ball sweep and the
-random radius samples draw from ``CheckConfig.seed``.
+and the grammar of reduced words.  Only the ``radius_random`` samples of
+``radius-index-exact`` draw from ``CheckConfig.seed``.
 """
 
 from __future__ import annotations
@@ -30,15 +30,13 @@ from .cosets import (
     todd_coxeter,
 )
 from .cubic import CubicNumber, LAMBDA, LAMBDA_INV, WEIGHT, lambda_length
-from .words import _KLEIN, BCD, FOLLOWERS, LETTERS
+from .words import _KLEIN, FOLLOWERS, LETTERS
 from .wreath import _SPLIT_IMAGE, order
 
 
 @dataclass
 class CheckConfig:
     nball_radii: tuple[int, ...] = (2, 5, 10, 20)
-    nball_random_max: int = 0  # random sweep over radii 2..this (below 2 = off)
-    nball_random_samples: int = 100_000
     radius_exhaustive: int = 10_000
     radius_random: int = 200
     radius_max: int = 1_000_000
@@ -75,8 +73,6 @@ class CheckConfig:
 # nball_radii bounds each of its entries
 _CONFIG_MINIMUM = {
     "nball_radii": 2,
-    "nball_random_max": 0,
-    "nball_random_samples": 1,
     "radius_exhaustive": 1,
     "radius_random": 0,
     "radius_max": 1,
@@ -117,35 +113,6 @@ class CheckReport:
 
 def _status(ok: bool) -> str:
     return "pass" if ok else "fail"
-
-
-def random_reduced_word(length: int, rng: random.Random) -> str:
-    """A random reduced word of the given length: the first letter uniform
-    over LETTERS, then a and a uniform letter of BCD alternate.
-
-    Draws from rng exactly as rng.choice(LETTERS) and rng.choice(BCD) do,
-    by rejection on getrandbits(3) below 4 and getrandbits(2) below 3, so
-    a seed gives the same words as a loop on rng.choice.  Its branches beat
-    a ``words.FOLLOWERS`` lookup on the same stream, 0.27-0.33 s against
-    0.37 s per 100 000 words of length 0..30 (Python 3.11.7, 2 vCPUs).
-    """
-    getrandbits = rng.getrandbits
-    out: list[str] = []
-    for _ in range(length):
-        last = out[-1] if out else ""
-        if last == "a":
-            r = getrandbits(2)
-            while r >= 3:
-                r = getrandbits(2)
-            out.append(BCD[r])
-        elif last:
-            out.append("a")
-        else:
-            r = getrandbits(3)
-            while r >= 4:
-                r = getrandbits(3)
-            out.append(LETTERS[r])
-    return "".join(out)
 
 
 def _timed(builder):
@@ -326,26 +293,6 @@ def check_nball(cfg: CheckConfig) -> Iterator[CheckReport]:
             f"at level i({n}) = {rep.level}, exponent <= i+2",
             _status(ok),
             rep.to_dict(),
-        )
-    if cfg.nball_random_max >= 2:
-        rng = random.Random(cfg.seed)
-        failures = 0
-        max_exp = 0
-        count = 0
-        for n in range(2, cfg.nball_random_max + 1):
-            words = (
-                random_reduced_word(rng.randint(0, n), rng)
-                for _ in range(cfg.nball_random_samples)
-            )
-            rep = wreath.verify_nball_proposition(n, words=words)
-            failures += len(rep.failures)
-            max_exp = max(max_exp, rep.max_exponent)
-            count += rep.word_count
-        yield CheckReport(
-            f"nball-torsion-random-{cfg.nball_random_max}",
-            "random words up to the configured radius all certify",
-            _status(failures == 0),
-            {"count": count, "failures": failures, "max_exponent": max_exp},
         )
 
 

@@ -244,38 +244,16 @@ _MERGE_DELTA = {
 }
 
 
-def iter_ball_classes(n: int):
-    """Yield (m, tally) for every conjugacy class that meets the n-ball of
-    the free product: m is the class's minimal conjugate (the word
-    ``min_conjugate`` returns) and tally maps each letter-count vector
-    (na, nb, nc, nd) to the number of words of length <= n in the class
-    with those counts.  No word of the ball is built.
-
-    - The classes 1, a, b, c, d hold the words u.x.u^-1, where u is empty
-      or its last letter does not merge with x.
-    - Every other class is m = "a" + "a".join(r) for a necklace r over
-      "bcd" of length k and least period p.  Its words of even length are
-      cyclically reduced: the 2p distinct rotations of m.  Its words of
-      odd length are u.x.v.y.u^-1, where z.v is one of the p distinct
-      rotations of m that start with a letter z of {b, c, d}, x is one of
-      the two other letters of {b, c, d}, y = xz, and u is empty or ends
-      in a.  Both choices of x give the same counts.
-    """
-    yield from _letter_classes(n)
-    for k in range(1, n // 2 + 1):
-        conjugators = _cycle_conjugators(n, k)
-        for r, p in _necklaces(k):
-            yield "a" + "a".join(r), _cycle_tally(r, p, conjugators)
-
-
 def iter_ball_bracelets(n: int):
     """Yield (r, p, self_inverse) for every pair of mutually inverse
-    conjugacy classes "a" + "a".join(r) that meets the n-ball, in the order
-    of ``iter_ball_classes``: r is a necklace over "bcd" of length 1..n // 2
-    and least period p, its class is the lesser of the pair, and
-    self_inverse is True iff the class is its own inverse.  The tally of the
-    class is ``_cycle_tally(r, p, _cycle_conjugators(n, len(r)))``; the
-    classes 1, a, b, c, d of ``_letter_classes`` are involutions.
+    conjugacy classes "a" + "a".join(r) that meets the n-ball of the free
+    product, r by length and then in lexicographic order: r is a necklace
+    over "bcd" of length 1..n // 2 and least period p, "a" + "a".join(r) is
+    the minimal conjugate of the lesser class of the pair, and self_inverse
+    is True iff the class is its own inverse.  Every class of the ball but
+    1, a, b, c, d (``_letter_classes``, all involutions) has such a minimal
+    conjugate.  The tally of the class is
+    ``_cycle_tally(r, p, _cycle_conjugators(n, len(r)))``.
 
     Inversion reverses a word, so it keeps the letter counts, and the class
     of m = "a" + "a".join(r) has the inverse "a" + "a".join(s), where s is
@@ -289,7 +267,11 @@ def iter_ball_bracelets(n: int):
 
 
 def _letter_classes(n: int):
-    """(m, tally) for the classes 1, a, b, c, d that meet the n-ball."""
+    """(m, tally) for the classes 1, a, b, c, d that meet the n-ball: m is
+    the class's minimal conjugate and tally maps each letter-count vector
+    (na, nb, nc, nd) to the number of words of length <= n in the class
+    with those counts.  These classes hold the words u.x.u^-1, where u is
+    empty or its last letter does not merge with x."""
     if n < 0:
         raise ValueError("radius must be >= 0")
     yield IDENTITY, {(0, 0, 0, 0): 1}
@@ -319,9 +301,18 @@ def _rotation_words(conjugators) -> int:
 
 
 def _cycle_tally(r: str, p: int, conjugators) -> dict:
-    """The tally of the class "a" + "a".join(r), r a necklace of least
-    period p (see ``iter_ball_classes``).  Its keys depend on r only through
-    the letter counts (nb, nc, nd), which also say which letters occur."""
+    """The tally of the class "a" + "a".join(r), r a necklace over "bcd" of
+    least period p, given the conjugator tally of ``_cycle_conjugators``:
+    each letter-count vector (na, nb, nc, nd) maps to the number of words
+    of the ball in the class with those counts.  No word is built.
+
+    The class's words of even length are cyclically reduced: the 2p
+    distinct rotations of "a" + "a".join(r).  Its words of odd length are
+    u.x.v.y.u^-1, where z.v is one of the p distinct rotations that start
+    with a letter z of {b, c, d}, x is one of the two other letters of
+    {b, c, d}, y = xz, and u is empty or ends in a.  Both choices of x give
+    the same counts.  The keys depend on r only through the letter counts
+    (nb, nc, nd), which also say which letters occur."""
     k = len(r)
     nb, nc, nd = r.count("b"), r.count("c"), r.count("d")
     tally = {(k, nb, nc, nd): 2 * p}

@@ -484,9 +484,9 @@ def verify_nball_proposition(n: int, words=None, level: int | None = None) -> NB
     rebuilt word by word over ``iter_ball_free(n)``, so failures keep their
     shortlex order.
 
-    ``words`` overrides the exhaustive free-product ball (e.g. for random
-    sampling); each word is reduced first, so a letter outside "abcd"
-    raises ValueError.
+    ``words`` overrides the exhaustive free-product ball with any stream of
+    words, certified one by one at the level; each word is reduced first,
+    so a letter outside "abcd" raises ValueError.
     ``level`` overrides the computed radius index.  A radius or level that
     is not an int raises TypeError, and a radius below 0 (below 2 without
     ``level``) raises ValueError.

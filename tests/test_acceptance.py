@@ -1,10 +1,9 @@
 """Acceptance gate: ten numbered criteria, one printed pass/fail line each.
 
 Each criterion asserts on the ``reports.check_*`` builders that
-``grig check-all`` runs, with this module's seed and sample sizes, so every
-check exists once.  The witnesses are asserted to hold the full sample
-sizes, so a smaller configuration cannot pass silently.  Criterion 3 also
-runs a seeded sample of 10 000 minimal conjugates through
+``grig check-all`` runs, with this module's seed and sizes, so every check
+exists once.  Criterion 3 also runs a seeded sample of 10 000 minimal
+conjugates, drawn by ``conftest.random_reduced_word``, through
 ``lemma_split_contraction_check``, the independent oracle of the
 contraction lemma's proof in ``check-all``.
 
@@ -19,12 +18,19 @@ i(n)+1; exact arithmetic refutes both.  L^10 ~ 8.17 <= 10 < L^11 ~ 10.08
 gives i(10) = 9, and ab has order 16 in the limit group, onto which every
 approximant maps, so the 2-ball needs exponent 4 > i(2)+1 = 3.  The pinned
 test asserts that tightness.
+
+Criterion 2 is proved for every radius n in 2..30 by an exhaustive sweep at
+each of the 13 covering radii, the largest n of each level i(n).  A sweep
+reads only its level, so the N-ball's sweep certifies every word that a
+radius n <= N with i(n) = i(N) holds.  Each report's word count, exponent,
+depth and histogram is pinned, so a smaller sweep cannot pass silently.
 """
 
 import random
 
 import pytest
 
+from conftest import random_reduced_word
 from grigorchuk import cubic, words, wreath
 from grigorchuk.cubic import compare_power_to_int, radius_index
 from grigorchuk.reports import (
@@ -39,7 +45,6 @@ from grigorchuk.reports import (
     check_radius_index,
     check_splitting_identity,
     check_weight_identities,
-    random_reduced_word,
 )
 from grigorchuk.words import BCD, min_conjugate
 from grigorchuk.wreath import (
@@ -65,14 +70,50 @@ def passed(reports) -> bool:
     return all(r.status == "pass" for r in reports)
 
 
+# the largest radius of 2..30 at each level i(n)
+COVERING_RADII = (2, 3, 4, 5, 6, 8, 10, 12, 15, 18, 23, 28, 30)
+
+# radius -> (level, word_count, max_exponent, max_depth, exponent histogram),
+# captured from the sweep as it stood when these sweeps replaced a random
+# sample of 2.9 million words over radii 2..30
+COVERING_REPORTS = {
+    2: (2, 11, 4, 3, {1: 5, 2: 2, 3: 2, 4: 2}),
+    3: (4, 23, 4, 4, {1: 11, 2: 4, 3: 4, 4: 4}),
+    4: (5, 41, 4, 5, {1: 13, 2: 6, 3: 10, 4: 12}),
+    5: (6, 77, 4, 5, {1: 27, 2: 10, 3: 18, 4: 22}),
+    6: (7, 131, 4, 5, {1: 27, 2: 24, 3: 32, 4: 48}),
+    8: (8, 401, 4, 6, {1: 67, 2: 60, 3: 114, 4: 160}),
+    10: (9, 1211, 5, 7, {1: 129, 2: 202, 3: 350, 4: 490, 5: 40}),
+    12: (10, 3641, 5, 7, {1: 343, 2: 518, 3: 1040, 4: 1660, 5: 80}),
+    15: (11, 19679, 6, 8, {1: 1037, 2: 3014, 3: 5532, 4: 8568, 5: 1248, 6: 280}),
+    18: (12, 98411, 7, 9, {1: 3633, 2: 12138, 3: 26318, 4: 45462, 5: 7704, 6: 2832, 7: 324}),
+    23: (
+        13,
+        1594319,
+        7,
+        9,
+        {1: 35393, 2: 168840, 3: 395470, 4: 735744, 5: 171648, 6: 73576, 7: 13648},
+    ),
+    28: (
+        14,
+        23914841,
+        7,
+        9,
+        {1: 500905, 2: 1988064, 3: 5782708, 4: 12383148, 5: 2137264, 6: 889408, 7: 233344},
+    ),
+    30: (
+        15,
+        71744531,
+        7,
+        10,
+        {1: 999627, 2: 5570632, 3: 15727296, 4: 34355148, 5: 8954640, 6: 4609312, 7: 1527876},
+    ),
+}
+
+
 @pytest.fixture(scope="module")
 def nball_reports():
-    cfg = CheckConfig(
-        seed=SEED,
-        nball_radii=NBALL_RADII,
-        nball_random_max=30,
-        nball_random_samples=100_000,
-    )
+    cfg = CheckConfig(nball_radii=tuple(sorted({*NBALL_RADII, *COVERING_RADII})))
     return {r.check_id: r for r in check_nball(cfg)}
 
 
@@ -133,14 +174,25 @@ def test_criterion_02_exhaustive_computed_levels(nball_reports):
     assert report("02 n-ball torsion (computed levels, bound i+2)", ok, "; ".join(details))
 
 
-def test_criterion_02_random_words(nball_reports):
-    rep = nball_reports["nball-torsion-random-30"]
-    wit = rep.witnesses
-    ok = rep.status == "pass" and wit["count"] == 2_900_000
+def test_criterion_02_covering_radii(nball_reports):
+    """Every word of length <= n, for each n in 2..30, certifies at level
+    i(n): i is nondecreasing, so the covering radii are one per level."""
+    largest = {}
+    for n in range(2, 31):
+        largest[radius_index(n)] = n
+    assert tuple(largest.values()) == COVERING_RADII
+    reps = [nball_reports[f"nball-torsion-{n}"] for n in COVERING_RADII]
+    for n, rep in zip(COVERING_RADII, reps):
+        w = rep.witnesses
+        histogram = {int(e): count for e, count in w["exponent_histogram"].items()}
+        got = (w["level"], w["word_count"], w["max_exponent"], w["max_depth"], histogram)
+        assert got == COVERING_REPORTS[n], n
+    words = sum(r.witnesses["word_count"] for r in reps)
+    failures = sum(len(r.witnesses["failures"]) for r in reps)
     assert report(
-        "02 n-ball torsion (random)",
-        ok,
-        f"{wit['count']} words over n=2..30, {wit['failures']} failures",
+        "02 n-ball torsion (covering radii)",
+        passed(reps),
+        f"{words} words over the {len(reps)} radii covering n=2..30, {failures} failures",
     )
 
 
@@ -176,7 +228,8 @@ def sampled_lemma_violations(samples: int = LEMMA_SAMPLES) -> tuple[int, list]:
 def test_criterion_03_contraction_inequality():
     (rep,) = check_lemma_ineq(CheckConfig())
     drawn, violations = sampled_lemma_violations()
-    ok = rep.status == "pass" and not violations
+    # the words SEED's stream yields before the 10 000th minimal conjugate
+    ok = rep.status == "pass" and not violations and drawn == 11_048
     detail = f"proved exactly; oracle: {drawn} words, {LEMMA_SAMPLES} minimal conjugates"
     assert report("03 contraction inequality", ok, detail)
 

@@ -322,6 +322,8 @@ _BAD_CONFIG_LINES = {
     "__class__ = 1": "unknown key '__class__'",
     "growth_maxn = -3": "growth_maxn must be >= 2, not -3",
     "lemma_samples = 100": "unknown key 'lemma_samples'",
+    "nball_random_max = 30": "unknown key 'nball_random_max'",
+    "nball_random_samples = 100": "unknown key 'nball_random_samples'",
     "nball_radii = 2, 1": "nball_radii must be >= 2, not 1",
 }
 
@@ -475,47 +477,6 @@ def test_check_all_ids_match_the_benchmark_reference():
     reference = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(reference)
     assert [r.check_id for r in reports.check_all()] == reference.CHECK_IDS
-
-
-def _random_reduced_word_by_choice(length, rng):
-    """random_reduced_word as a loop on rng.choice: the oracle for its
-    stream of draws."""
-    from grigorchuk.words import BCD, LETTERS
-
-    out = []
-    for _ in range(length):
-        last = out[-1] if out else ""
-        if last == "a":
-            out.append(rng.choice(BCD))
-        elif last:
-            out.append("a")
-        else:
-            out.append(rng.choice(LETTERS))
-    return "".join(out)
-
-
-def test_random_reduced_word_draws_as_rng_choice():
-    import random
-
-    for seed in range(30):
-        fast, oracle = random.Random(seed), random.Random(seed)
-        for length in range(41):
-            w = reports.random_reduced_word(length, fast)
-            assert w == _random_reduced_word_by_choice(length, oracle)
-            assert fast.getstate() == oracle.getstate()
-
-
-@pytest.mark.parametrize("top, count", [(1, None), (2, 10), (3, 20)])
-def test_random_nball_sweep_starts_at_radius_2(top, count):
-    cfg = reports.CheckConfig(nball_radii=(2,), nball_random_max=top, nball_random_samples=10)
-    swept = [r for r in reports.check_nball(cfg) if "random" in r.check_id]
-    if count is None:
-        assert swept == []
-    else:
-        (rep,) = swept
-        assert rep.check_id == f"nball-torsion-random-{top}"
-        assert rep.status == "pass"
-        assert rep.witnesses["count"] == count
 
 
 # odd inputs for every subcommand, with the exit code each must give; MISSING

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given
 
-from conftest import raw_words, reduced_words
+from conftest import iter_ball_classes, raw_words, reduced_words
 from grigorchuk.errors import CapExceeded, PreconditionError, WordParseError
 from grigorchuk.growth import ball_free_product
 from grigorchuk.words import (
@@ -22,7 +22,6 @@ from grigorchuk.words import (
     invert,
     is_reduced,
     iter_ball_bracelets,
-    iter_ball_classes,
     iter_ball_free,
     min_conjugate,
     multiply,

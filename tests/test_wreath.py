@@ -5,7 +5,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import raw_words, reduced_words
+from conftest import iter_ball_classes, raw_words, reduced_words
 from grigorchuk import wreath
 from grigorchuk.cubic import LAMBDA_INV, lambda_length, radius_index
 from grigorchuk.errors import CapExceeded, GrigError, PreconditionError
@@ -15,7 +15,6 @@ from grigorchuk.words import (
     a_parity,
     invert,
     iter_ball_bracelets,
-    iter_ball_classes,
     iter_ball_free,
     min_conjugate,
     multiply,
