@@ -34,8 +34,8 @@ _KLEIN = {
     ("d", "c"): "b",
 }
 
-# the successor of each letter of {b, c, d} but the last, in "bcd" order
-_NEXT_LETTER = dict(zip(BCD, BCD[1:]))
+# the letters of {b, c, d} above each one, greatest first
+_ABOVE = {"b": "dc", "c": "d", "d": ""}
 
 # the longest reduced prefix of a string: a alternates with a letter of
 # {b, c, d}; the possessive repeat keeps no backtracking state, so a long
@@ -165,52 +165,85 @@ def iter_ball_free(n: int):
         yield from level
 
 
-def _necklaces(k: int):
-    """Yield (r, p) for every necklace r of length k >= 1 over "bcd", in
-    lexicographic order, where p is the least period of r.
-
-    A necklace is the least rotation of its class.  This is the
-    Fredricksen-Kessler-Maiorana algorithm: it steps through the
-    prenecklaces in lexicographic order, and a prenecklace whose longest
-    Lyndon prefix has length p is a necklace iff p divides k.  The next
-    prenecklace drops the trailing d's, raises the last letter left, and
-    repeats that prefix of length p to length k, so each is built from its
-    prefix by string operations and yielded at once.
-    """
-    r, p = "b" * k, 1
-    while True:
-        if k % p == 0:
-            yield r, p
-        prefix = r.rstrip("d")
-        if not prefix:
-            return
-        p = len(prefix)
-        prefix = prefix[:-1] + _NEXT_LETTER[prefix[-1]]
-        r = (prefix * (k // p + 1))[:k]
-
-
-def _bracelets(k: int):
-    """Yield (r, p, symmetric) for every necklace r of ``_necklaces(k)``
-    that is at most the necklace of its reversal, in the same order;
-    symmetric is True iff the two are equal.
-
-    The necklace of reversed r is its least rotation.  Only the first p
-    rotations are distinct.  r starts with a run of its least letter, no
-    shorter than any run of that letter around r (a rotation starting at a
-    longer one would be below r), and reversal keeps the runs; so a
-    rotation below r starts with r's leading run, and those are the only
-    rotations compared.
-    """
-    for r, p in _necklaces(k):
-        rotations = r[::-1] * 2
-        lead = r[: k - len(r.lstrip(r[0]))]
-        i = rotations.find(lead)
-        while i < p:
-            if rotations[i : i + k] < r:
-                break
-            i = rotations.find(lead, i + 1)
+def _join(u: str, v: str) -> str:
+    """The normal form of u.v for reduced words u and v.  Only letters at
+    the boundary cancel, and a Klein merge ends the cascade: the merged
+    letter has a or nothing on either side."""
+    while u and v:
+        x, y = u[-1], v[0]
+        if x == y:
+            u, v = u[:-1], v[1:]
+        elif x == "a" or y == "a":
+            break
         else:
-            yield r, p, r in rotations
+            return u[:-1] + _KLEIN[x, y] + v[1:]
+    return u + v
+
+
+def _bracelet_walk(n: int, sections: dict[str, tuple[str, str]]):
+    """Yield (r, p, self_inverse, s0, s1) for one class "a" + "a".join(r)
+    of each pair of mutually inverse conjugacy classes that meets the
+    n-ball of the free product, other than 1, a, b, c, d
+    (``_letter_classes``): r is a bracelet over "bcd" of length 1..n // 2,
+    that is, a necklace of least period p that is at most the necklace of
+    its reversal (inversion reverses a word), self_inverse is True iff the
+    two are equal, and (s0, s1) are the reduced sides of the splitting of
+    "a" + "a".join(r), given the reduced sections (x0, x1) of each letter x
+    of {b, c, d}.  The tally of the class is ``_cycle_tally(r, p,
+    _cycle_conjugators(n, len(r)))``.
+
+    One depth-first walk of the prenecklace tree (Ruskey, Savage and Wang,
+    "Generating necklaces", J. Algorithms 13, 1992) covers every length, in
+    lexicographic order.  A node is a prefix r of length t whose longest
+    Lyndon prefix has length p; appending r[t - p] keeps p, a greater letter
+    makes the child its own Lyndon prefix, and r is a necklace iff p divides
+    t.  The necklace of reversed r is its least rotation; only the first p
+    rotations are distinct, and only those that start with r's leading run
+    of its least letter can be below r, as no run of that letter is longer.
+
+    Each node carries the sides of its prefix: the letter at position t of
+    r follows t + 1 a's, so at even t it joins x1 onto side 0 and x0 onto
+    side 1, and at odd t the other way round.  A leaf of length n // 2 is
+    pushed only if it is a necklace, and its sides are joined only if it is
+    kept.  The pending children on the stack share their parent's strings,
+    so the walk streams at any radius.
+    """
+    if n < 0:
+        raise ValueError("radius must be >= 0")
+    depth = n // 2
+    # the sections that a letter at position t joins onto sides 0 and 1, by t & 1
+    joins = ({x: (x1, x0) for x, (x0, x1) in sections.items()}, sections)
+    # (parent prefix, letter, child's p, parent sides)
+    stack = [("", x, 1, "", "") for x in BCD[::-1]] if depth else []
+    while stack:
+        r, x, p, s0, s1 = stack.pop()
+        t = len(r)
+        y0, y1 = joins[t & 1][x]
+        r += x
+        t += 1
+        symmetric = None  # whether r is kept, and then whether r is its reversal's necklace
+        if t % p == 0:
+            rotations = r[::-1] * 2
+            lead = r[: t - len(r.lstrip(r[0]))]
+            i = rotations.find(lead)
+            while i < p:
+                if rotations[i : i + t] < r:
+                    break
+                i = rotations.find(lead, i + 1)
+            else:
+                symmetric = r in rotations
+        if symmetric is None and t == depth:
+            continue  # a leaf that is not kept needs no sides
+        s0, s1 = _join(s0, y0), _join(s1, y1)
+        if symmetric is not None:
+            yield r, p, symmetric, s0, s1
+        if t < depth:
+            same = r[t - p]
+            for y in _ABOVE[same]:
+                stack.append((r, y, t + 1, s0, s1))
+            # a leaf that keeps p is a necklace only if p divides its length
+            if t + 1 < depth or depth % p == 0:
+                stack.append((r, same, p, s0, s1))
 
 
 @functools.cache
@@ -242,28 +275,6 @@ _MERGE_DELTA = {
     for xy, product in _KLEIN.items()
     if product == z and xy < xy[::-1]
 }
-
-
-def iter_ball_bracelets(n: int):
-    """Yield (r, p, self_inverse) for every pair of mutually inverse
-    conjugacy classes "a" + "a".join(r) that meets the n-ball of the free
-    product, r by length and then in lexicographic order: r is a necklace
-    over "bcd" of length 1..n // 2 and least period p, "a" + "a".join(r) is
-    the minimal conjugate of the lesser class of the pair, and self_inverse
-    is True iff the class is its own inverse.  Every class of the ball but
-    1, a, b, c, d (``_letter_classes``, all involutions) has such a minimal
-    conjugate.  The tally of the class is
-    ``_cycle_tally(r, p, _cycle_conjugators(n, len(r)))``.
-
-    Inversion reverses a word, so it keeps the letter counts, and the class
-    of m = "a" + "a".join(r) has the inverse "a" + "a".join(s), where s is
-    the necklace of r reversed: the classes up to inversion are the
-    bracelets over "bcd", and no class is built to be dropped.
-    """
-    if n < 0:
-        raise ValueError("radius must be >= 0")
-    for k in range(1, n // 2 + 1):
-        yield from _bracelets(k)
 
 
 def _letter_classes(n: int):

@@ -8,8 +8,8 @@ upper bounds valid at the stated approximant level; orders themselves are
 computed in the limit group, where the splitting is injective on the
 parity kernel.  The exhaustive n-ball sweep certifies each conjugacy class
 of the ball once and never builds the ball's words, unless some word fails.
-Within a sweep, a class's children are split straight from its bracelet,
-an unreduced side is reduced once while the sweep keeps it, each distinct
+The sweep walks the bracelets with the reduced sides of each prefix, so a
+class's children come out of the walk and no class is split; each distinct
 child word is certified once, and the radius tests of a class's tally are
 decided once per letter-count vector of its bracelet.
 
@@ -38,14 +38,16 @@ from .cubic import (
 from .errors import CapExceeded, GrigError, PreconditionError
 from .permgrp import pmul
 from .words import (
+    BCD,
     NUCLEUS,
+    _bracelet_walk,
     _cycle_conjugators,
     _cycle_tally,
+    _join,
     _letter_classes,
     _rotation_words,
     a_parity,
     format_word,
-    iter_ball_bracelets,
     iter_ball_free,
     min_conjugate,
     multiply,
@@ -97,35 +99,25 @@ def _section_table() -> dict[int, str | None]:
     return sections
 
 
-def _split_letters(
-    letters: str, first: int, sections: dict[int, str | None], sides: int = 2
-) -> tuple[str, ...]:
-    """The first ``sides`` components of the splitting, not reduced, from
-    the letters of {b, c, d} of a reduced parity-0 word in their order, the
-    first of them of a-parity ``first``.
+def _split_reduced(w: str, sections: dict[int, str | None], sides: int = 2) -> tuple[str, ...]:
+    """The first ``sides`` components of ``split(w)``, for a word w that is
+    already reduced and of parity 0.
 
     A letter x in {b, c, d} contributes its section x0 to side p and x1 to
     side 1-p, where p is the parity of the a's before it.  In a reduced word
     these letters alternate with a, so their parities alternate too: the
-    letters of parity 1 are upper-cased, and one read of ``sections``
-    translates the tagged letters into side 0 and the case-swapped ones into
-    side 1.
+    letters of parity 1 are upper-cased, one read of ``sections`` translates
+    the tagged letters into side 0 and the case-swapped ones into side 1,
+    and each side is reduced.
     """
-    tagged = bytearray(letters, "ascii")
-    tagged[1 - first :: 2] = tagged[1 - first :: 2].upper()
-    tagged = tagged.decode()
-    if sides == 1:
-        return (tagged.translate(sections),)
-    return tagged.translate(sections), tagged.swapcase().translate(sections)
-
-
-def _split_reduced(w: str, sections: dict[int, str | None], sides: int = 2) -> tuple[str, ...]:
-    """The first ``sides`` components of ``split(w)``, for a word w that is
-    already reduced and of parity 0: ``_split_letters`` of its letters of
-    {b, c, d}, each side reduced."""
     # the first letter of {b, c, d} has parity 1 iff w starts with a
     odd = w[:1] == "a"
-    return tuple(map(reduce_word, _split_letters(w[odd::2], odd, sections, sides)))
+    tagged = bytearray(w[odd::2], "ascii")
+    tagged[1 - odd :: 2] = tagged[1 - odd :: 2].upper()
+    tagged = tagged.decode()
+    if sides == 1:
+        return (reduce_word(tagged.translate(sections)),)
+    return reduce_word(tagged.translate(sections)), reduce_word(tagged.swapcase().translate(sections))
 
 
 def is_trivial(w: str) -> bool:
@@ -477,9 +469,9 @@ class NBallReport:
 def verify_nball_proposition(n: int, words=None, level: int | None = None) -> NBallReport:
     """Certify torsion for every word of word length <= n at level i(n).
 
-    The exhaustive sweep goes by conjugacy class: ``iter_ball_bracelets``
-    gives each pair of mutually inverse classes with the letter counts of
-    its words, so each pair is certified once and each (class, count
+    The exhaustive sweep goes by conjugacy class: ``_bracelet_walk``
+    gives each pair of mutually inverse classes with the splitting of one
+    of them, so each pair is certified once and each (class, count
     vector) pair gets one radius test.  If any word fails, the report is
     rebuilt word by word over ``iter_ball_free(n)``, so failures keep their
     shortlex order.
@@ -516,10 +508,17 @@ def verify_nball_proposition(n: int, words=None, level: int | None = None) -> NB
     return report
 
 
-# the most unreduced sides a sweep keeps before it starts over: the 20-ball
-# has 4 021 and the 28-ball 148 180, which, all kept, would raise a cold
-# 28-ball's peak memory by about 13 MB for few more hits
-_SIDE_MEMO_SIZE = 1 << 14
+class _ChildSteps(dict):
+    """Child word -> ``certify_exponent(child, level)``, each run on the
+    word's first lookup; a child that raises is not kept."""
+
+    def __init__(self, level: int):
+        super().__init__()
+        self.level = level
+
+    def __missing__(self, child: str) -> tuple[int, int]:
+        found = self[child] = certify_exponent(child, self.level)
+        return found
 
 
 def _class_sweep(n: int, level: int) -> NBallReport | None:
@@ -540,79 +539,68 @@ def _class_sweep(n: int, level: int) -> NBallReport | None:
     inverses of split(w), sides in the same order; for an active class
     (m.m)^-1 = m^-1.m^-1.  By induction the class of m^-1 has m's tally,
     exponent, depth and verdict.  So the sweep visits the bracelets of
-    ``iter_ball_bracelets``, one class of each inverse pair, and a class's
-    words count twice unless it is its own inverse.
+    ``_bracelet_walk``, one class of each inverse pair, and a class's words
+    count twice unless it is its own inverse.
 
-    Each distinct piece of work runs once per sweep.  At level > 0 a
-    bracelet's step is taken from r itself: m = "a" + "a".join(r) has k a's
-    and the letters r, the first of a-parity 1, so ``_split_letters`` of r
-    (k even) or of r + r (k odd, one side of m.m, one more factor of two)
-    gives the children of ``_class_step(m, n)`` before reduction, and no m
-    is built.  Many classes share a side, so a side is reduced once while
-    the sweep keeps it (at most ``_SIDE_MEMO_SIZE`` sides, emptied when
-    full), and the child step ``certify_exponent(child, level - 1)`` is
-    kept per child word in a dict that lives as long as the call; a child
-    that fails ends the sweep and is never kept.  The tally keys of a
-    bracelet r of length k = nb + nc + nd are (k, nb, nc, nd) and that
-    vector moved by the merge delta of each letter in r and by the
+    Each distinct piece of work runs once per sweep.  The walk reads the
+    sections of ``_SPLIT_IMAGE`` when the sweep starts and hands each
+    bracelet r over with the reduced sides (s0, s1) of m = "a" + "a".join(r),
+    built one letter at a time along the prenecklace tree, so no m is built
+    or split at level > 0.  For k = len(r) even they are the children of
+    ``_class_step(m, n)``; for k odd the one child, side 0 of m.m, is s0
+    joined with s1, since the second copy of r has the opposite a-parity
+    (one more factor of two).  The child step ``certify_exponent(child,
+    level - 1)`` is kept per child word in a dict that lives as long as the
+    call; a child that fails ends the sweep and is never kept.  The tally
+    keys of a bracelet r of length k = nb + nc + nd are (k, nb, nc, nd) and
+    that vector moved by the merge delta of each letter in r and by the
     conjugators of (n, k).  The letters in r are those with a nonzero
     count, so the keys, and the tally's radius test, are fixed by (nb, nc,
-    nd): the test is decided once per count vector, and a tally is built
-    only for a new one.  A class's words are counted by
+    nd), or (k, nb, nc): the test is decided once per count vector, and a
+    tally is built only for a new one.  A class's words are counted by
     ``_rotation_words``, without its tally, and added up by (exponent,
     depth), so the report is filled once per pair at the end.
     """
-    sections = _section_table()
-    certified = {}  # child word -> certify_exponent(child, level - 1)
-    by_side = {}  # unreduced side -> certified[reduce_word(side)]
+    sections = {x: tuple(map(reduce_word, _SPLIT_IMAGE[x])) for x in BCD}
+    per_rotation = [_rotation_words(_cycle_conjugators(n, k)) for k in range(n // 2 + 1)]
+    certified = _ChildSteps(level - 1)
     counts = {}  # (exponent, depth) -> words certified with them
-
-    def certify(added: int, sides, words: int) -> None:
-        exponent = depth = 0
-        for side in sides:
-            found = by_side.get(side)
-            if found is None:
-                child = reduce_word(side)
-                found = certified.get(child)
-                if found is None:
-                    found = certified[child] = certify_exponent(child, level - 1)
-                if len(by_side) == _SIDE_MEMO_SIZE:
-                    by_side.clear()
-                by_side[side] = found
-            exponent = max(exponent, found[0])
-            depth = max(depth, found[1])
-        key = (exponent + added, depth + 1)
-        counts[key] = counts.get(key, 0) + words
-
-    verdicts = {}  # (nb, nc, nd) -> whether every tally key is in the ball
-    k = 0
+    verdicts = {}  # (k, nb, nc) -> whether every tally key is in the ball
     try:
         for m, tally in _letter_classes(n):
-            if level > 0 and not all(_in_open_ball(*counts, level - 1) for counts in tally):
+            if level > 0 and not all(_in_open_ball(*c, level - 1) for c in tally):
                 return None
-            _rule, added, kids = _class_step(m if level > 0 else _ball_class(m, level), level)
-            certify(added, kids, sum(tally.values()))
-        for r, p, self_inverse in iter_ball_bracelets(n):
-            if len(r) != k:
-                k = len(r)
-                conjugators = _cycle_conjugators(n, k)
-                per_rotation = _rotation_words(conjugators)
-            words = p * per_rotation * (1 if self_inverse else 2)
+            # a letter or base case has no children
+            _rule, added, _kids = _class_step(m if level > 0 else _ball_class(m, level), level)
+            key = (added, 1)
+            counts[key] = counts.get(key, 0) + sum(tally.values())
+        for r, p, self_inverse, s0, s1 in _bracelet_walk(n, sections):
+            k = len(r)
+            words = p * per_rotation[k] * (1 if self_inverse else 2)
             if level <= 0:
-                _rule, added, kids = _class_step(_ball_class("a" + "a".join(r), level), level)
-                certify(added, kids, words)
-                continue
-            key = (r.count("b"), r.count("c"), r.count("d"))
-            verdict = verdicts.get(key)
-            if verdict is None:
-                tally = _cycle_tally(r, p, conjugators)
-                verdict = verdicts[key] = all(_in_open_ball(*c, level - 1) for c in tally)
-            if not verdict:
-                return None
-            if k & 1:
-                certify(1, _split_letters(r + r, 1, sections, 1), words)
+                # a base case has no children
+                _rule, exponent, _kids = _class_step(_ball_class("a" + "a".join(r), level), level)
+                depth = 0
             else:
-                certify(0, _split_letters(r, 1, sections), words)
+                vector = (k, r.count("b"), r.count("c"))
+                verdict = verdicts.get(vector)
+                if verdict is None:
+                    tally = _cycle_tally(r, p, _cycle_conjugators(n, k))
+                    verdict = verdicts[vector] = all(_in_open_ball(*c, level - 1) for c in tally)
+                if not verdict:
+                    return None
+                if k & 1:
+                    exponent, depth = certified[_join(s0, s1)]
+                    exponent += 1
+                else:
+                    exponent, depth = certified[s0]
+                    e, d = certified[s1]
+                    if e > exponent:
+                        exponent = e
+                    if d > depth:
+                        depth = d
+            key = (exponent, depth + 1)
+            counts[key] = counts.get(key, 0) + words
     except RadiusViolation:
         return None
     report = NBallReport(radius=n, level=level, word_count=0, max_exponent=0, max_depth=0)

@@ -6,7 +6,6 @@ from grigorchuk.words import (
     _cycle_conjugators,
     _cycle_tally,
     _letter_classes,
-    _necklaces,
 )
 
 raw_words = st.text(alphabet=LETTERS, max_size=24)
@@ -49,11 +48,67 @@ def iter_ball_classes(n):
     each letter-count vector (na, nb, nc, nd) to the number of words of
     length <= n in the class with those counts.
 
-    Every class, where ``words.iter_ball_bracelets`` keeps one of each
-    inverse pair: the oracle of the bracelet tests.
+    Every class, where ``iter_ball_bracelets`` keeps one of each inverse
+    pair: the oracle of the bracelet tests.
     """
     yield from _letter_classes(n)
     for k in range(1, n // 2 + 1):
         conjugators = _cycle_conjugators(n, k)
         for r, p in _necklaces(k):
             yield "a" + "a".join(r), _cycle_tally(r, p, conjugators)
+
+
+# the successor of each letter of {b, c, d} but the last, in "bcd" order
+_NEXT_LETTER = dict(zip(BCD, BCD[1:]))
+
+
+def _necklaces(k):
+    """Yield (r, p) for every necklace r of length k >= 1 over "bcd", in
+    lexicographic order, where p is the least period of r.
+
+    A necklace is the least rotation of its class.  This is the
+    Fredricksen-Kessler-Maiorana algorithm: it steps through the
+    prenecklaces in lexicographic order, and a prenecklace whose longest
+    Lyndon prefix has length p is a necklace iff p divides k.  The next
+    prenecklace drops the trailing d's, raises the last letter left, and
+    repeats that prefix of length p to length k.
+    """
+    r, p = "b" * k, 1
+    while True:
+        if k % p == 0:
+            yield r, p
+        prefix = r.rstrip("d")
+        if not prefix:
+            return
+        p = len(prefix)
+        prefix = prefix[:-1] + _NEXT_LETTER[prefix[-1]]
+        r = (prefix * (k // p + 1))[:k]
+
+
+def _bracelets(k):
+    """Yield (r, p, symmetric) for every necklace r of ``_necklaces(k)``
+    that is at most the necklace of its reversal, in the same order;
+    symmetric is True iff the two are equal.  The necklace of reversed r is
+    its least rotation; only rotations that start with r's leading run can
+    be below r, and only the first p are distinct."""
+    for r, p in _necklaces(k):
+        rotations = r[::-1] * 2
+        lead = r[: k - len(r.lstrip(r[0]))]
+        i = rotations.find(lead)
+        while i < p:
+            if rotations[i : i + k] < r:
+                break
+            i = rotations.find(lead, i + 1)
+        else:
+            yield r, p, r in rotations
+
+
+def iter_ball_bracelets(n):
+    """Yield (r, p, self_inverse) for the bracelets r over "bcd" of length
+    1..n // 2, by length and then in lexicographic order: one class
+    "a" + "a".join(r) of each pair of mutually inverse classes of the
+    n-ball, the oracle of ``words._bracelet_walk`` without its sides."""
+    if n < 0:
+        raise ValueError("radius must be >= 0")
+    for k in range(1, n // 2 + 1):
+        yield from _bracelets(k)

@@ -1,19 +1,28 @@
 from collections import Counter, defaultdict
-from itertools import product
+from heapq import merge
+from itertools import islice, product
 
 import pytest
 from hypothesis import given
 
-from conftest import iter_ball_classes, raw_words, reduced_words
+from conftest import (
+    _bracelets,
+    _necklaces,
+    iter_ball_bracelets,
+    iter_ball_classes,
+    raw_words,
+    reduced_words,
+)
+from grigorchuk import wreath
 from grigorchuk.errors import CapExceeded, PreconditionError, WordParseError
 from grigorchuk.growth import ball_free_product
 from grigorchuk.words import (
     BCD,
-    _bracelets,
+    _bracelet_walk,
     _cycle_conjugators,
     _cycle_tally,
+    _join,
     _letter_classes,
-    _necklaces,
     _rotation_words,
     a_parity,
     cyclically_reduce,
@@ -21,7 +30,6 @@ from grigorchuk.words import (
     format_word,
     invert,
     is_reduced,
-    iter_ball_bracelets,
     iter_ball_free,
     min_conjugate,
     multiply,
@@ -229,11 +237,38 @@ def test_necklaces_are_the_least_rotations():
         assert list(_necklaces(k)) == sorted(want), k
 
 
-def test_bracelets_stream_without_a_list_per_length():
-    # a generator that built a length's list first would not return here
-    assert next(iter_ball_bracelets(400)) == ("b", 1, True)
-    assert next(_bracelets(300)) == ("b" * 300, 1, True)
-    assert next(_necklaces(300)) == ("b" * 300, 1)
+def _real_sections():
+    return {x: wreath._SPLIT_IMAGE[x] for x in BCD}
+
+
+def test_bracelet_walk_streams_at_any_radius():
+    # depth first, the walk reaches b^t at depth t before any other node of
+    # that length; one that built a length's list, or recursed per letter,
+    # would not return here
+    items = list(islice(_bracelet_walk(6000, _real_sections()), 3000))
+    # b follows an odd number of a's at even positions, (a, c) = (b0, b1)
+    want = [("b" * t, 1, True, ("ca" * t)[:t], ("ac" * t)[:t]) for t in range(1, 3001)]
+    assert items == want
+
+
+def test_bracelet_walk_is_the_bracelets_with_their_split():
+    """The oracle: the FKM necklaces of each length k <= 14, the reversal
+    test, and the split kernel on "a" + "a".join(r) with each side reduced.
+    The walk goes depth first, so it yields in lexicographic order, which
+    is the order of the lengths' streams merged."""
+    table = wreath._section_table()
+    want = merge(*(_bracelets(k) for k in range(1, 15)))
+    count = 0
+    for (r, p, self_inverse, s0, s1), oracle in zip(_bracelet_walk(29, _real_sections()), want, strict=True):
+        assert (r, p, self_inverse) == oracle
+        assert (s0, s1) == wreath._split_reduced("a" + "a".join(r), table), r
+        count += 1
+    assert count == 272_130  # OEIS A027671, summed over k = 1..14
+
+
+@given(reduced_words(), reduced_words())
+def test_join_is_the_reduced_product(u, v):
+    assert _join(u, v) == reduce_word(u + v)
 
 
 def test_bracelets_are_the_necklaces_up_to_inversion():
@@ -274,6 +309,6 @@ def test_rotation_words_count_the_tally():
 
 
 def test_ball_classes_reject_negative_radius():
-    for classes in (iter_ball_classes, iter_ball_bracelets):
+    for classes in (iter_ball_classes, iter_ball_bracelets, lambda n: _bracelet_walk(n, {})):
         with pytest.raises(ValueError, match="radius must be >= 0"):
             next(classes(-1))

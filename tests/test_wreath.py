@@ -1,20 +1,18 @@
 import hashlib
 import json
-import sys
 
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import iter_ball_classes, raw_words, reduced_words
+from conftest import _bracelets, iter_ball_bracelets, iter_ball_classes, raw_words, reduced_words
 from grigorchuk import wreath
 from grigorchuk.cubic import LAMBDA_INV, lambda_length, radius_index
 from grigorchuk.errors import CapExceeded, GrigError, PreconditionError
 from grigorchuk.words import (
     BCD,
-    _bracelets,
+    _join,
     a_parity,
     invert,
-    iter_ball_bracelets,
     iter_ball_free,
     min_conjugate,
     multiply,
@@ -373,56 +371,48 @@ def test_step_children_are_the_split_of_m_or_its_square():
 
 def _record_sweep_steps(monkeypatch, level):
     """The top-level steps of a sweep at this level, as they are taken: the
-    letter classes through ``_class_step``, the bracelets through the split
-    kernel that ``_class_sweep`` calls itself.  Each entry is (m, raw sides),
-    raw sides None for a letter class."""
+    letter classes through ``_class_step``, the bracelets as the walk hands
+    them to ``_class_sweep``.  Each entry is (m, sides), sides None for a
+    letter class and the walk's (s0, s1) for a bracelet."""
     steps = []
-    real_step, real_kernel = wreath._class_step, wreath._split_letters
+    real_step, real_walk = wreath._class_step, wreath._bracelet_walk
 
     def step(m, n):
         if n == level:
             steps.append((m, None))
         return real_step(m, n)
 
-    def kernel(letters, first, sections, sides=2):
-        raw = real_kernel(letters, first, sections, sides)
-        if sys._getframe(1).f_code is wreath._class_sweep.__code__:
-            assert first == 1
-            r = letters[: len(letters) // 2] if sides == 1 else letters
-            steps.append(("a" + "a".join(r), raw))
-        return raw
+    def walk(n, sections):
+        for r, p, self_inverse, s0, s1 in real_walk(n, sections):
+            steps.append(("a" + "a".join(r), (s0, s1)))
+            yield r, p, self_inverse, s0, s1
 
     monkeypatch.setattr(wreath, "_class_step", step)
-    monkeypatch.setattr(wreath, "_split_letters", kernel)
+    monkeypatch.setattr(wreath, "_bracelet_walk", walk)
     return steps
 
 
 def test_sweep_sides_are_the_class_step_children(monkeypatch):
-    """The sweep takes a bracelet's children from r, without m.  Reduced,
-    its raw sides are the children of ``_class_step(m, n)`` and the split of
-    m, or side 0 of the split of m.m, letter by letter.  The 20-ball's
-    bracelets are every bracelet of length <= 10; their 9 123 raw sides are
-    4 021 distinct words, which reduce to 1 003 distinct children."""
+    """The sweep takes a bracelet's children from the walk, without m.  The
+    walk's sides are the split of m letter by letter; for k even they are
+    the children of ``_class_step(m, n)``, and for k odd the one child, side
+    0 of the split of m.m, is s0 joined with s1.  The 20-ball's bracelets are
+    every bracelet of length <= 10, and their children are 1 003 words."""
     level = radius_index(20)
     steps = _record_sweep_steps(monkeypatch, level)
     assert verify_nball_proposition(20).ok
-    bracelets = [(m, raw) for m, raw in steps if raw is not None]
+    bracelets = [(m, sides) for m, sides in steps if sides is not None]
     assert len(bracelets) == 5296
-    assert {m[1::2] for m, _raw in bracelets} == {r for k in range(1, 11) for r, _p, _s in _bracelets(k)}
-    for m, raw in bracelets:
-        want = _split_by_letters(m) if a_parity(m) == 0 else _split_by_letters(m + m)[:1]
-        assert tuple(map(reduce_word, raw)) == wreath._class_step(m, level)[2] == want, m
-    sides = [side for _m, raw in bracelets for side in raw]
-    assert len(sides) == 9123
-    assert len(set(sides)) == 4021
-    assert len(set(map(reduce_word, sides))) == 1003
-
-
-def test_sweep_side_memo_starting_over_changes_no_report(monkeypatch):
-    # a full side memo is emptied; a side met again is reduced again
-    want = [verify_nball_proposition(n).to_dict() for n in (12, 16)]
-    monkeypatch.setattr(wreath, "_SIDE_MEMO_SIZE", 8)
-    assert [verify_nball_proposition(n).to_dict() for n in (12, 16)] == want
+    assert {m[1::2] for m, _sides in bracelets} == {r for k in range(1, 11) for r, _p, _s in _bracelets(k)}
+    children = set()
+    for m, sides in bracelets:
+        assert sides == _split_by_letters(m), m
+        kids = sides if a_parity(m) == 0 else (_join(*sides),)
+        assert kids == wreath._class_step(m, level)[2], m
+        if a_parity(m):
+            assert kids == _split_by_letters(m + m)[:1], m
+        children.update(kids)
+    assert len(children) == 1003
 
 
 def test_sweep_certifies_each_child_word_once(monkeypatch):
@@ -459,6 +449,19 @@ def test_sweep_hands_over_when_one_radius_test_fails(monkeypatch, counts, below)
     rep = verify_nball_proposition(12)
     assert rep.failures
     assert rep.to_dict() == verify_nball_proposition(12, words=iter_ball_free(12)).to_dict()
+
+
+@pytest.mark.parametrize("letter, image", [("d", ("", "c")), ("b", ("a", "d"))], ids=["d=(1,c)", "b=(a,d)"])
+def test_sweep_follows_a_patched_image(monkeypatch, letter, image):
+    """The walk reads its sections when a sweep starts, so a patched image
+    reaches its sides: each sweep matches the word loop, which splits every
+    word through ``_class_step``.  Both patched groups certify these balls,
+    so every class goes through the walk's children."""
+    monkeypatch.setitem(wreath._SPLIT_IMAGE, letter, image)
+    for n in (6, 10, 12):
+        rep = verify_nball_proposition(n)
+        assert rep.ok, n
+        assert rep.to_dict() == verify_nball_proposition(n, words=iter_ball_free(n)).to_dict(), n
 
 
 # SHA-256 of the compact JSON of the exhaustive reports for radii 2..22,
