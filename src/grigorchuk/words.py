@@ -8,8 +8,6 @@ unique, so string equality decides equality in the group.
 
 from __future__ import annotations
 
-import functools
-import math
 import re
 
 from .errors import CapExceeded, PreconditionError, WordParseError
@@ -189,8 +187,7 @@ def _bracelet_walk(n: int, sections: dict[str, tuple[str, str]]):
     its reversal (inversion reverses a word), self_inverse is True iff the
     two are equal, and (s0, s1) are the reduced sides of the splitting of
     "a" + "a".join(r), given the reduced sections (x0, x1) of each letter x
-    of {b, c, d}.  The tally of the class is ``_cycle_tally(r, p,
-    _cycle_conjugators(n, len(r)))``.
+    of {b, c, d}.  The class has ``p * _rotation_words(n, len(r))`` words.
 
     One depth-first walk of the prenecklace tree (Ruskey, Savage and Wang,
     "Generating necklaces", J. Algorithms 13, 1992) covers every length, in
@@ -246,96 +243,36 @@ def _bracelet_walk(n: int, sections: dict[str, tuple[str, str]]):
                 stack.append((r, same, p, s0, s1))
 
 
-@functools.cache
-def _conjugator_tally(length: int, last: str) -> tuple[tuple[tuple[int, int, int, int], int], ...]:
-    """((2na, 2nb, 2nc, 2nd), number of words) over the reduced words u of
-    length <= ``length`` that are empty or end in a letter of ``last``.
-
-    Such a u alternates a with free choices from {b, c, d}, so its length
-    and last letter fix na and the number t of {b, c, d} letters, and a
-    multinomial counts each split of t.  The counts are doubled because u
-    enters a word of the ball as u...u^-1.
-    """
-    out = [((0, 0, 0, 0), 1)]
-    for j in range(1, length + 1):
-        t = (j + 1) // 2 if last == BCD else j // 2
-        na = j - t
-        for nb in range(t + 1):
-            for nc in range(t - nb + 1):
-                count = math.comb(t, nb) * math.comb(t - nb, nc)
-                out.append(((2 * na, 2 * nb, 2 * nc, 2 * (t - nb - nc)), count))
-    return tuple(out)
-
-
-# counts of (nb, nc, nd) that x.v.y adds to those of z.v, where xy = z: less
-# z, plus x and y
-_MERGE_DELTA = {
-    z: tuple((w in xy) - (w == z) for w in BCD)
-    for z in BCD
-    for xy, product in _KLEIN.items()
-    if product == z and xy < xy[::-1]
-}
+def _conjugators(length: int, last: str) -> int:
+    """The number of reduced words u of length <= ``length`` that are empty
+    or end in a letter of ``last``.  Such a u alternates a with a free
+    choice from {b, c, d}, so 3^((j + [last = bcd]) // 2) of them have
+    length j."""
+    return sum(3 ** ((j + (last == BCD)) // 2) for j in range(length + 1))
 
 
 def _letter_classes(n: int):
-    """(m, tally) for the classes 1, a, b, c, d that meet the n-ball: m is
-    the class's minimal conjugate and tally maps each letter-count vector
-    (na, nb, nc, nd) to the number of words of length <= n in the class
-    with those counts.  These classes hold the words u.x.u^-1, where u is
-    empty or its last letter does not merge with x."""
+    """(m, number of words) for the classes 1, a, b, c, d that meet the
+    n-ball: m is the class's minimal conjugate, and its words of length
+    <= n are u.x.u^-1, where u is empty or its last letter does not merge
+    with x."""
     if n < 0:
         raise ValueError("radius must be >= 0")
-    yield IDENTITY, {(0, 0, 0, 0): 1}
+    yield IDENTITY, 1
     if n == 0:
         return
     for x in LETTERS:
-        xa, xb, xc, xd = (int(x == y) for y in LETTERS)
-        conjugators = _conjugator_tally((n - 1) // 2, BCD if x == "a" else "a")
-        yield x, {
-            (xa + ua, xb + ub, xc + uc, xd + ud): count for (ua, ub, uc, ud), count in conjugators
-        }
+        yield x, _conjugators((n - 1) // 2, BCD if x == "a" else "a")
 
 
-def _cycle_conjugators(n: int, k: int):
-    """The conjugator tally of the odd-length words of the n-ball in a class
-    "a" + "a".join(r) with r of length k."""
-    return _conjugator_tally((n - 2 * k - 1) // 2, "a") if 2 * k < n else ()
-
-
-def _rotation_words(conjugators) -> int:
-    """The number of words that each of the p distinct rotations z.v of r
-    adds to the class "a" + "a".join(r), given the conjugator tally of
-    ``_cycle_conjugators``: the two rotations of m that start with a and
-    with z, and u.x.v.y.u^-1 for both choices of x and every u.  So
-    ``p * _rotation_words(conjugators)`` is the sum of ``_cycle_tally``."""
-    return 2 * (1 + sum(count for _counts, count in conjugators))
-
-
-def _cycle_tally(r: str, p: int, conjugators) -> dict:
-    """The tally of the class "a" + "a".join(r), r a necklace over "bcd" of
-    least period p, given the conjugator tally of ``_cycle_conjugators``:
-    each letter-count vector (na, nb, nc, nd) maps to the number of words
-    of the ball in the class with those counts.  No word is built.
-
-    The class's words of even length are cyclically reduced: the 2p
-    distinct rotations of "a" + "a".join(r).  Its words of odd length are
-    u.x.v.y.u^-1, where z.v is one of the p distinct rotations that start
-    with a letter z of {b, c, d}, x is one of the two other letters of
-    {b, c, d}, y = xz, and u is empty or ends in a.  Both choices of x give
-    the same counts.  The keys depend on r only through the letter counts
-    (nb, nc, nd), which also say which letters occur."""
-    k = len(r)
-    nb, nc, nd = r.count("b"), r.count("c"), r.count("d")
-    tally = {(k, nb, nc, nd): 2 * p}
-    for z, (db, dc, dd) in _MERGE_DELTA.items():
-        rotations = r.count(z, 0, p)
-        if not rotations:
-            continue
-        b, c, d = nb + db, nc + dc, nd + dd
-        for (ua, ub, uc, ud), count in conjugators:
-            key = (k + ua, b + ub, c + uc, d + ud)
-            tally[key] = tally.get(key, 0) + 2 * rotations * count
-    return tally
+def _rotation_words(n: int, k: int) -> int:
+    """The number of words of the n-ball that each of the p distinct
+    rotations z.v of a necklace r of length k adds to the class
+    "a" + "a".join(r): the two rotations of m that start with a and with
+    z, and u.x.v.y.u^-1 of odd length for both letters x of {b, c, d} other
+    than z, y = xz and every u that is empty or ends in a.  So the class
+    has ``p * _rotation_words(n, k)`` words."""
+    return 2 * (1 + _conjugators((n - 2 * k - 1) // 2, "a"))
 
 
 def enumerate_ball_free(n: int, cap: int | None = None) -> list[str]:

@@ -10,8 +10,8 @@ parity kernel.  The exhaustive n-ball sweep certifies each conjugacy class
 of the ball once and never builds the ball's words, unless some word fails.
 The sweep walks the bracelets with the reduced sides of each prefix, so a
 class's children come out of the walk and no class is split; each distinct
-child word is certified once, and the radius tests of a class's tally are
-decided once per letter-count vector of its bracelet.
+child word is certified once, and the ball's radius test is decided once,
+on its heaviest word.
 
 The memos are ``functools.cache`` on pure functions (``_is_trivial``,
 ``_order``, ``_letter_action``, ``_in_open_ball``, ``_class_exponent``,
@@ -41,8 +41,6 @@ from .words import (
     BCD,
     NUCLEUS,
     _bracelet_walk,
-    _cycle_conjugators,
-    _cycle_tally,
     _join,
     _letter_classes,
     _rotation_words,
@@ -331,8 +329,14 @@ def _in_open_ball(na: int, nb: int, nc: int, nd: int, r: int) -> bool:
     """True iff a word with these letter counts has length below L^r.
 
     The length of a reduced word is the sum of its letter weights, so the
-    open-ball test depends only on the letter counts and the radius.
+    open-ball test depends only on the letter counts and the radius.  A
+    word of l >= 1 letters is shorter than l, as every weight is below 1,
+    and L > 6/5 gives L^r >= 1 + r(L - 1) >= l once 5(l - 1) <= r; the
+    empty word is in every ball.  So a large radius is decided without
+    building L^r.
     """
+    if 5 * (na + nb + nc + nd - 1) <= r:
+        return True
     return triple_compare_power(count_triple(na, nb, nc, nd), r) < 0
 
 
@@ -471,8 +475,8 @@ def verify_nball_proposition(n: int, words=None, level: int | None = None) -> NB
 
     The exhaustive sweep goes by conjugacy class: ``_bracelet_walk``
     gives each pair of mutually inverse classes with the splitting of one
-    of them, so each pair is certified once and each (class, count
-    vector) pair gets one radius test.  If any word fails, the report is
+    of them, so each pair is certified once, and the ball's radius test is
+    made once, on its heaviest word.  If any word fails, the report is
     rebuilt word by word over ``iter_ball_free(n)``, so failures keep their
     shortlex order.
 
@@ -525,80 +529,64 @@ def _class_sweep(n: int, level: int) -> NBallReport | None:
     """The exhaustive n-ball report, one certificate per conjugacy class;
     None as soon as some word of the ball fails at this level.
 
-    A word passes iff its letter counts pass the radius test (at level > 0)
-    and its class certifies, so a (class, count vector) pair decides all
-    the words it counts.  Each class is visited once, so its own step runs
-    uncached.  At level > 0 an enumerated m is minimal and its own counts
-    are in its tally, so the tally's radius test is all ``_ball_class``
-    would do.
+    At level > 0 a word passes iff it lies in the open L^(level - 1)-ball
+    and its class certifies.  Every letter weight is positive, and |b| is
+    the greatest: |b| = |c| + |d|, and |b| = 1 - |a| > |a| as L < 5/4.  A
+    reduced word of length l has at most ceil(l / 2) letters of {b, c, d},
+    so no word of the n-ball is heavier than b.a.b... with letter counts
+    (n // 2, (n + 1) // 2, 0, 0), which is itself in the ball: the whole
+    ball passes the radius test iff that word does.  At level <= 0 the
+    word ab of every ball of radius >= 2 is not a base case, so those
+    levels go to the word loop.
 
     A class and its inverse are certified once.  Inversion reverses a word,
-    so it keeps the letter counts (hence the tally and the radius test) and
-    maps base cases to base cases.  For a parity-0 word a letter's a-parity
-    is the same counted from either end, so split(w^-1) is the pair of
-    inverses of split(w), sides in the same order; for an active class
-    (m.m)^-1 = m^-1.m^-1.  By induction the class of m^-1 has m's tally,
-    exponent, depth and verdict.  So the sweep visits the bracelets of
-    ``_bracelet_walk``, one class of each inverse pair, and a class's words
-    count twice unless it is its own inverse.
+    so it keeps the letter counts and maps base cases to base cases.  For a
+    parity-0 word a letter's a-parity is the same counted from either end,
+    so split(w^-1) is the pair of inverses of split(w), sides in the same
+    order; for an active class (m.m)^-1 = m^-1.m^-1.  By induction the
+    class of m^-1 has m's exponent, depth and verdict.  So the sweep visits
+    the bracelets of ``_bracelet_walk``, one class of each inverse pair,
+    and a class's words count twice unless it is its own inverse.
 
-    Each distinct piece of work runs once per sweep.  The walk reads the
+    Each class is visited once, so its own step runs uncached, and each
+    distinct piece of work runs once per sweep.  The walk reads the
     sections of ``_SPLIT_IMAGE`` when the sweep starts and hands each
     bracelet r over with the reduced sides (s0, s1) of m = "a" + "a".join(r),
     built one letter at a time along the prenecklace tree, so no m is built
-    or split at level > 0.  For k = len(r) even they are the children of
+    or split.  For k = len(r) even they are the children of
     ``_class_step(m, n)``; for k odd the one child, side 0 of m.m, is s0
     joined with s1, since the second copy of r has the opposite a-parity
     (one more factor of two).  The child step ``certify_exponent(child,
     level - 1)`` is kept per child word in a dict that lives as long as the
-    call; a child that fails ends the sweep and is never kept.  The tally
-    keys of a bracelet r of length k = nb + nc + nd are (k, nb, nc, nd) and
-    that vector moved by the merge delta of each letter in r and by the
-    conjugators of (n, k).  The letters in r are those with a nonzero
-    count, so the keys, and the tally's radius test, are fixed by (nb, nc,
-    nd), or (k, nb, nc): the test is decided once per count vector, and a
-    tally is built only for a new one.  A class's words are counted by
-    ``_rotation_words``, without its tally, and added up by (exponent,
+    call; a child that fails ends the sweep and is never kept.  A class's
+    words are counted by ``_rotation_words`` and added up by (exponent,
     depth), so the report is filled once per pair at the end.
     """
+    if level <= 0 or not _in_open_ball(n // 2, (n + 1) // 2, 0, 0, level - 1):
+        return None
     sections = {x: tuple(map(reduce_word, _SPLIT_IMAGE[x])) for x in BCD}
-    per_rotation = [_rotation_words(_cycle_conjugators(n, k)) for k in range(n // 2 + 1)]
+    per_rotation = [_rotation_words(n, k) for k in range(n // 2 + 1)]
     certified = _ChildSteps(level - 1)
     counts = {}  # (exponent, depth) -> words certified with them
-    verdicts = {}  # (k, nb, nc) -> whether every tally key is in the ball
     try:
-        for m, tally in _letter_classes(n):
-            if level > 0 and not all(_in_open_ball(*c, level - 1) for c in tally):
-                return None
-            # a letter or base case has no children
-            _rule, added, _kids = _class_step(m if level > 0 else _ball_class(m, level), level)
+        for m, words in _letter_classes(n):
+            # a letter has no children
+            _rule, added, _kids = _class_step(m, level)
             key = (added, 1)
-            counts[key] = counts.get(key, 0) + sum(tally.values())
+            counts[key] = counts.get(key, 0) + words
         for r, p, self_inverse, s0, s1 in _bracelet_walk(n, sections):
             k = len(r)
             words = p * per_rotation[k] * (1 if self_inverse else 2)
-            if level <= 0:
-                # a base case has no children
-                _rule, exponent, _kids = _class_step(_ball_class("a" + "a".join(r), level), level)
-                depth = 0
+            if k & 1:
+                exponent, depth = certified[_join(s0, s1)]
+                exponent += 1
             else:
-                vector = (k, r.count("b"), r.count("c"))
-                verdict = verdicts.get(vector)
-                if verdict is None:
-                    tally = _cycle_tally(r, p, _cycle_conjugators(n, k))
-                    verdict = verdicts[vector] = all(_in_open_ball(*c, level - 1) for c in tally)
-                if not verdict:
-                    return None
-                if k & 1:
-                    exponent, depth = certified[_join(s0, s1)]
-                    exponent += 1
-                else:
-                    exponent, depth = certified[s0]
-                    e, d = certified[s1]
-                    if e > exponent:
-                        exponent = e
-                    if d > depth:
-                        depth = d
+                exponent, depth = certified[s0]
+                e, d = certified[s1]
+                if e > exponent:
+                    exponent = e
+                if d > depth:
+                    depth = d
             key = (exponent, depth + 1)
             counts[key] = counts.get(key, 0) + words
     except RadiusViolation:

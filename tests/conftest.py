@@ -1,12 +1,6 @@
 from hypothesis import strategies as st
 
-from grigorchuk.words import (
-    BCD,
-    LETTERS,
-    _cycle_conjugators,
-    _cycle_tally,
-    _letter_classes,
-)
+from grigorchuk.words import BCD, LETTERS, _letter_classes
 
 raw_words = st.text(alphabet=LETTERS, max_size=24)
 
@@ -43,19 +37,18 @@ def random_reduced_word(length, rng):
 
 
 def iter_ball_classes(n):
-    """Yield (m, tally) for every conjugacy class that meets the n-ball of
-    the free product: m is the class's minimal conjugate and tally maps
-    each letter-count vector (na, nb, nc, nd) to the number of words of
-    length <= n in the class with those counts.
+    """Yield the minimal conjugate of every conjugacy class that meets the
+    n-ball of the free product: 1, a, b, c, d, then "a" + "a".join(r) for
+    each necklace r over "bcd" of length 1..n // 2.
 
     Every class, where ``iter_ball_bracelets`` keeps one of each inverse
     pair: the oracle of the bracelet tests.
     """
-    yield from _letter_classes(n)
+    for m, _words in _letter_classes(n):
+        yield m
     for k in range(1, n // 2 + 1):
-        conjugators = _cycle_conjugators(n, k)
-        for r, p in _necklaces(k):
-            yield "a" + "a".join(r), _cycle_tally(r, p, conjugators)
+        for r, _p in _necklaces(k):
+            yield "a" + "a".join(r)
 
 
 # the successor of each letter of {b, c, d} but the last, in "bcd" order

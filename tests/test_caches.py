@@ -9,7 +9,6 @@ import grigorchuk
 from grigorchuk.wreath import certify_torsion, is_trivial, level_action, order, verify_nball_proposition
 
 CACHES = {
-    "words._conjugator_tally",
     "cubic._lambda_power",
     "cubic._power_ceiling",
     "wreath._in_open_ball",

@@ -1,4 +1,4 @@
-from collections import Counter, defaultdict
+from collections import Counter
 from heapq import merge
 from itertools import islice, product
 
@@ -19,8 +19,6 @@ from grigorchuk.growth import ball_free_product
 from grigorchuk.words import (
     BCD,
     _bracelet_walk,
-    _cycle_conjugators,
-    _cycle_tally,
     _join,
     _letter_classes,
     _rotation_words,
@@ -202,27 +200,33 @@ def test_ball_cap():
     assert exc.value.partial == 50
 
 
-def _letter_counts(w):
-    return tuple(w.count(x) for x in "abcd")
-
-
-def test_ball_classes_match_the_grouped_ball():
-    # the oracle: every word of the ball, grouped by class and letter counts
-    for n in range(15):
-        want = defaultdict(Counter)
-        for w in iter_ball_free(n):
-            want[min_conjugate(w)][_letter_counts(w)] += 1
-        got = {m: Counter(tally) for m, tally in iter_ball_classes(n)}
-        assert got == want, n
-
-
-def test_ball_classes_count_the_free_ball():
+def test_class_word_counts_match_the_grouped_ball():
+    """The oracle: every word of the ball, grouped by class.  A letter class
+    holds the count ``_letter_classes`` gives it, and a bracelet's class and
+    its inverse hold p * _rotation_words(n, k) words each, so the sweep
+    weighs the pair twice unless it is one class.  Grouping the ball word by
+    word is cheap only to the 16-ball; the counts add up to the free ball's
+    size further out."""
+    for n in range(17):
+        want = Counter(map(min_conjugate, iter_ball_free(n)))
+        for m, words in _letter_classes(n):
+            assert want.pop(m) == words, (n, m)
+        for r, p, self_inverse in iter_ball_bracelets(n):
+            m = "a" + "a".join(r)
+            words = p * _rotation_words(n, len(r))
+            assert want.pop(m) == words, (n, r)
+            if not self_inverse:
+                assert want.pop(min_conjugate(invert(m))) == words, (n, r)
+        assert not want, n
     for n in range(25):
-        assert sum(sum(t.values()) for _, t in iter_ball_classes(n)) == ball_free_product(n), n
+        total = sum(words for _m, words in _letter_classes(n))
+        for r, p, self_inverse in iter_ball_bracelets(n):
+            total += p * _rotation_words(n, len(r)) * (1 if self_inverse else 2)
+        assert total == ball_free_product(n), n
 
 
 def test_ball_classes_are_distinct_minimal_conjugates():
-    reps = [m for m, _tally in iter_ball_classes(20)]
+    reps = list(iter_ball_classes(20))
     assert len(reps) == len(set(reps)) == 9508
     assert all(min_conjugate(m) == m for m in reps)
 
@@ -285,27 +289,16 @@ def test_bracelets_are_the_necklaces_up_to_inversion():
 
 def test_ball_bracelets_are_the_classes_up_to_inversion():
     # 9 508 classes in the 20-ball, 1 094 of them their own inverse; the
-    # letter classes are involutions, and a bracelet's tally is built apart
-    classes = dict(iter_ball_classes(20))
+    # letter classes are involutions
+    classes = list(iter_ball_classes(20))
     kept = [m for m in classes if m <= min_conjugate(invert(m))]
-    bracelets = [(m, tally, True) for m, tally in _letter_classes(20)]
-    for r, p, self_inverse in iter_ball_bracelets(20):
-        tally = _cycle_tally(r, p, _cycle_conjugators(20, len(r)))
-        bracelets.append(("a" + "a".join(r), tally, self_inverse))
-    assert [m for m, _tally, _self_inverse in bracelets] == kept
+    bracelets = [(m, True) for m, _words in _letter_classes(20)]
+    bracelets += [("a" + "a".join(r), self_inverse) for r, _p, self_inverse in iter_ball_bracelets(20)]
+    assert [m for m, _self_inverse in bracelets] == kept
     assert len(kept) == 5301
-    assert sum(self_inverse for _m, _tally, self_inverse in bracelets) == 1094
-    for m, tally, self_inverse in bracelets:
-        assert tally == classes[m]
+    assert sum(self_inverse for _m, self_inverse in bracelets) == 1094
+    for m, self_inverse in bracelets:
         assert self_inverse == (m == min_conjugate(invert(m)))
-
-
-def test_rotation_words_count_the_tally():
-    # the sweep weighs a bracelet by p * _rotation_words, never its tally
-    for n in range(21):
-        for r, p, _self_inverse in iter_ball_bracelets(n):
-            conjugators = _cycle_conjugators(n, len(r))
-            assert p * _rotation_words(conjugators) == sum(_cycle_tally(r, p, conjugators).values())
 
 
 def test_ball_classes_reject_negative_radius():

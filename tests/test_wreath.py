@@ -1,12 +1,21 @@
 import hashlib
 import json
+import math
+import time
 
 import pytest
 from hypothesis import example, given, settings
 
 from conftest import _bracelets, iter_ball_bracelets, iter_ball_classes, raw_words, reduced_words
 from grigorchuk import wreath
-from grigorchuk.cubic import LAMBDA_INV, lambda_length, radius_index
+from grigorchuk.cubic import (
+    LAMBDA_INV,
+    count_triple,
+    lambda_length,
+    radius_index,
+    triple_compare_power,
+    triple_sign,
+)
 from grigorchuk.errors import CapExceeded, GrigError, PreconditionError
 from grigorchuk.words import (
     BCD,
@@ -434,13 +443,14 @@ def test_sweep_certifies_each_child_word_once(monkeypatch):
     assert len(children) == len(set(children)) == 1003
 
 
-@pytest.mark.parametrize("counts, below", [((6, 0, 0, 6), 1), ((5, 0, 5, 0), 2)], ids=["class", "child"])
+@pytest.mark.parametrize("counts, below", [((6, 6, 0, 0), 1), ((5, 0, 5, 0), 2)], ids=["class", "child"])
 def test_sweep_hands_over_when_one_radius_test_fails(monkeypatch, counts, below):
-    """One count vector made to fail the radius test of the 12-ball's
-    classes (radius level - 1) or of their children (level - 2): the sweep
-    must hand over to the word loop, whatever verdicts and children it has
-    kept for other classes.  A cached class exponent would skip the test,
-    so the cache starts cold."""
+    """One count vector made to fail the radius test of the 12-ball's words
+    (radius level - 1) or of their children (level - 2): the sweep must
+    hand over to the word loop, whatever children it has kept.  The words'
+    vector is the heaviest one, (6, 6, 0, 0), which the sweep tests for the
+    whole ball; with the real weights any failing vector makes it fail.  A
+    cached class exponent would skip the test, so the cache starts cold."""
     level = radius_index(12)
     wreath._class_exponent.cache_clear()
     real = wreath._in_open_ball
@@ -449,6 +459,78 @@ def test_sweep_hands_over_when_one_radius_test_fails(monkeypatch, counts, below)
     rep = verify_nball_proposition(12)
     assert rep.failures
     assert rep.to_dict() == verify_nball_proposition(12, words=iter_ball_free(12)).to_dict()
+
+
+def _reduced_count_vectors(n):
+    """The letter counts (na, nb, nc, nd) of the reduced words of length
+    <= n: a alternates with t free letters of {b, c, d}, so na is t - 1,
+    t or t + 1."""
+    for t in range((n + 1) // 2 + 1):
+        for na in range(max(t - 1, 0), min(t + 1, n - t) + 1):
+            for nb in range(t + 1):
+                for nc in range(t - nb + 1):
+                    yield na, nb, nc, t - nb - nc
+
+
+def test_the_heaviest_word_decides_the_radius_test(monkeypatch):
+    """The sweep makes one radius test for its whole ball, on the count
+    vector it reads as the heaviest; that vector is a reduced word's of the
+    ball, and no reduced word of the ball weighs more, exactly in Q(L).  A
+    failing test hands over before the walk starts."""
+    tested = []
+
+    def record(*args):
+        tested.append(args[:4])
+        return False
+
+    monkeypatch.setattr(wreath, "_in_open_ball", record)
+    for n in range(41):
+        tested.clear()
+        assert wreath._class_sweep(n, 1) is None
+        (heaviest,) = tested
+        vectors = set(_reduced_count_vectors(n))
+        assert heaviest in vectors, n
+        top = count_triple(*heaviest)
+        for counts in vectors:
+            assert triple_sign(*(x - y for x, y in zip(count_triple(*counts), top))) <= 0, (n, counts)
+
+
+def test_radius_shortcut_agrees_with_the_exact_test(monkeypatch):
+    """``_in_open_ball`` answers True without building L^r once the letter
+    count l makes 5(l - 1) <= r.  Wherever it skips the exact comparison
+    (seen as no call to it), the comparison must agree, for l, r <= 60:
+    every count vector of up to 16 letters, and the heaviest of more, all
+    b, as |b| is the greatest weight."""
+    compared = []
+    monkeypatch.setattr(wreath, "triple_compare_power", lambda triple, r: compared.append(r) or 1)
+    skipped = 0
+    for letters in range(61):
+        vectors = _count_vectors(letters) if letters <= 16 else [(0, letters, 0, 0)]
+        for counts in vectors:
+            for r in range(61):
+                compared.clear()
+                got = wreath._in_open_ball.__wrapped__(*counts, r)
+                if not compared:
+                    skipped += 1
+                    assert got and triple_compare_power(count_triple(*counts), r) < 0, (counts, r)
+    # the C(l + 3, 3) vectors of l letters skip it for 5(l - 1) <= r <= 60
+    assert skipped == sum(math.comb(k + 3, 3) * (61 - max(5 * (k - 1), 0)) for k in range(14))
+
+
+def _count_vectors(k):
+    # every (na, nb, nc, nd) of k letters
+    for na in range(k + 1):
+        for nb in range(k - na + 1):
+            for nc in range(k - na - nb + 1):
+                yield na, nb, nc, k - na - nb - nc
+
+
+def test_a_large_level_is_certified_at_once():
+    # the radius tests of a level in the millions take the shortcut
+    start = time.perf_counter()
+    cert = certify_torsion("ab", 3_000_000)
+    assert time.perf_counter() - start < 1
+    assert cert.exponent == certify_torsion("ab", 20).exponent == 4
 
 
 @pytest.mark.parametrize("letter, image", [("d", ("", "c")), ("b", ("a", "d"))], ids=["d=(1,c)", "b=(a,d)"])
@@ -465,7 +547,7 @@ def test_sweep_follows_a_patched_image(monkeypatch, letter, image):
 
 
 # SHA-256 of the compact JSON of the exhaustive reports for radii 2..22,
-# from before the sweep kept child steps and tally verdicts per sweep
+# from before the sweep kept child steps per sweep and made one radius test
 NBALL_REPORTS_SHA256 = "2a0fdb51b8f984dbfc2f5b029378fb3978365fedae558dae3814879d1b2bd3f7"
 
 
@@ -477,7 +559,7 @@ def test_nball_reports_to_22_are_pinned():
 
 def test_a_class_and_its_inverse_certify_alike():
     level = radius_index(16)
-    for m, _tally in iter_ball_classes(16):
+    for m in iter_ball_classes(16):
         assert certify_exponent(m, level) == certify_exponent(min_conjugate(invert(m)), level), m
 
 
@@ -495,7 +577,7 @@ def test_class_orders_within_their_certificates_on_the_20_ball():
     # orders come from the limit group, exponents from level i(20)
     level = radius_index(20)
     classes = tight = 0
-    for m, _tally in iter_ball_classes(20):
+    for m in iter_ball_classes(20):
         bound = 2 ** certify_exponent(m, level)[0]
         assert order(m) <= bound, m
         classes += 1
