@@ -220,14 +220,9 @@ def _nball_radii(text: str) -> tuple[int, ...]:
 
 
 def cmd_check_all(args) -> int:
-    if args.config:
-        cfg = reports.CheckConfig.from_file(args.config)
-    else:
-        cfg = reports.CheckConfig()
+    cfg = reports.CheckConfig.from_file(args.config) if args.config else reports.CheckConfig()
     if args.nball is not None:
         cfg.nball_radii = _nball_radii(args.nball)
-    if args.seed is not None:
-        cfg.seed = args.seed
     rs = reports.check_all(cfg)
     checks = [r.to_dict() for r in rs]
     if args.no_timestamp:
@@ -330,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-all", help="run the full verification suite")
     p.add_argument("--config", help="config file with 'key = value' lines")
     p.add_argument("--nball", help="comma-separated radii; 0 skips the sweep")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--no-timestamp", action="store_true")
     _add_format(p)
     p.set_defaults(func=cmd_check_all)

@@ -9,6 +9,7 @@ quotient.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import CapExceeded
@@ -44,10 +45,16 @@ class CosetTable:
     def index(self) -> int:
         return len(self.rows)
 
+    @functools.cached_property
+    def _column_map(self) -> dict[tuple[str, int], int]:
+        return _columns(self.presentation.generators)
+
     def trace(self, coset: int, word: Relator) -> int:
-        columns = _columns(self.presentation.generators)
+        """The coset word leads to from coset; -1 at an undefined entry."""
         for letter in word:
-            coset = self.rows[coset][columns[letter]]
+            coset = self.rows[coset][self._column_map[letter]]
+            if coset < 0:
+                return -1
         return coset
 
     def verify(self) -> bool:
@@ -233,7 +240,7 @@ def quotient_group(table: CosetTable) -> PermGroup:
     its order equals the coset count."""
     if table.status != "complete":
         raise ValueError("coset table is not complete")
-    columns = _columns(table.presentation.generators)
+    columns = table._column_map
     perms = [tuple(row[columns[g, 1]] for row in table.rows) for g in table.presentation.generators]
     return perm_closure(perms, degree=table.index, cap=max(2 * table.index, 16))
 

@@ -26,8 +26,13 @@ _SIGMA = {"a": "aca", "b": "d", "c": "b", "d": "c"}
 def sigma(w: str) -> str:
     """Image of a word under the substitution a -> aca, b -> d, c -> b,
     d -> c, in reduced normal form.  The substitution kills the defining
-    relators, so it is an endomorphism of the free product."""
-    return reduce_word("".join(_SIGMA[ch] for ch in w))
+    relators, so it is an endomorphism of the free product.  A letter
+    outside a, b, c, d raises ValueError, as in ``reduce_word``."""
+    try:
+        image = "".join(_SIGMA[ch] for ch in w)
+    except KeyError as exc:
+        raise ValueError(f"invalid letter {exc.args[0]!r}") from None
+    return reduce_word(image)
 
 
 U0 = reduce_word("ad" * 4)

@@ -6,17 +6,16 @@ verified, so reports are auditable on their own.  Statuses are ``pass``,
 ``fail`` or ``skipped``; the suite's aggregate status is ``fail`` if any
 check fails, else ``pass``.
 
-Every verdict is exact.  Most checks are proofs or exhaustive sweeps: the
-contraction lemma, for one, is decided from finitely many facts in Q(L)
-and the grammar of reduced words.  Only the ``radius_random`` samples of
-``radius-index-exact`` draw from ``CheckConfig.seed``.
+Every verdict is exact, and none rests on a sample: each check is a proof
+or an exhaustive sweep.  The contraction lemma, for one, is decided from
+finitely many facts in Q(L) and the grammar of reduced words.
 """
 
 from __future__ import annotations
 
 import functools
-import random
 import time
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -38,10 +37,8 @@ from .wreath import _SPLIT_IMAGE, order
 class CheckConfig:
     nball_radii: tuple[int, ...] = (2, 5, 10, 20)
     radius_exhaustive: int = 10_000
-    radius_random: int = 200
     radius_max: int = 1_000_000
     growth_maxn: int = 8
-    seed: int = 0
 
     @staticmethod
     def from_file(path) -> "CheckConfig":
@@ -60,24 +57,16 @@ class CheckConfig:
                 texts = [t for t in value.split(",") if t.strip()] if key == "nball_radii" else [value]
                 values = [_config_int(path, lineno, key, t) for t in texts]
                 setattr(cfg, key, tuple(values) if key == "nball_radii" else values[0])
-        # the random radius samples are drawn from radius_exhaustive..radius_max
-        if cfg.radius_random > 0 and cfg.radius_max < cfg.radius_exhaustive:
-            raise ValueError(
-                f"{path}: radius_max ({cfg.radius_max}) must be >= radius_exhaustive "
-                f"({cfg.radius_exhaustive}) when radius_random > 0"
-            )
         return cfg
 
 
-# the least accepted value of each CheckConfig field (None: any integer);
-# nball_radii bounds each of its entries
+# the least accepted value of each CheckConfig field; nball_radii bounds
+# each of its entries
 _CONFIG_MINIMUM = {
     "nball_radii": 2,
     "radius_exhaustive": 1,
-    "radius_random": 0,
     "radius_max": 1,
     "growth_maxn": 2,
-    "seed": None,
 }
 
 
@@ -88,7 +77,7 @@ def _config_int(path, lineno: int, key: str, text: str) -> int:
         msg = f"{path}:{lineno}: {key} must be an integer, not {text.strip()!r}"
         raise ValueError(msg) from None
     least = _CONFIG_MINIMUM[key]
-    if least is not None and n < least:
+    if n < least:
         raise ValueError(f"{path}:{lineno}: {key} must be >= {least}, not {n}")
     return n
 
@@ -227,7 +216,8 @@ def check_lemma_ineq(cfg: CheckConfig) -> Iterator[CheckReport]:
     (c).  So (d) gives the weak bound for every word and the strong one for
     minimal conjugates outside {b, c, d}: "" and a have e <= 0, the rest
     are cyclically reduced.
-    ``wreath.lemma_split_contraction_check`` is the word-by-word oracle.
+    ``lemma_split_contraction_check`` in ``tests/conftest.py`` is the
+    word-by-word oracle.
     """
     positive = {f"|{g}|": WEIGHT[g].sign() > 0 for g in LETTERS}
     positive["1/L"] = LAMBDA_INV.sign() > 0
@@ -419,45 +409,24 @@ def check_growth_cross(cfg: CheckConfig) -> Iterator[CheckReport]:
 
 @_timed
 def check_radius_index(cfg: CheckConfig) -> Iterator[CheckReport]:
-    """Check i(n) = radius_index(n) for n = 1..radius_exhaustive and for
-    radius_random samples up to radius_max.
-
-    For an integer n, L^k <= n iff ceil(L^k) <= n, and n < L^k iff
-    n < ceil(L^k).  So each threshold T_k = ``cubic._power_ceiling(k)`` that
-    some n needs is proved once, by two exact comparisons in Q(L)
-    (L^k <= T_k and L^k > T_k - 1), and n is then checked in integers.
-    The exhaustive range is walked in order: m starts at -1 (T_0 = 1 <= 1
-    < T_1) and steps up while T_(m+2) <= n, so T_(m+1) <= n < T_(m+2)
-    holds for the walked m, and radius_index(n) must equal it; this also
-    makes i nondecreasing.  A random sample n is checked by
-    T_(i(n)+1) <= n < T_(i(n)+2).
+    """Check i(n) = radius_index(n) for n = 1..radius_exhaustive and at both
+    ends T_k - 1, T_k of each threshold interval up to radius_max, where a
+    wrong comparison or threshold first shows.  L^k <= n iff the threshold
+    T_k = ``cubic._power_ceiling(k)`` <= n, and each T_k is proved once,
+    exactly in Q(L) (L^k <= T_k < L^k + 1), so m = bisect_right(T, n) - 2
+    is the m with T_(m+1) <= n < T_(m+2), and nondecreasing in n.
     """
-    rng = random.Random(cfg.seed)
+    low, top = cfg.radius_exhaustive, cfg.radius_max
+    thresholds = [cubic._power_ceiling(0)]
+    while thresholds[-1] <= max(low, top):
+        thresholds.append(cubic._power_ceiling(len(thresholds)))
+    exact = cubic.compare_power_to_int
+    proved = [exact(k, t) <= 0 < exact(k, t - 1) for k, t in enumerate(thresholds)]
+    edges = {n for t in thresholds for n in (t - 1, t) if low < n <= top}
     bad = []
-    proved: dict[int, bool] = {}  # k -> whether T_k's two comparisons hold
-
-    def threshold(k):
-        t = cubic._power_ceiling(k)
-        if k not in proved:
-            proved[k] = cubic.compare_power_to_int(k, t) <= 0 < cubic.compare_power_to_int(k, t - 1)
-        return t, proved[k]
-
-    # the walk keeps T_(m+1) <= n < hi = T_(m+2): a step up makes hi the lower end
-    m = -1
-    lo_proved = threshold(0)[1]
-    hi, hi_proved = threshold(1)
-    for n in range(1, cfg.radius_exhaustive + 1):
-        while hi <= n:
-            m += 1
-            lo_proved = hi_proved
-            hi, hi_proved = threshold(m + 2)
-        if not (lo_proved and hi_proved) or cubic.radius_index(n) != m:
-            bad.append(n)
-    for _ in range(cfg.radius_random):
-        n = rng.randint(cfg.radius_exhaustive, cfg.radius_max)
-        i = cubic.radius_index(n)
-        (lo, lo_proved), (hi, hi_proved) = threshold(i + 1), threshold(i + 2)
-        if not (lo_proved and hi_proved and lo <= n < hi):
+    for n in [*range(1, low + 1), *sorted(edges)]:
+        m = bisect_right(thresholds, n) - 2
+        if not (proved[m + 1] and proved[m + 2]) or cubic.radius_index(n) != m:
             bad.append(n)
     lo, hi = cubic.log_lambda_enclosure(4)
     rounded_660 = lo >= Fraction(6595, 1000) and hi <= Fraction(6605, 1000)

@@ -48,7 +48,6 @@ from .words import (
     format_word,
     iter_ball_free,
     min_conjugate,
-    multiply,
     reduce_word,
 )
 
@@ -206,46 +205,6 @@ def order_by_squaring(w: str) -> int:
         if e > _SQUARING_CAP:
             raise CapExceeded(f"order cap {_SQUARING_CAP} exceeded for {w!r}")
     return e
-
-
-# ---------------------------------------------------------------------------
-# contraction inequality report
-
-
-@dataclass(frozen=True)
-class ContractionReport:
-    word: str
-    adjusted: str  # the parity-0 word that was split (w or w*a)
-    components: tuple[str, str]
-    strong_holds: bool
-    weak_holds: bool
-
-
-def lemma_split_contraction_check(x: str) -> ContractionReport:
-    """Check the splitting contraction bounds on a reduced word.
-
-    The strong bound |x0| + |x1| <= |x|/L is claimed only for x minimal in
-    its conjugacy class and not a single letter of {b, c, d}, which the
-    caller checks; the weak bound |x0| + |x1| <= (|x| + |a|)/L is
-    unconditional.
-    """
-    x = reduce_word(x)
-    adjusted = x if a_parity(x) == 0 else multiply(x, "a")
-    x0, x1 = split(adjusted)
-    t0, t1, t2 = length_triple(x0 + x1)
-    s0, s1, s2 = length_triple(x)
-    # 2L^3 = L^2 + L + 1 gives 2L*t = (t2, 2t0 + t2, 2t1 + t2); the bounds
-    # are d = 2L*t - 2|x| <= 0 and d - 2|a| <= 0, with 2|a| = (-4, 4, 0)
-    d0, d1, d2 = t2 - 2 * s0, 2 * t0 + t2 - 2 * s1, 2 * t1 + t2 - 2 * s2
-    # |a| > 0, so the strong bound implies the weak one
-    strong = triple_sign(d0, d1, d2) <= 0
-    return ContractionReport(
-        word=x,
-        adjusted=adjusted,
-        components=(x0, x1),
-        strong_holds=strong,
-        weak_holds=strong or triple_sign(d0 + 4, d1 - 4, d2) <= 0,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Acceptance gate: ten numbered criteria, one printed pass/fail line each.
 
 Each criterion asserts on the ``reports.check_*`` builders that
-``grig check-all`` runs, with this module's seed and sizes, so every check
-exists once.  Criterion 3 also runs a seeded sample of 10 000 minimal
+``grig check-all`` runs, with this module's sizes, so every check exists
+once.  Criterion 3 also runs a seeded sample of 10 000 minimal
 conjugates, drawn by ``conftest.random_reduced_word``, through
-``lemma_split_contraction_check``, the independent oracle of the
+``conftest.lemma_split_contraction_check``, the independent oracle of the
 contraction lemma's proof in ``check-all``.
 
 All numeric claims are exact (zero tolerance) unless a rational enclosure
@@ -30,7 +30,7 @@ import random
 
 import pytest
 
-from conftest import random_reduced_word
+from conftest import lemma_split_contraction_check, random_reduced_word
 from grigorchuk import cubic, words, wreath
 from grigorchuk.cubic import compare_power_to_int, radius_index
 from grigorchuk.reports import (
@@ -49,7 +49,6 @@ from grigorchuk.reports import (
 from grigorchuk.words import BCD, min_conjugate
 from grigorchuk.wreath import (
     certify_exponent,
-    lemma_split_contraction_check,
     order,
     verify_nball_proposition,
 )
@@ -334,8 +333,19 @@ def test_negative_control_radius_index_one_off(monkeypatch):
     assert rep.witnesses["violations"] == list(range(1, 11))
 
 
+def test_radius_edge_beyond_exhaustive_is_checked(monkeypatch):
+    """i(n) + 1 at the single n = T_60 = ceil(L^60) = 297 626, far past the
+    exhaustive range, fails: every threshold's two ends are checked up to
+    radius_max."""
+    real = cubic.radius_index
+    monkeypatch.setattr(cubic, "radius_index", lambda n: real(n) + (n == cubic._power_ceiling(60)))
+    (rep,) = check_radius_index(CheckConfig())
+    assert rep.status == "fail"
+    assert rep.witnesses["violations"] == [297626]
+
+
 def test_criterion_10_radius_index_and_log():
-    cfg = CheckConfig(seed=SEED, radius_exhaustive=10_000, radius_random=500, radius_max=1_000_000)
+    cfg = CheckConfig(radius_exhaustive=10_000, radius_max=1_000_000)
     (rep,) = check_radius_index(cfg)
     lo, hi = rep.witnesses["log_lambda_4"]
     assert report(

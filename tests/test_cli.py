@@ -236,7 +236,6 @@ def test_check_all_deterministic_json(capsys, tmp_path):
         "# light configuration for the test suite\n"
         "nball_radii = 2\n"
         "radius_exhaustive = 200\n"
-        "radius_random = 20\n"
         "growth_maxn = 5\n"
     )
     args = ["check-all", "--config", str(cfg), "--no-timestamp"]
@@ -250,20 +249,20 @@ def test_check_all_deterministic_json(capsys, tmp_path):
     assert ids == sorted(ids)
 
 
-def test_check_all_seed_and_csv(capsys, monkeypatch, tmp_path):
+def test_check_all_config_and_csv(capsys, monkeypatch, tmp_path):
     cfg = tmp_path / "grig.cfg"
-    cfg.write_text("nball_radii = 2\nradius_exhaustive = 100\nradius_random = 5\ngrowth_maxn = 4\n")
-    args = ["check-all", "--config", str(cfg), "--no-timestamp", "--seed", "7"]
+    cfg.write_text("nball_radii = 2\nradius_exhaustive = 100\nradius_max = 500\ngrowth_maxn = 4\n")
+    args = ["check-all", "--config", str(cfg), "--no-timestamp"]
     given = []
     real = reports.check_all
     monkeypatch.setattr(reports, "check_all", lambda c: given.append(c) or real(c))
     code, out, _ = run(capsys, *args)
     assert code == 0
     checks = json.loads(out)["checks"]
-    # the file's keys and the seed reach the builders as one config, and the
-    # output is that config's in-process run
+    # the file's keys reach the builders as one config, and the output is
+    # that config's in-process run
     expected = reports.CheckConfig(
-        nball_radii=(2,), radius_exhaustive=100, radius_random=5, growth_maxn=4, seed=7
+        nball_radii=(2,), radius_exhaustive=100, radius_max=500, growth_maxn=4
     )
     assert given == [expected]
     in_process = [{k: v for k, v in r.to_dict().items() if k != "wall_time"} for r in real(expected)]
@@ -279,7 +278,7 @@ def test_check_all_seed_and_csv(capsys, monkeypatch, tmp_path):
 
 def test_check_all_nball_skip(capsys, tmp_path):
     cfg = tmp_path / "grig.cfg"
-    cfg.write_text("nball_radii = 2\nradius_exhaustive = 100\nradius_random = 5\ngrowth_maxn = 4\n")
+    cfg.write_text("nball_radii = 2\nradius_exhaustive = 100\ngrowth_maxn = 4\n")
     code, out, _ = run(
         capsys, "check-all", "--config", str(cfg), "--no-timestamp", "--nball", "0"
     )
@@ -324,6 +323,8 @@ _BAD_CONFIG_LINES = {
     "lemma_samples = 100": "unknown key 'lemma_samples'",
     "nball_random_max = 30": "unknown key 'nball_random_max'",
     "nball_random_samples = 100": "unknown key 'nball_random_samples'",
+    "seed = 7": "unknown key 'seed'",
+    "radius_random = 5": "unknown key 'radius_random'",
     "nball_radii = 2, 1": "nball_radii must be >= 2, not 1",
 }
 
@@ -338,32 +339,13 @@ def test_check_all_rejects_unknown_config_key(capsys, tmp_path, line):
     assert f"bad.cfg:2: {_BAD_CONFIG_LINES[line]}" in err
 
 
-def test_check_all_rejects_radius_max_below_exhaustive(capsys, monkeypatch, tmp_path):
-    """The random radius samples need radius_exhaustive <= radius_max; the
-    file is rejected, naming itself and both keys, before any check runs."""
-    def no_checks(cfg):
-        raise AssertionError("a check ran before the config was validated")
-
-    monkeypatch.setattr(reports, "check_all", no_checks)
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("radius_max = 5\n")
-    code, out, err = run(capsys, "check-all", "--config", str(cfg))
-    assert (code, out) == (2, "")
-    assert str(cfg) in err and "radius_max" in err and "radius_exhaustive" in err
-    # without random samples the range is never drawn from
-    cfg.write_text("radius_max = 5\nradius_random = 0\n")
-    assert reports.CheckConfig.from_file(cfg).radius_max == 5
-
-
 def test_config_minimums_cover_every_field():
     from dataclasses import fields
 
     assert set(reports._CONFIG_MINIMUM) == {f.name for f in fields(reports.CheckConfig)}
 
 
-_SMALL_CONFIG = reports.CheckConfig(
-    nball_radii=(2,), radius_exhaustive=100, radius_random=5, growth_maxn=3
-)
+_SMALL_CONFIG = reports.CheckConfig(nball_radii=(2,), radius_exhaustive=100, growth_maxn=3)
 
 
 @pytest.mark.parametrize("builder", reports._CHECK_BUILDERS, ids=lambda b: b.__name__)
@@ -512,7 +494,7 @@ _ODD_INPUTS = [
     (["abelianize", "--level", "-5"], 2),
     (["abelianize", "--gamma0", "--close", ""], 0),
     (["check-all", "--config", "MISSING"], 2),
-    (["check-all", "--seed", "x"], 2),
+    (["check-all", "--seed", "7"], 2),
 ]
 
 

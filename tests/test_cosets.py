@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grigorchuk.cosets import (
+    _columns,
     abelian_invariants,
     close_normally,
     quotient_group,
@@ -257,3 +258,25 @@ def test_coset_table_trace():
     rel = p.relators[2]
     for c in range(t.index):
         assert t.trace(c, rel) == c
+
+
+def test_trace_stops_at_an_undefined_entry():
+    """An overflowed table marks undefined entries -1; a trace that meets
+    one ends there, so no relator closes through it and ``verify`` fails.
+    At cap 3 the relator abab from coset 0 runs 0 -> 1 -> -1."""
+    p = close_normally(gamma0_coxeter_presentation(), ["abab"])
+    abab = p.relators[-1]
+    columns = _columns(p.generators)
+    for cap in range(1, 13):
+        t = todd_coxeter(p, cap=cap)
+        assert t.status == "overflowed"
+        assert not t.verify()
+        for rel in p.relators:
+            for c in range(t.index):
+                walk = c
+                for letter in rel:
+                    walk = t.rows[walk][columns[letter]]
+                    if walk < 0:
+                        break
+                assert t.trace(c, rel) == walk
+    assert todd_coxeter(p, cap=3).trace(0, abab) == -1

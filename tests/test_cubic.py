@@ -349,7 +349,7 @@ def test_log_checks_run_without_mpmath():
     script = (
         "import sys; sys.modules['mpmath'] = None\n"
         "from grigorchuk import reports\n"
-        "cfg = reports.CheckConfig(radius_exhaustive=100, radius_random=5, growth_maxn=5)\n"
+        "cfg = reports.CheckConfig(radius_exhaustive=100, growth_maxn=5)\n"
         "for check in (reports.check_radius_index, reports.check_growth_cross):\n"
         "    (rep,) = check(cfg)\n"
         "    assert rep.status == 'pass', check\n"

@@ -27,6 +27,13 @@ def test_sigma_on_letters():
     assert sigma("d") == "c"
 
 
+@pytest.mark.parametrize("w", ["x", "abx", "A"])
+def test_sigma_rejects_an_invalid_letter(w):
+    bad = next(ch for ch in w if ch not in "abcd")
+    with pytest.raises(ValueError, match=f"invalid letter '{bad}'"):
+        sigma(w)
+
+
 @given(reduced_words(max_size=12), reduced_words(max_size=12))
 def test_sigma_is_an_endomorphism(u, v):
     assert sigma(multiply(u, v)) == multiply(sigma(u), sigma(v))

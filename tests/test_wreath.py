@@ -6,7 +6,14 @@ import time
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import _bracelets, iter_ball_bracelets, iter_ball_classes, raw_words, reduced_words
+from conftest import (
+    _bracelets,
+    iter_ball_bracelets,
+    iter_ball_classes,
+    lemma_split_contraction_check,
+    raw_words,
+    reduced_words,
+)
 from grigorchuk import wreath
 from grigorchuk.cubic import (
     LAMBDA_INV,
@@ -33,7 +40,6 @@ from grigorchuk.wreath import (
     certify_exponent,
     certify_torsion,
     is_trivial,
-    lemma_split_contraction_check,
     level_action,
     order,
     order_by_squaring,
