@@ -33,11 +33,10 @@ from .wreath import (
 from .presentations import Presentation, gamma_presentation, sigma
 from .cosets import abelian_invariants, reidemeister_schreier, todd_coxeter
 from .growth import ball_grigorchuk, growth_table_free
-from .reports import CheckConfig, CheckReport, check_all
+from .reports import CheckReport, check_all
 
 __all__ = [
     "CapExceeded",
-    "CheckConfig",
     "CheckReport",
     "CubicNumber",
     "GrigError",

@@ -3,6 +3,8 @@
 Exit codes: 0 success / all checks pass, 1 check failure, 2 usage or
 parse error, 3 resource cap exceeded.  Output is deterministic; the
 timestamp on check-all reports can be suppressed with --no-timestamp.
+check-all runs a fixed suite, and --nball, its one input, sets the radii
+of its n-ball sweeps.
 """
 
 from __future__ import annotations
@@ -203,8 +205,8 @@ def cmd_abelianize(args) -> int:
 
 
 def _nball_radii(text: str) -> tuple[int, ...]:
-    """The radii of --nball, checked before any check runs; 0 skips."""
-    least = reports._CONFIG_MINIMUM["nball_radii"]
+    """The radii of --nball, checked before any check runs, each kept once
+    in the order given; 0 skips."""
     radii = []
     for item in filter(None, text.split(",")):
         try:
@@ -213,17 +215,15 @@ def _nball_radii(text: str) -> tuple[int, ...]:
             raise ValueError(f"--nball radii must be integers, not {item.strip()!r}") from None
         if n == 0:
             continue
-        if n < least:
-            raise ValueError(f"--nball radii must be >= {least} (or 0 to skip), not {n}")
+        if n < 2:
+            raise ValueError(f"--nball radii must be >= 2 (or 0 to skip), not {n}")
         radii.append(n)
-    return tuple(radii)
+    return tuple(dict.fromkeys(radii))
 
 
 def cmd_check_all(args) -> int:
-    cfg = reports.CheckConfig.from_file(args.config) if args.config else reports.CheckConfig()
-    if args.nball is not None:
-        cfg.nball_radii = _nball_radii(args.nball)
-    rs = reports.check_all(cfg)
+    radii = reports.NBALL_RADII if args.nball is None else _nball_radii(args.nball)
+    rs = reports.check_all(radii)
     checks = [r.to_dict() for r in rs]
     if args.no_timestamp:
         # timing is suppressed along with the timestamp so that identical
@@ -323,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_abelianize)
 
     p = sub.add_parser("check-all", help="run the full verification suite")
-    p.add_argument("--config", help="config file with 'key = value' lines")
     p.add_argument("--nball", help="comma-separated radii; 0 skips the sweep")
     p.add_argument("--no-timestamp", action="store_true")
     _add_format(p)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from . import cubic
 from .errors import CapExceeded
 from .permgrp import PermGroup, closure as perm_closure
 from .presentations import Presentation, Relator, relator_from_string
@@ -208,8 +209,9 @@ def todd_coxeter(
     Words may be strings over single-letter generators or pre-parsed
     signed relators; a relator or word over an undeclared generator or
     with an exponent other than 1 or -1, or a ``cap`` < 1, raises
-    ValueError.
+    ValueError; a ``cap`` that is not an int raises TypeError.
     """
+    cubic._check_int(cap, "cap must be an int")
     if cap < 1:
         raise ValueError("cap must be >= 1")
     words = tuple(

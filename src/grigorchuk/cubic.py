@@ -173,6 +173,8 @@ class CubicNumber:
         return CubicNumber(*(_det3(m[:i] + [(1, 0, 0)] + m[i + 1 :]) / det for i in range(3)))
 
     def __pow__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
         out = CubicNumber(1)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import cubic
 from .words import reduce_word
 
 # a relator is a tuple of (generator, +1|-1) pairs
@@ -45,6 +46,7 @@ MAX_RELATOR_LEVEL = 16
 
 
 def _check_level(n: int, least: int) -> None:
+    cubic._check_int(n, "n must be an int")
     if not least <= n <= MAX_RELATOR_LEVEL:
         raise ValueError(f"n must be >= {least} and <= {MAX_RELATOR_LEVEL}, not {n}")
 

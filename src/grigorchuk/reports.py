@@ -9,6 +9,9 @@ check fails, else ``pass``.
 Every verdict is exact, and none rests on a sample: each check is a proof
 or an exhaustive sweep.  The contraction lemma, for one, is decided from
 finitely many facts in Q(L) and the grammar of reduced words.
+
+The suite is fixed: its sizes are the module constants below, and its one
+input is the set of n-ball radii that ``check_nball`` sweeps.
 """
 
 from __future__ import annotations
@@ -33,53 +36,12 @@ from .words import _KLEIN, FOLLOWERS, LETTERS
 from .wreath import _SPLIT_IMAGE, order
 
 
-@dataclass
-class CheckConfig:
-    nball_radii: tuple[int, ...] = (2, 5, 10, 20)
-    radius_exhaustive: int = 10_000
-    radius_max: int = 1_000_000
-    growth_maxn: int = 8
-
-    @staticmethod
-    def from_file(path) -> "CheckConfig":
-        cfg = CheckConfig()
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in _CONFIG_MINIMUM:
-                    raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-                texts = [t for t in value.split(",") if t.strip()] if key == "nball_radii" else [value]
-                values = [_config_int(path, lineno, key, t) for t in texts]
-                setattr(cfg, key, tuple(values) if key == "nball_radii" else values[0])
-        return cfg
-
-
-# the least accepted value of each CheckConfig field; nball_radii bounds
-# each of its entries
-_CONFIG_MINIMUM = {
-    "nball_radii": 2,
-    "radius_exhaustive": 1,
-    "radius_max": 1,
-    "growth_maxn": 2,
-}
-
-
-def _config_int(path, lineno: int, key: str, text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        msg = f"{path}:{lineno}: {key} must be an integer, not {text.strip()!r}"
-        raise ValueError(msg) from None
-    least = _CONFIG_MINIMUM[key]
-    if n < least:
-        raise ValueError(f"{path}:{lineno}: {key} must be >= {least}, not {n}")
-    return n
+# the n-ball radii swept by default, the radius index's exhaustive range
+# and the limit of its threshold edges, and the growth balls' radius
+NBALL_RADII = (2, 5, 10, 20)
+RADIUS_EXHAUSTIVE = 10_000
+RADIUS_MAX = 1_000_000
+GROWTH_MAXN = 8
 
 
 @dataclass
@@ -110,10 +72,10 @@ def _timed(builder):
     its own."""
 
     @functools.wraps(builder)
-    def timed(cfg: CheckConfig) -> list[CheckReport]:
+    def timed(*args, **kwargs) -> list[CheckReport]:
         reports = []
         t0 = time.perf_counter()
-        for report in builder(cfg):
+        for report in builder(*args, **kwargs):
             t1 = time.perf_counter()
             report.wall_time = t1 - t0
             reports.append(report)
@@ -127,7 +89,7 @@ def _timed(builder):
 
 
 @_timed
-def check_weight_identities(cfg: CheckConfig) -> Iterator[CheckReport]:
+def check_weight_identities() -> Iterator[CheckReport]:
     a, b, c, d = (WEIGHT[x] for x in "abcd")
     identities = {
         "|a|+|c| = 1/L": a + c == LAMBDA_INV,
@@ -155,7 +117,7 @@ def _splitting_identities() -> dict[str, bool]:
 
 
 @_timed
-def check_splitting_identity(cfg: CheckConfig) -> Iterator[CheckReport]:
+def check_splitting_identity() -> Iterator[CheckReport]:
     wit = _splitting_identities()
     yield CheckReport(
         "splitting-length-identity",
@@ -198,7 +160,7 @@ def _excess_values() -> tuple[set[int], set[int]]:
 
 
 @_timed
-def check_lemma_ineq(cfg: CheckConfig) -> Iterator[CheckReport]:
+def check_lemma_ineq() -> Iterator[CheckReport]:
     """The contraction lemma, proved from finite facts in Q(L):
 
     (a) every letter weight and 1/L are positive;
@@ -249,7 +211,7 @@ def check_lemma_ineq(cfg: CheckConfig) -> Iterator[CheckReport]:
 
 
 @_timed
-def check_order_table(cfg: CheckConfig) -> Iterator[CheckReport]:
+def check_order_table() -> Iterator[CheckReport]:
     expected = {"a": 2, "b": 2, "c": 2, "d": 2, "ad": 4, "ac": 8, "ab": 16}
     got = {w: order(w) for w in expected}
     oracle = {w: wreath.order_by_squaring(w) for w in expected}
@@ -263,8 +225,8 @@ def check_order_table(cfg: CheckConfig) -> Iterator[CheckReport]:
 
 
 @_timed
-def check_nball(cfg: CheckConfig) -> Iterator[CheckReport]:
-    if not cfg.nball_radii:
+def check_nball(radii: tuple[int, ...] = NBALL_RADII) -> Iterator[CheckReport]:
+    if not radii:
         yield CheckReport(
             "nball-torsion",
             "every word of length <= n certifies as 2-power torsion at "
@@ -273,7 +235,7 @@ def check_nball(cfg: CheckConfig) -> Iterator[CheckReport]:
             {"reason": "empty radius set"},
         )
         return
-    for n in cfg.nball_radii:
+    for n in radii:
         rep = wreath.verify_nball_proposition(n)
         bound = rep.level + 2
         ok = rep.ok and rep.max_exponent <= bound
@@ -287,7 +249,7 @@ def check_nball(cfg: CheckConfig) -> Iterator[CheckReport]:
 
 
 @_timed
-def check_cosets(cfg: CheckConfig) -> Iterator[CheckReport]:
+def check_cosets() -> Iterator[CheckReport]:
     g0c = presentations.gamma0_coxeter_presentation()
 
     t = todd_coxeter(close_normally(g0c, ["ab"]))
@@ -344,7 +306,7 @@ def check_cosets(cfg: CheckConfig) -> Iterator[CheckReport]:
 
 
 @_timed
-def check_index_bounds(cfg: CheckConfig) -> Iterator[CheckReport]:
+def check_index_bounds() -> Iterator[CheckReport]:
     ok = all(presentations.closed_form_check(n) for n in range(21))
     ib0 = presentations.index_bounds(0)
     ib1 = presentations.index_bounds(1)
@@ -357,7 +319,7 @@ def check_index_bounds(cfg: CheckConfig) -> Iterator[CheckReport]:
 
 
 @_timed
-def check_core_lemma_corpus(cfg: CheckConfig) -> Iterator[CheckReport]:
+def check_core_lemma_corpus() -> Iterator[CheckReport]:
     violations = []
     applicable = 0
     for name, G in permgrp.lemma_corpus().items():
@@ -388,10 +350,10 @@ def check_core_lemma_corpus(cfg: CheckConfig) -> Iterator[CheckReport]:
 
 
 @_timed
-def check_growth_cross(cfg: CheckConfig) -> Iterator[CheckReport]:
-    sig = growth.ball_grigorchuk(cfg.growth_maxn, use_signatures=True)
-    pure = growth.ball_grigorchuk(cfg.growth_maxn, use_signatures=False)
-    free_counts = growth.growth_table_free(cfg.growth_maxn).ball_sizes()
+def check_growth_cross() -> Iterator[CheckReport]:
+    sig = growth.ball_grigorchuk(GROWTH_MAXN, use_signatures=True)
+    pure = growth.ball_grigorchuk(GROWTH_MAXN, use_signatures=False)
+    free_counts = growth.growth_table_free(GROWTH_MAXN).ball_sizes()
     sizes = sig.ball_sizes()
     ok = (
         sizes == pure.ball_sizes()
@@ -408,23 +370,22 @@ def check_growth_cross(cfg: CheckConfig) -> Iterator[CheckReport]:
 
 
 @_timed
-def check_radius_index(cfg: CheckConfig) -> Iterator[CheckReport]:
-    """Check i(n) = radius_index(n) for n = 1..radius_exhaustive and at both
-    ends T_k - 1, T_k of each threshold interval up to radius_max, where a
+def check_radius_index() -> Iterator[CheckReport]:
+    """Check i(n) = radius_index(n) for n = 1..RADIUS_EXHAUSTIVE and at both
+    ends T_k - 1, T_k of each threshold interval up to RADIUS_MAX, where a
     wrong comparison or threshold first shows.  L^k <= n iff the threshold
     T_k = ``cubic._power_ceiling(k)`` <= n, and each T_k is proved once,
     exactly in Q(L) (L^k <= T_k < L^k + 1), so m = bisect_right(T, n) - 2
     is the m with T_(m+1) <= n < T_(m+2), and nondecreasing in n.
     """
-    low, top = cfg.radius_exhaustive, cfg.radius_max
     thresholds = [cubic._power_ceiling(0)]
-    while thresholds[-1] <= max(low, top):
+    while thresholds[-1] <= RADIUS_MAX:
         thresholds.append(cubic._power_ceiling(len(thresholds)))
     exact = cubic.compare_power_to_int
     proved = [exact(k, t) <= 0 < exact(k, t - 1) for k, t in enumerate(thresholds)]
-    edges = {n for t in thresholds for n in (t - 1, t) if low < n <= top}
+    edges = {n for t in thresholds for n in (t - 1, t) if RADIUS_EXHAUSTIVE < n <= RADIUS_MAX}
     bad = []
-    for n in [*range(1, low + 1), *sorted(edges)]:
+    for n in [*range(1, RADIUS_EXHAUSTIVE + 1), *sorted(edges)]:
         m = bisect_right(thresholds, n) - 2
         if not (proved[m + 1] and proved[m + 2]) or cubic.radius_index(n) != m:
             bad.append(n)
@@ -443,25 +404,19 @@ def check_radius_index(cfg: CheckConfig) -> Iterator[CheckReport]:
     )
 
 
-_CHECK_BUILDERS = [
-    check_weight_identities,
-    check_splitting_identity,
-    check_lemma_ineq,
-    check_order_table,
-    check_nball,
-    check_cosets,
-    check_index_bounds,
-    check_core_lemma_corpus,
-    check_growth_cross,
-    check_radius_index,
-]
-
-
-def check_all(cfg: CheckConfig | None = None) -> list[CheckReport]:
-    cfg = cfg or CheckConfig()
-    reports: list[CheckReport] = []
-    for builder in _CHECK_BUILDERS:
-        reports.extend(builder(cfg))
+def check_all(nball_radii: tuple[int, ...] = NBALL_RADII) -> list[CheckReport]:
+    reports = [
+        *check_weight_identities(),
+        *check_splitting_identity(),
+        *check_lemma_ineq(),
+        *check_order_table(),
+        *check_nball(nball_radii),
+        *check_cosets(),
+        *check_index_bounds(),
+        *check_core_lemma_corpus(),
+        *check_growth_cross(),
+        *check_radius_index(),
+    ]
     reports.sort(key=lambda r: r.check_id)
     return reports
 

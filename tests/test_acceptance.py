@@ -1,8 +1,8 @@
 """Acceptance gate: ten numbered criteria, one printed pass/fail line each.
 
 Each criterion asserts on the ``reports.check_*`` builders that
-``grig check-all`` runs, with this module's sizes, so every check exists
-once.  Criterion 3 also runs a seeded sample of 10 000 minimal
+``grig check-all`` runs, at their fixed sizes and, for the n-balls, at
+this module's radii, so every check exists once.  Criterion 3 also runs a seeded sample of 10 000 minimal
 conjugates, drawn by ``conftest.random_reduced_word``, through
 ``conftest.lemma_split_contraction_check``, the independent oracle of the
 contraction lemma's proof in ``check-all``.
@@ -34,7 +34,6 @@ from conftest import lemma_split_contraction_check, random_reduced_word
 from grigorchuk import cubic, words, wreath
 from grigorchuk.cubic import compare_power_to_int, radius_index
 from grigorchuk.reports import (
-    CheckConfig,
     check_core_lemma_corpus,
     check_cosets,
     check_growth_cross,
@@ -112,17 +111,17 @@ COVERING_REPORTS = {
 
 @pytest.fixture(scope="module")
 def nball_reports():
-    cfg = CheckConfig(nball_radii=tuple(sorted({*NBALL_RADII, *COVERING_RADII})))
-    return {r.check_id: r for r in check_nball(cfg)}
+    radii = tuple(sorted({*NBALL_RADII, *COVERING_RADII}))
+    return {r.check_id: r for r in check_nball(radii)}
 
 
 @pytest.fixture(scope="module")
 def coset_reports():
-    return {r.check_id: r for r in check_cosets(CheckConfig())}
+    return {r.check_id: r for r in check_cosets()}
 
 
 def test_criterion_01_exact_metric_identities():
-    reps = [*check_weight_identities(CheckConfig()), *check_splitting_identity(CheckConfig())]
+    reps = [*check_weight_identities(), *check_splitting_identity()]
     elapsed = sum(r.wall_time for r in reps)
     ok = passed(reps) and elapsed < 1.0
     assert report("01 exact metric identities", ok, f"{elapsed:.3f}s, zero tolerance")
@@ -225,7 +224,7 @@ def sampled_lemma_violations(samples: int = LEMMA_SAMPLES) -> tuple[int, list]:
 
 
 def test_criterion_03_contraction_inequality():
-    (rep,) = check_lemma_ineq(CheckConfig())
+    (rep,) = check_lemma_ineq()
     drawn, violations = sampled_lemma_violations()
     # the words SEED's stream yields before the 10 000th minimal conjugate
     ok = rep.status == "pass" and not violations and drawn == 11_048
@@ -237,7 +236,7 @@ def test_negative_control_lemma_perturbed_weight(monkeypatch):
     """A perturbed letter weight breaks the splitting identities the proof
     rests on."""
     monkeypatch.setitem(cubic.WEIGHT, "c", cubic.WEIGHT["d"])
-    (rep,) = check_lemma_ineq(CheckConfig())
+    (rep,) = check_lemma_ineq()
     assert rep.status == "fail"
     assert rep.witnesses["splitting_identity"] == {"b": True, "c": False, "d": True}
 
@@ -246,7 +245,7 @@ def test_negative_control_lemma_wrong_split_image(monkeypatch):
     """d = (a, b) instead of (1, b): the splitting gains |a| per d, so the
     proof and the sampled oracle both fail."""
     monkeypatch.setitem(wreath._SPLIT_IMAGE, "d", ("a", "b"))
-    (rep,) = check_lemma_ineq(CheckConfig())
+    (rep,) = check_lemma_ineq()
     assert rep.status == "fail"
     assert rep.witnesses["splitting_identity"] == {"b": True, "c": True, "d": False}
     _drawn, violations = sampled_lemma_violations(200)
@@ -257,13 +256,13 @@ def test_negative_control_lemma_grammar_allows_bb(monkeypatch):
     """A grammar in which b may follow b reaches letter excess 2, so the
     closure (d) fails the proof."""
     monkeypatch.setitem(words.FOLLOWERS, "b", "ab")
-    (rep,) = check_lemma_ineq(CheckConfig())
+    (rep,) = check_lemma_ineq()
     assert rep.status == "fail"
     assert 2 in rep.witnesses["excess_reduced"]
 
 
 def test_criterion_04_order_table():
-    (rep,) = check_order_table(CheckConfig())
+    (rep,) = check_order_table()
     assert report("04 order table", rep.status == "pass", f"{rep.witnesses['computed']}, oracle agrees")
 
 
@@ -286,12 +285,12 @@ def test_criterion_06_h0_abelianization(coset_reports):
 
 
 def test_criterion_07_index_bound_arithmetic():
-    (rep,) = check_index_bounds(CheckConfig())
+    (rep,) = check_index_bounds()
     assert report("07 index-bound closed forms", rep.status == "pass", "n <= 20, exact bignum")
 
 
 def test_criterion_08_core_lemma():
-    corpus, sharp = check_core_lemma_corpus(CheckConfig())
+    corpus, sharp = check_core_lemma_corpus()
     assert report(
         "08 core-index bound",
         passed([corpus, sharp]),
@@ -302,7 +301,7 @@ def test_criterion_08_core_lemma():
 
 
 def test_criterion_09_growth_cross_validation():
-    (rep,) = check_growth_cross(CheckConfig(growth_maxn=8))
+    (rep,) = check_growth_cross()
     sizes = rep.witnesses["ball_sizes"]
     ok = rep.status == "pass" and len(sizes) == 9
     assert report("09 growth cross-validation", ok, f"balls {sizes}")
@@ -314,7 +313,7 @@ def test_negative_control_radius_threshold_off_by_one(monkeypatch):
     real = cubic._power_ceiling
     for delta in (1, -1):
         monkeypatch.setattr(cubic, "_power_ceiling", lambda k: real(k) + delta * (k == 12))
-        (rep,) = check_radius_index(CheckConfig())
+        (rep,) = check_radius_index()
         assert rep.status == "fail"
         assert rep.witnesses["violations"]
 
@@ -324,11 +323,11 @@ def test_negative_control_radius_index_one_off(monkeypatch):
     nondecreasing but lies below every bracket."""
     real = cubic.radius_index
     monkeypatch.setattr(cubic, "radius_index", lambda n: real(n) + (n == 777))
-    (rep,) = check_radius_index(CheckConfig())
+    (rep,) = check_radius_index()
     assert rep.status == "fail"
     assert rep.witnesses["violations"][0] == 777
     monkeypatch.setattr(cubic, "radius_index", lambda n: real(n) - 1)
-    (rep,) = check_radius_index(CheckConfig())
+    (rep,) = check_radius_index()
     assert rep.status == "fail"
     assert rep.witnesses["violations"] == list(range(1, 11))
 
@@ -336,17 +335,16 @@ def test_negative_control_radius_index_one_off(monkeypatch):
 def test_radius_edge_beyond_exhaustive_is_checked(monkeypatch):
     """i(n) + 1 at the single n = T_60 = ceil(L^60) = 297 626, far past the
     exhaustive range, fails: every threshold's two ends are checked up to
-    radius_max."""
+    RADIUS_MAX."""
     real = cubic.radius_index
     monkeypatch.setattr(cubic, "radius_index", lambda n: real(n) + (n == cubic._power_ceiling(60)))
-    (rep,) = check_radius_index(CheckConfig())
+    (rep,) = check_radius_index()
     assert rep.status == "fail"
     assert rep.witnesses["violations"] == [297626]
 
 
 def test_criterion_10_radius_index_and_log():
-    cfg = CheckConfig(radius_exhaustive=10_000, radius_max=1_000_000)
-    (rep,) = check_radius_index(cfg)
+    (rep,) = check_radius_index()
     lo, hi = rep.witnesses["log_lambda_4"]
     assert report(
         "10 radius index exactness",

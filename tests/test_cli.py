@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grigorchuk import presentations, reports
+from grigorchuk import cli, presentations, reports
 from grigorchuk.cli import main
 from grigorchuk.cubic import WEIGHT, CubicNumber
 
@@ -230,15 +230,8 @@ def test_abelianize(capsys):
     assert d["free_rank"] == 0
 
 
-def test_check_all_deterministic_json(capsys, tmp_path):
-    cfg = tmp_path / "grig.cfg"
-    cfg.write_text(
-        "# light configuration for the test suite\n"
-        "nball_radii = 2\n"
-        "radius_exhaustive = 200\n"
-        "growth_maxn = 5\n"
-    )
-    args = ["check-all", "--config", str(cfg), "--no-timestamp"]
+def test_check_all_deterministic_json(capsys):
+    args = ["check-all", "--no-timestamp"]
     code1, out1, _ = run(capsys, *args)
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
@@ -249,23 +242,17 @@ def test_check_all_deterministic_json(capsys, tmp_path):
     assert ids == sorted(ids)
 
 
-def test_check_all_config_and_csv(capsys, monkeypatch, tmp_path):
-    cfg = tmp_path / "grig.cfg"
-    cfg.write_text("nball_radii = 2\nradius_exhaustive = 100\nradius_max = 500\ngrowth_maxn = 4\n")
-    args = ["check-all", "--config", str(cfg), "--no-timestamp"]
+def test_check_all_config_and_csv(capsys, monkeypatch):
+    args = ["check-all", "--nball", "2", "--no-timestamp"]
     given = []
     real = reports.check_all
-    monkeypatch.setattr(reports, "check_all", lambda c: given.append(c) or real(c))
+    monkeypatch.setattr(reports, "check_all", lambda radii: given.append(radii) or real(radii))
     code, out, _ = run(capsys, *args)
     assert code == 0
     checks = json.loads(out)["checks"]
-    # the file's keys reach the builders as one config, and the output is
-    # that config's in-process run
-    expected = reports.CheckConfig(
-        nball_radii=(2,), radius_exhaustive=100, radius_max=500, growth_maxn=4
-    )
-    assert given == [expected]
-    in_process = [{k: v for k, v in r.to_dict().items() if k != "wall_time"} for r in real(expected)]
+    # the radii reach the suite, and the output is their in-process run
+    assert given == [(2,)]
+    in_process = [{k: v for k, v in r.to_dict().items() if k != "wall_time"} for r in real((2,))]
     assert checks == json.loads(json.dumps(in_process))
     # with the timestamp, csv keeps each check's wall time
     code, out, _ = run(capsys, *(a for a in args if a != "--no-timestamp"), "--format", "csv")
@@ -276,17 +263,24 @@ def test_check_all_config_and_csv(capsys, monkeypatch, tmp_path):
     assert [json.loads(r["witnesses"]) for r in rows] == [c["witnesses"] for c in checks]
 
 
-def test_check_all_nball_skip(capsys, tmp_path):
-    cfg = tmp_path / "grig.cfg"
-    cfg.write_text("nball_radii = 2\nradius_exhaustive = 100\ngrowth_maxn = 4\n")
-    code, out, _ = run(
-        capsys, "check-all", "--config", str(cfg), "--no-timestamp", "--nball", "0"
-    )
+def test_check_all_nball_skip(capsys):
+    code, out, _ = run(capsys, "check-all", "--no-timestamp", "--nball", "0")
     assert code == 0
     d = json.loads(out)
     nball = [c for c in d["checks"] if c["check_id"].startswith("nball")]
     assert len(nball) == 1
     assert nball[0]["status"] == "skipped"
+
+
+def test_check_all_repeated_radius_is_checked_once(capsys):
+    """Each radius is swept once, in the order given, however often it is
+    named."""
+    code, out, _ = run(capsys, "check-all", "--no-timestamp", "--nball", "5,2,5,0,2")
+    assert code == 0
+    ids = [c["check_id"] for c in json.loads(out)["checks"]]
+    assert [i for i in ids if i.startswith("nball")] == ["nball-torsion-2", "nball-torsion-5"]
+    assert len(ids) == len(set(ids))
+    assert cli._nball_radii("5,2,5,0,2") == (5, 2)
 
 
 _BAD_NBALL = {
@@ -299,7 +293,7 @@ _BAD_NBALL = {
 
 @pytest.mark.parametrize("radii", list(_BAD_NBALL))
 def test_check_all_rejects_bad_nball_before_any_check(capsys, monkeypatch, radii):
-    def no_checks(cfg):
+    def no_checks(radii):
         raise AssertionError("a check ran before --nball was validated")
 
     monkeypatch.setattr(reports, "check_all", no_checks)
@@ -308,50 +302,24 @@ def test_check_all_rejects_bad_nball_before_any_check(capsys, monkeypatch, radii
     assert _BAD_NBALL[radii] in err
 
 
-def test_check_all_bad_config(capsys, tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("nonsense line without equals\n")
-    code, _, err = run(capsys, "check-all", "--config", str(cfg))
-    assert code == 2
-    assert "key = value" in err
+_BUILDERS = [
+    reports.check_weight_identities,
+    reports.check_splitting_identity,
+    reports.check_lemma_ineq,
+    reports.check_order_table,
+    reports.check_nball,
+    reports.check_cosets,
+    reports.check_index_bounds,
+    reports.check_core_lemma_corpus,
+    reports.check_growth_cross,
+    reports.check_radius_index,
+]
 
 
-_BAD_CONFIG_LINES = {
-    "from_file = 3": "unknown key 'from_file'",
-    "__class__ = 1": "unknown key '__class__'",
-    "growth_maxn = -3": "growth_maxn must be >= 2, not -3",
-    "lemma_samples = 100": "unknown key 'lemma_samples'",
-    "nball_random_max = 30": "unknown key 'nball_random_max'",
-    "nball_random_samples = 100": "unknown key 'nball_random_samples'",
-    "seed = 7": "unknown key 'seed'",
-    "radius_random = 5": "unknown key 'radius_random'",
-    "nball_radii = 2, 1": "nball_radii must be >= 2, not 1",
-}
-
-
-@pytest.mark.parametrize("line", list(_BAD_CONFIG_LINES))
-def test_check_all_rejects_unknown_config_key(capsys, tmp_path, line):
-    """Unknown keys and out-of-range or non-integer values exit 2 at path:line."""
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"nball_radii = 2\n{line}\n")
-    code, _, err = run(capsys, "check-all", "--config", str(cfg))
-    assert code == 2
-    assert f"bad.cfg:2: {_BAD_CONFIG_LINES[line]}" in err
-
-
-def test_config_minimums_cover_every_field():
-    from dataclasses import fields
-
-    assert set(reports._CONFIG_MINIMUM) == {f.name for f in fields(reports.CheckConfig)}
-
-
-_SMALL_CONFIG = reports.CheckConfig(nball_radii=(2,), radius_exhaustive=100, growth_maxn=3)
-
-
-@pytest.mark.parametrize("builder", reports._CHECK_BUILDERS, ids=lambda b: b.__name__)
+@pytest.mark.parametrize("builder", _BUILDERS, ids=lambda b: b.__name__)
 def test_single_report_builders_time_themselves(builder):
     """Every check-all builder returns a list of reports, each timed."""
-    out = builder(_SMALL_CONFIG)
+    out = builder()
     assert isinstance(out, list) and out
     assert all(r.status == "pass" and r.wall_time > 0 for r in out)
 
@@ -364,12 +332,12 @@ def test_timed_charges_each_report_its_own_part():
     naps = (0.1, 0.3, 0.0)
 
     @reports._timed
-    def builder(cfg):
+    def builder():
         for i, nap in enumerate(naps):
             time.sleep(nap)
             yield reports.CheckReport(f"fake-{i}", "a sleep", "pass")
 
-    out = builder(reports.CheckConfig())
+    out = builder()
     assert [r.check_id for r in out] == ["fake-0", "fake-1", "fake-2"]
     assert naps[0] <= out[0].wall_time < naps[1]
     assert naps[1] <= out[1].wall_time < naps[1] + naps[0]
@@ -383,7 +351,7 @@ def test_negative_control_tampered_weight(capsys, monkeypatch):
     tampered = dict(cubic.WEIGHT)
     tampered["c"] = tampered["d"]
     monkeypatch.setattr(reports, "WEIGHT", tampered)
-    (rep,) = reports.check_weight_identities(reports.CheckConfig())
+    (rep,) = reports.check_weight_identities()
     assert rep.status == "fail"
     assert rep.witnesses["|a|+|c| = 1/L"] is False
 
@@ -391,7 +359,7 @@ def test_negative_control_tampered_weight(capsys, monkeypatch):
 def test_negative_control_wrong_order(monkeypatch):
     """A wrong order must trip the order table."""
     monkeypatch.setattr(reports, "order", lambda w: 2)
-    (rep,) = reports.check_order_table(reports.CheckConfig())
+    (rep,) = reports.check_order_table()
     assert rep.status == "fail"
     assert rep.witnesses["computed"]["ab"] == 2
 
@@ -403,13 +371,13 @@ def test_negative_control_nball_level_too_low(monkeypatch):
 
     real = wreath.cubic.radius_index
     monkeypatch.setattr(wreath.cubic, "radius_index", lambda n: 1 if n == 2 else real(n))
-    (rep,) = reports.check_nball(reports.CheckConfig(nball_radii=(2,)))
+    (rep,) = reports.check_nball((2,))
     assert rep.status == "fail"
     assert rep.witnesses["level"] == 1
     assert rep.witnesses["failures"]
 
 
-# SHA-256 of `grig check-all --no-timestamp` at the default configuration;
+# SHA-256 of `grig check-all --no-timestamp` at the default radii;
 # it must change only with a deliberate change to some check's output
 _CHECK_ALL_SHA256 = "cc81952bff7346bd3dd08dff3078f486cbbff2b1abff498ae40f9f25def5318c"
 
@@ -437,7 +405,7 @@ def test_check_all_output_is_pinned(hash_seed):
 def test_lemma_witnesses_are_pinned():
     """The proof's facts, each exact: positive weights, the splitting
     identities, the Klein merges and the letter excesses."""
-    (rep,) = reports.check_lemma_ineq(reports.CheckConfig())
+    (rep,) = reports.check_lemma_ineq()
     assert rep.status == "pass"
     assert rep.witnesses == {
         "weights_positive": {"|a|": True, "|b|": True, "|c|": True, "|d|": True, "1/L": True},
@@ -518,10 +486,9 @@ def test_odd_inputs_exit_cleanly_and_fast(capsys, tmp_path, argv, expected):
 
 # the vocabulary of the argv property test: odd words, integers -3..6 and a
 # file that does not exist (MISSING) as values; as options, each
-# subcommand's own (True when it takes a value) and --format csv.  check-all
-# runs for seconds, so only the fixed table above covers it; coset and
+# subcommand's own (True when it takes a value) and --format csv.  coset and
 # abelianize always name a presentation source, and coset always ends in a
-# cap of at most 5000 cosets
+# cap of at most 5000 cosets; check-all takes well under a second
 _VALUES = [
     "", "1", "a", "abba", "xyz", "a b", "ab,ad", "adadadad", "dcb", "-a", "acab", "free",
     *(str(n) for n in range(-3, 7)),
@@ -544,6 +511,7 @@ _OPTIONS = {
         "--emit-quotient": False, "--emit-subgroup-pres": False,
     },
     "abelianize": _PRES_OPTIONS,
+    "check-all": {"--nball": True, "--no-timestamp": False},
 }
 
 

@@ -51,6 +51,13 @@ def test_weight_identities_exact():
     assert a + b + c + d < CubicNumber(3)
 
 
+@pytest.mark.parametrize("exponent", [0.5, 2.0])
+def test_power_takes_only_int_exponents(exponent):
+    """A non-int exponent gets Python's own ** TypeError."""
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \*\* or pow\(\)"):
+        LAMBDA**exponent
+
+
 def test_weights_are_positive_and_below_one():
     for x in "abcd":
         assert CubicNumber(0) < WEIGHT[x] < CubicNumber(1)
@@ -349,9 +356,8 @@ def test_log_checks_run_without_mpmath():
     script = (
         "import sys; sys.modules['mpmath'] = None\n"
         "from grigorchuk import reports\n"
-        "cfg = reports.CheckConfig(radius_exhaustive=100, growth_maxn=5)\n"
         "for check in (reports.check_radius_index, reports.check_growth_cross):\n"
-        "    (rep,) = check(cfg)\n"
+        "    (rep,) = check()\n"
         "    assert rep.status == 'pass', check\n"
     )
     src = os.path.dirname(os.path.dirname(grigorchuk.__file__))

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 
 from conftest import reduced_words
+from grigorchuk.cosets import todd_coxeter
 from grigorchuk.presentations import (
     MAX_RELATOR_LEVEL,
     Presentation,
@@ -62,6 +63,27 @@ def test_relator_lengths_double_up_to_the_level_bound():
         relator_u(-1)
     with pytest.raises(ValueError, match="n must be >= -1"):
         gamma_presentation(-2)
+
+
+@pytest.mark.parametrize(
+    "build, value, message",
+    [
+        (gamma_presentation, "1", "n must be an int, not str"),
+        (relator_u, 2.0, "n must be an int, not float"),
+        (relator_v, True, "n must be an int, not bool"),
+        (
+            lambda cap: todd_coxeter(gamma_presentation(0), ["a", "b", "c"], cap=cap),
+            2.5,
+            "cap must be an int, not float",
+        ),
+    ],
+    ids=["gamma-str", "u-float", "v-bool", "coset-cap-float"],
+)
+def test_levels_and_caps_take_only_ints(build, value, message):
+    """A level or coset cap that is not an int is a TypeError, checked
+    before it is compared or used."""
+    with pytest.raises(TypeError, match=message):
+        build(value)
 
 
 def test_relators_die_in_the_limit_group():
