@@ -233,10 +233,7 @@ def cmd_check_all(args) -> int:
     payload = {"checks": checks, "status": reports.worst_status(rs)}
     if not args.no_timestamp:
         payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        _emit(payload["checks"], "csv")
+    _emit(payload if args.format == "json" else payload["checks"], args.format)
     return EXIT_OK if payload["status"] == "pass" else EXIT_CHECK_FAILED
 
 

@@ -4,7 +4,9 @@ Reidemeister-Schreier subgroup presentations, and abelian invariants.
 Cosets are numbered from 0 (the subgroup itself); normal closures are
 enumerated by adding the closing words as relators over the trivial
 subgroup, whose coset action is then the regular representation of the
-quotient.
+quotient.  ``maps_onto`` checks generator images in a permutation group
+against a presentation: by von Dyck's theorem, images that kill every
+relator and generate the group give a homomorphism onto it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 from . import cubic
 from .errors import CapExceeded
-from .permgrp import PermGroup, closure as perm_closure
+from .permgrp import PermGroup, closure as perm_closure, identity, pinv, pmul
 from .presentations import Presentation, Relator, relator_from_string
 from .snf import smith_normal_form
 
@@ -245,6 +247,22 @@ def quotient_group(table: CosetTable) -> PermGroup:
     columns = table._column_map
     perms = [tuple(row[columns[g, 1]] for row in table.rows) for g in table.presentation.generators]
     return perm_closure(perms, degree=table.index, cap=max(2 * table.index, 16))
+
+
+def maps_onto(presentation: Presentation, images, G: PermGroup) -> bool:
+    """Whether each generator g -> ``images[g]`` defines a homomorphism of
+    the presented group onto G: the images kill every relator and their
+    closure is G.  When the presented group has order |G|, it is an
+    isomorphism."""
+    ident = identity(G.degree)
+    for rel in presentation.relators:
+        p = ident
+        for g, e in rel:
+            p = pmul(p, images[g] if e == 1 else pinv(images[g]))
+        if p != ident:
+            return False
+    gens = [images[g] for g in presentation.generators]
+    return perm_closure(gens, degree=G.degree).element_set == G.element_set
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .cubic import ln_enclosure
+from .cubic import _check_int, ln_enclosure
 from .errors import CapExceeded
 from .permgrp import identity, pmul
 from .words import BCD, FOLLOWERS, LETTERS, NUCLEUS, invert, multiply
@@ -30,6 +30,7 @@ _BUCKET_DEPTH = 5
 def free_sphere_sizes(n: int) -> list[int]:
     """Sphere sizes of the free product: a(k+1) = b(k), b(k+1) = 3 a(k)
     with a = #geodesics ending in a and b = #ending in {b, c, d}."""
+    _check_int(n, "radius must be an int")
     if n < 0:
         raise ValueError("radius must be >= 0")
     out, a, b = [1], 1, 1  # the identity seeds both recurrences
@@ -202,13 +203,17 @@ def iter_spheres(
 
     With a ``budget`` the search stops at the first candidate, reducing or
     not, reached once ``budget`` elements are counted: it yields the sphere
-    as it stands and raises CapExceeded.  Raises ValueError when ``maxn``
-    < 0 or ``budget`` < 1.
+    as it stands and raises CapExceeded.  Raises TypeError when ``maxn``
+    or ``budget`` is not an int, and ValueError when ``maxn`` < 0 or
+    ``budget`` < 1.
     """
+    _check_int(maxn, "radius must be an int")
     if maxn < 0:
         raise ValueError("radius must be >= 0")
-    if budget is not None and budget < 1:
-        raise ValueError("budget must be >= 1")
+    if budget is not None:
+        _check_int(budget, "budget must be an int")
+        if budget < 1:
+            raise ValueError("budget must be >= 1")
     eq = _SignatureEquality() if use_signatures else _PureEquality()
     eq.probe("", eq.identity)
     sphere, keys = [""], [eq.identity]

@@ -1,12 +1,11 @@
 """Small finite permutation groups by explicit element enumeration.
 
 Everything here is desk scale (orders well below 10^4), so naive
-breadth-first closure replaces stabilizer chains, and isomorphism is a
-pruned brute-force generator-image search.  Subgroups are enumerated by
-joins with one element per right coset, and the core-index lemma check
-reads the core and the normalizer's index from the one orbit of H under
-conjugation by G's generators; ``core`` and ``normalizer``, which
-conjugate by every element, are kept as its oracles.
+breadth-first closure replaces stabilizer chains.  Subgroups are
+enumerated by joins with one element per right coset, and the core-index
+lemma check reads the core and the normalizer's index from the one orbit
+of H under conjugation by G's generators; ``core`` and ``normalizer``,
+which conjugate by every element, are kept as its oracles.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from . import cubic
 from .errors import CapExceeded
 
 Permutation = tuple[int, ...]
@@ -64,12 +64,6 @@ def to_cycles(p: Permutation) -> list[tuple[int, ...]]:
     return out
 
 
-def perm_order(p: Permutation) -> int:
-    from math import lcm
-
-    return lcm(1, *(len(c) for c in to_cycles(p)))
-
-
 @dataclass(frozen=True)
 class PermGroup:
     degree: int
@@ -87,19 +81,13 @@ class PermGroup:
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return self.degree == other.degree and self.element_set <= other.element_set
 
-    def order_profile(self) -> dict[int, int]:
-        prof: dict[int, int] = {}
-        for p in self.elements:
-            o = perm_order(p)
-            prof[o] = prof.get(o, 0) + 1
-        return prof
-
     def generator_cycles(self) -> list[list[tuple[int, ...]]]:
         return [to_cycles(g) for g in self.generators]
 
 
 def closure(generators, degree: int | None = None, cap: int = DEFAULT_CAP) -> PermGroup:
     """Breadth-first closure of a generator list; deterministic element order."""
+    cubic._check_int(cap, "cap must be an int")
     gens = tuple(tuple(g) for g in generators)
     if degree is None:
         if not gens:
@@ -260,71 +248,6 @@ def enumerate_subgroups(G: PermGroup) -> list[PermGroup]:
                         raise CapExceeded("subgroup cap exceeded", partial=len(found))
         frontier = new
     return sorted(found.values(), key=lambda S: (S.order, S.elements))
-
-
-def _generating_sequence(G: PermGroup) -> list[Permutation]:
-    gens: list[Permutation] = []
-    current = frozenset([identity(G.degree)])
-    for g in G.elements:
-        if g in current:
-            continue
-        gens.append(g)
-        current = closure(gens, degree=G.degree).element_set
-        if len(current) == G.order:
-            break
-    return gens
-
-
-def small_isomorphic(G1: PermGroup, G2: PermGroup) -> bool:
-    """Brute-force isomorphism test for |G| <= 64, pruned by order profiles."""
-    if G1.order != G2.order:
-        return False
-    if max(G1.order, G2.order) > 64:
-        raise ValueError("isomorphism test is limited to |G| <= 64")
-    if G1.order_profile() != G2.order_profile():
-        return False
-    gens = _generating_sequence(G1)
-    by_order: dict[int, list[Permutation]] = {}
-    for p in G2.elements:
-        by_order.setdefault(perm_order(p), []).append(p)
-    candidates = [by_order[perm_order(g)] for g in gens]
-
-    def word_map(images: list[Permutation]):
-        """Extend gens[:len(images)] -> images to the generated subgroup;
-        None on any inconsistency or collision."""
-        e1, e2 = identity(G1.degree), identity(G2.degree)
-        phi = {e1: e2}
-        frontier = [e1]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g, im in zip(gens, images):
-                    y = pmul(x, g)
-                    fy = pmul(phi[x], im)
-                    if y in phi:
-                        if phi[y] != fy:
-                            return None
-                    else:
-                        phi[y] = fy
-                        nxt.append(y)
-            frontier = nxt
-        if len(set(phi.values())) != len(phi):
-            return None
-        return phi
-
-    def search(i: int, images: list[Permutation]) -> bool:
-        phi = word_map(images)
-        if phi is None:
-            return False
-        if i == len(gens):
-            return len(phi) == G1.order and all(
-                phi[pmul(x, y)] == pmul(phi[x], phi[y])
-                for x in G1.elements
-                for y in G1.elements
-            )
-        return any(search(i + 1, images + [cand]) for cand in candidates[i])
-
-    return search(0, [])
 
 
 # ---------------------------------------------------------------------------

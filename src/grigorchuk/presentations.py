@@ -176,6 +176,7 @@ class IndexBounds:
 def index_bounds(n: int) -> IndexBounds:
     """Recursion alpha(k) = 4*alpha(k-1) + 1, beta(k) = 2*alpha(k-1) +
     2*beta(k-1) from alpha(0) = 4, beta(0) = 0."""
+    cubic._check_int(n, "n must be an int")
     if n < 0:
         raise ValueError("n must be >= 0")
     alpha, beta = 4, 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 
+from . import cubic
 from .errors import CapExceeded, PreconditionError, WordParseError
 
 LETTERS = "abcd"
@@ -154,6 +155,7 @@ def iter_ball_free(n: int):
     Reduced words are exactly the walks that append to each word only the
     ``FOLLOWERS`` of its last letter, so extension never needs re-reduction.
     """
+    cubic._check_int(n, "radius must be an int")
     if n < 0:
         raise ValueError("radius must be >= 0")
     level = [IDENTITY]
@@ -276,10 +278,12 @@ def _rotation_words(n: int, k: int) -> int:
 
 
 def enumerate_ball_free(n: int, cap: int | None = None) -> list[str]:
-    """The n-ball of the free product as a list; raises CapExceeded past cap
-    and ValueError when cap < 1."""
-    if cap is not None and cap < 1:
-        raise ValueError("cap must be >= 1")
+    """The n-ball of the free product as a list; raises CapExceeded past cap,
+    TypeError when n or cap is not an int and ValueError when cap < 1."""
+    if cap is not None:
+        cubic._check_int(cap, "cap must be an int")
+        if cap < 1:
+            raise ValueError("cap must be >= 1")
     out = []
     for w in iter_ball_free(n):
         if cap is not None and len(out) >= cap:

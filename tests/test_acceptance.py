@@ -31,7 +31,7 @@ import random
 import pytest
 
 from conftest import lemma_split_contraction_check, random_reduced_word
-from grigorchuk import cubic, words, wreath
+from grigorchuk import cubic, reports, words, wreath
 from grigorchuk.cubic import compare_power_to_int, radius_index
 from grigorchuk.reports import (
     check_core_lemma_corpus,
@@ -276,6 +276,21 @@ def test_criterion_05_quotient_structure(coset_reports):
         ok,
         f"indices 16/4/2, quotient is Z/2 x D8: {iso}, {elapsed:.2f}s",
     )
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"d": (1, 2, 3, 0, 4, 5)}, {"b": (0, 1, 2, 3, 4, 5)}],
+    ids=["d-rotation-breaks-dd", "b-trivial-onto-d8"],
+)
+def test_negative_control_quotient_images(monkeypatch, change):
+    """d -> (0 1 2 3) still generates all of Z/2 x D8 but leaves d^2 a
+    half-turn; b -> 1 kills every relator but generates only D8: each is
+    refused by one half of the certificate alone."""
+    monkeypatch.setattr(reports, "_Z2_D8_IMAGES", {**reports._Z2_D8_IMAGES, **change})
+    rep = next(r for r in check_cosets() if r.check_id == "coset-index-16-iso")
+    assert rep.status == "fail"
+    assert rep.witnesses == {"index": 16, "isomorphic": False}
 
 
 def test_criterion_06_h0_abelianization(coset_reports):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import reduced_words
 from grigorchuk.errors import CapExceeded
+from grigorchuk.permgrp import closure
+from grigorchuk.presentations import index_bounds
 from grigorchuk.growth import (
     GrowthTable,
     _PureEquality,
@@ -22,8 +24,10 @@ from grigorchuk.words import (
     FOLLOWERS,
     LETTERS,
     a_parity,
+    enumerate_ball_free,
     invert,
     is_reduced,
+    iter_ball_free,
     multiply,
     reduce_word,
 )
@@ -255,3 +259,28 @@ def test_growth_table_free_rows():
     t = growth_table_free(5)
     assert [r.sphere for r in t.rows] == [1, 4, 6, 12, 18, 36]
     assert [r.ball for r in t.rows] == [1, 5, 11, 23, 41, 77]
+
+
+@pytest.mark.parametrize("value", [2.5, True, "3"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        ball_grigorchuk,
+        lambda v: ball_grigorchuk(4, budget=v),
+        lambda v: list(iter_ball_free(v)),
+        growth_table_free,
+        enumerate_ball_free,
+        lambda v: enumerate_ball_free(3, cap=v),
+        lambda v: closure([(1, 0)], cap=v),
+        index_bounds,
+    ],
+    ids=[
+        "radius", "budget", "free-ball", "free-table",
+        "free-list", "free-cap", "closure-cap", "index-bounds",
+    ],
+)
+def test_sizes_take_only_ints(build, value):
+    """A radius, budget, cap or level that is not an int is a TypeError,
+    checked before it is compared or used."""
+    with pytest.raises(TypeError, match=f"must be an int, not {type(value).__name__}"):
+        build(value)
