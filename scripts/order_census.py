@@ -12,6 +12,7 @@ import argparse
 import sys
 from collections import Counter
 
+from grigorchuk.errors import check_int
 from grigorchuk.growth import iter_spheres
 from grigorchuk.wreath import order, order_by_squaring
 
@@ -20,6 +21,10 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--maxn", type=int, default=6)
     args = ap.parse_args()
+    try:
+        check_int(args.maxn, "--maxn", 0)
+    except ValueError as exc:
+        ap.error(str(exc))  # exit 2; exit 1 is an oracle mismatch
 
     reps = [w for sphere in iter_spheres(args.maxn) for w in sphere]
     orders = {w: order(w) for w in reps}

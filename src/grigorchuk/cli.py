@@ -146,27 +146,26 @@ def cmd_present(args) -> int:
     return EXIT_OK
 
 
-def _load_presentation(args) -> presentations.Presentation:
+def _load_presentation(args) -> tuple[presentations.Presentation, list[str]]:
+    """The presentation that --pres, --gamma0 or --level names, with the
+    words of --close killed, and those words."""
     if args.gamma0:
-        return presentations.gamma0_coxeter_presentation()
-    if args.pres:
+        p = presentations.gamma0_coxeter_presentation()
+    elif args.pres is not None:
         with open(args.pres) as fh:
-            return presentations.Presentation.from_text(fh.read())
-    if args.level is not None:
-        return presentations.gamma_presentation(args.level)
-    print("error: need --pres FILE, --gamma0, or --level N", file=sys.stderr)
-    raise SystemExit(EXIT_USAGE)
+            p = presentations.Presentation.from_text(fh.read())
+    else:
+        p = presentations.gamma_presentation(args.level)
+    close = [w for w in (args.close or "").split(",") if w]
+    return close_normally(p, close), close
 
 
 def cmd_coset(args) -> int:
-    p = _load_presentation(args)
-    close = [w for w in (args.close or "").split(",") if w]
-    if close:
-        p = close_normally(p, close)
+    p, close = _load_presentation(args)
     sub = [w for w in (args.subgroup or "").split(",") if w]
     if args.xi:
         sub += presentations.xi_generators()
-    if args.cap >= 1 and not close and not sub and (args.gamma0 or not args.pres):
+    if args.cap >= 1 and not close and not sub and args.pres is None:
         # every built-in presentation maps onto the infinite group Gamma (a
         # cap below 1 is left to todd_coxeter, which reports it first)
         print("error: the built-in presentations define infinite groups, so the "
@@ -191,10 +190,7 @@ def cmd_coset(args) -> int:
 
 
 def cmd_abelianize(args) -> int:
-    p = _load_presentation(args)
-    close = [w for w in (args.close or "").split(",") if w]
-    if close:
-        p = close_normally(p, close)
+    p, _close = _load_presentation(args)
     inv = abelian_invariants(p)
     print(json.dumps({
         "invariants": str(inv),
@@ -245,10 +241,11 @@ def _add_format(p, default="json"):
 
 
 def _add_pres_source(p):
-    p.add_argument("--pres", help="presentation file (gens:/rel: lines)")
-    p.add_argument("--gamma0", action="store_true",
-                   help="built-in 3-generator level-0 presentation")
-    p.add_argument("--level", type=int, help="built-in level-n presentation")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--pres", help="presentation file (gens:/rel: lines)")
+    source.add_argument("--gamma0", action="store_true",
+                        help="built-in 3-generator level-0 presentation")
+    source.add_argument("--level", type=int, help="built-in level-n presentation")
     p.add_argument("--close", help="comma-separated words to kill normally")
 
 

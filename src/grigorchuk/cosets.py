@@ -14,10 +14,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from . import cubic
-from .errors import CapExceeded
+from .errors import CapExceeded, check_int
 from .permgrp import PermGroup, closure as perm_closure, identity, pinv, pmul
-from .presentations import Presentation, Relator, relator_from_string
+from .presentations import Presentation, Relator, check_words, relator_from_string
 from .snf import smith_normal_form
 
 DEFAULT_COSET_CAP = 1_000_000
@@ -209,23 +208,16 @@ def todd_coxeter(
     """HLT coset enumeration of the subgroup generated by ``subgroup_words``.
 
     Words may be strings over single-letter generators or pre-parsed
-    signed relators; a relator or word over an undeclared generator or
-    with an exponent other than 1 or -1, or a ``cap`` < 1, raises
-    ValueError; a ``cap`` that is not an int raises TypeError.
+    signed relators; a word over an undeclared generator or with an
+    exponent other than 1 or -1, or a ``cap`` < 1, raises ValueError; a
+    ``cap`` that is not an int raises TypeError.  The relators were
+    checked when the ``Presentation`` was built.
     """
-    cubic._check_int(cap, "cap must be an int")
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    check_int(cap, "cap", 1)
     words = tuple(
         w if isinstance(w, tuple) else relator_from_string(w) for w in subgroup_words
     )
-    columns = _columns(presentation.generators)
-    for kind, ws in (("relator", presentation.relators), ("subgroup word", words)):
-        bad = [letter for w in ws for letter in w if letter not in columns]
-        if bad:
-            g, e = bad[0]
-            what = f"exponent {e}" if g in presentation.generators else f"undeclared generator {g!r}"
-            raise ValueError(f"{kind} uses {what}")
+    check_words(presentation.generators, words, "subgroup word")
     return _Enumerator(presentation, words, cap).run()
 
 
@@ -233,9 +225,7 @@ def close_normally(presentation: Presentation, words) -> Presentation:
     """Presentation of the quotient by the normal closure of ``words``;
     raises ValueError on a word over an undeclared generator."""
     extra = tuple(w if isinstance(w, tuple) else relator_from_string(w) for w in words)
-    p = Presentation(presentation.generators, presentation.relators + extra)
-    p.validate()
-    return p
+    return Presentation(presentation.generators, presentation.relators + extra)
 
 
 def quotient_group(table: CosetTable) -> PermGroup:

@@ -15,6 +15,9 @@ import functools
 import math
 from fractions import Fraction
 
+from .errors import check_int
+from .words import reduce_word
+
 __all__ = [
     "CubicNumber",
     "LAMBDA",
@@ -282,12 +285,13 @@ WEIGHT = {g: CubicNumber(*t) for g, t in _WEIGHT_TRIPLE.items()}
 
 
 def lambda_length(w: str) -> CubicNumber:
-    """Weighted length of a reduced word: the sum of its letter weights.
+    """Weighted length of the element w: the sum of the letter weights of
+    its reduced form, so the identity "aa" has length 0.
 
     Valid as the group element's length because reduced normal forms are
     geodesic for the weighted metric.
     """
-    return _new(*length_triple(w), 1)
+    return _new(*length_triple(reduce_word(w)), 1)
 
 
 def length_triple(w: str) -> tuple[int, int, int]:
@@ -335,18 +339,10 @@ def _power_ceiling(k: int) -> int:
 _LOG_LAMBDA = math.log(_ENCLOSURE.num_lo / (1 << _ENCLOSURE.k))
 
 
-def _check_int(n, message: str) -> None:
-    """TypeError "message, not <type>" unless n is an int (a bool is not)."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise TypeError(f"{message}, not {type(n).__name__}")
-
-
 def radius_index(n: int) -> int:
     """The unique m with L^(m+1) <= n < L^(m+2), for an integer n >= 1, by
     comparisons with the exact integer thresholds ceil(L^k)."""
-    _check_int(n, "radius_index needs an int")
-    if n < 1:
-        raise ValueError("radius_index needs n >= 1")
+    check_int(n, "radius", 1)
     m = max(int(math.log(n) / _LOG_LAMBDA) - 1, -1)
     while _power_ceiling(m + 2) <= n:
         m += 1

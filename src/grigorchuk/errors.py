@@ -1,4 +1,5 @@
-"""Shared exception types."""
+"""Shared exception types, and the one check of an int input: every size,
+level, depth and cap goes through ``check_int``."""
 
 
 class GrigError(Exception):
@@ -24,3 +25,12 @@ class CapExceeded(GrigError, RuntimeError):
     def __init__(self, message, partial=None):
         self.partial = partial
         super().__init__(message)
+
+
+def check_int(value, name: str, least: int | None = None) -> None:
+    """TypeError unless value is an int (a bool is not one), and ValueError
+    if it is below ``least``, when ``least`` is given."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
-from .cubic import _check_int, ln_enclosure
-from .errors import CapExceeded
+from .cubic import ln_enclosure
+from .errors import CapExceeded, check_int
 from .permgrp import identity, pmul
 from .words import BCD, FOLLOWERS, LETTERS, NUCLEUS, invert, multiply
 from .wreath import _SPLIT_IMAGE, is_trivial, level_action
@@ -30,9 +30,7 @@ _BUCKET_DEPTH = 5
 def free_sphere_sizes(n: int) -> list[int]:
     """Sphere sizes of the free product: a(k+1) = b(k), b(k+1) = 3 a(k)
     with a = #geodesics ending in a and b = #ending in {b, c, d}."""
-    _check_int(n, "radius must be an int")
-    if n < 0:
-        raise ValueError("radius must be >= 0")
+    check_int(n, "radius", 0)
     out, a, b = [1], 1, 1  # the identity seeds both recurrences
     for _ in range(n):
         a, b = b, 3 * a
@@ -207,13 +205,9 @@ def iter_spheres(
     or ``budget`` is not an int, and ValueError when ``maxn`` < 0 or
     ``budget`` < 1.
     """
-    _check_int(maxn, "radius must be an int")
-    if maxn < 0:
-        raise ValueError("radius must be >= 0")
+    check_int(maxn, "radius", 0)
     if budget is not None:
-        _check_int(budget, "budget must be an int")
-        if budget < 1:
-            raise ValueError("budget must be >= 1")
+        check_int(budget, "budget", 1)
     eq = _SignatureEquality() if use_signatures else _PureEquality()
     eq.probe("", eq.identity)
     sphere, keys = [""], [eq.identity]

@@ -13,8 +13,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from . import cubic
-from .errors import CapExceeded
+from .errors import CapExceeded, check_int
 
 Permutation = tuple[int, ...]
 
@@ -87,12 +86,13 @@ class PermGroup:
 
 def closure(generators, degree: int | None = None, cap: int = DEFAULT_CAP) -> PermGroup:
     """Breadth-first closure of a generator list; deterministic element order."""
-    cubic._check_int(cap, "cap must be an int")
+    check_int(cap, "cap", 1)
     gens = tuple(tuple(g) for g in generators)
     if degree is None:
         if not gens:
             raise ValueError("need generators or an explicit degree")
         degree = len(gens[0])
+    check_int(degree, "degree", 0)
     for g in gens:
         if sorted(g) != list(range(degree)):
             raise ValueError(f"not a permutation of degree {degree}: {g}")
@@ -255,11 +255,13 @@ def enumerate_subgroups(G: PermGroup) -> list[PermGroup]:
 
 
 def cyclic(n: int) -> PermGroup:
+    check_int(n, "n", 1)
     return closure([from_cycles(n, [tuple(range(n))])], degree=n)
 
 
 def dihedral(n: int) -> PermGroup:
-    """Dihedral group of order 2n acting on an n-gon."""
+    """Dihedral group of order 2n acting on an n-gon, n >= 3."""
+    check_int(n, "n", 3)
     rot = from_cycles(n, [tuple(range(n))])
     refl = tuple((n - i) % n for i in range(n))
     return closure([rot, refl], degree=n)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import cubic
+from .errors import check_int
 from .words import reduce_word
 
 # a relator is a tuple of (generator, +1|-1) pairs
@@ -27,13 +27,9 @@ _SIGMA = {"a": "aca", "b": "d", "c": "b", "d": "c"}
 def sigma(w: str) -> str:
     """Image of a word under the substitution a -> aca, b -> d, c -> b,
     d -> c, in reduced normal form.  The substitution kills the defining
-    relators, so it is an endomorphism of the free product.  A letter
-    outside a, b, c, d raises ValueError, as in ``reduce_word``."""
-    try:
-        image = "".join(_SIGMA[ch] for ch in w)
-    except KeyError as exc:
-        raise ValueError(f"invalid letter {exc.args[0]!r}") from None
-    return reduce_word(image)
+    relators, so it is an endomorphism of the free product, and w may be
+    reduced first: a letter outside a, b, c, d raises ValueError there."""
+    return reduce_word("".join(_SIGMA[ch] for ch in reduce_word(w)))
 
 
 U0 = reduce_word("ad" * 4)
@@ -46,7 +42,7 @@ MAX_RELATOR_LEVEL = 16
 
 
 def _check_level(n: int, least: int) -> None:
-    cubic._check_int(n, "n must be an int")
+    check_int(n, "n")
     if not least <= n <= MAX_RELATOR_LEVEL:
         raise ValueError(f"n must be >= {least} and <= {MAX_RELATOR_LEVEL}, not {n}")
 
@@ -68,29 +64,36 @@ def relator_v(n: int) -> str:
     return _sigma_power(V0, n)
 
 
+def check_words(generators, words, kind: str) -> None:
+    """ValueError unless every letter of every word is one of the
+    generators with exponent 1 or -1; the message names ``kind``."""
+    gens = set(generators)
+    for w in words:
+        for g, e in w:
+            if g not in gens:
+                raise ValueError(f"{kind} uses undeclared generator {g!r}")
+            if e not in (1, -1):
+                raise ValueError(f"{kind} uses exponent {e}")
+
+
 @dataclass(frozen=True)
 class Presentation:
+    """Generators and relators; a relator that is empty, or that uses an
+    undeclared generator or an exponent other than 1 or -1, raises
+    ValueError when the presentation is built."""
+
     generators: tuple[str, ...]
     relators: tuple[Relator, ...]
 
+    def __post_init__(self) -> None:
+        if not all(self.relators):
+            raise ValueError("empty relator")
+        check_words(self.generators, self.relators, "relator")
+
     @staticmethod
     def from_strings(generators, relator_words) -> "Presentation":
-        gens = tuple(generators)
         rels = tuple(relator_from_string(w) for w in relator_words)
-        p = Presentation(gens, rels)
-        p.validate()
-        return p
-
-    def validate(self) -> None:
-        gens = set(self.generators)
-        for rel in self.relators:
-            if not rel:
-                raise ValueError("empty relator")
-            for g, e in rel:
-                if g not in gens:
-                    raise ValueError(f"relator uses undeclared generator {g!r}")
-                if e not in (1, -1):
-                    raise ValueError(f"bad exponent {e}")
+        return Presentation(tuple(generators), rels)
 
     def relator_strings(self) -> list[str]:
         return [relator_to_string(r) for r in self.relators]
@@ -116,9 +119,7 @@ class Presentation:
                 raise ValueError(f"line {lineno}: expected 'gens:' or 'rel:'")
         if gens is None:
             raise ValueError("missing 'gens:' line")
-        p = Presentation(gens, tuple(rels))
-        p.validate()
-        return p
+        return Presentation(gens, tuple(rels))
 
 
 def relator_from_string(s: str) -> Relator:
@@ -176,9 +177,7 @@ class IndexBounds:
 def index_bounds(n: int) -> IndexBounds:
     """Recursion alpha(k) = 4*alpha(k-1) + 1, beta(k) = 2*alpha(k-1) +
     2*beta(k-1) from alpha(0) = 4, beta(0) = 0."""
-    cubic._check_int(n, "n must be an int")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_int(n, "n", 0)
     alpha, beta = 4, 0
     for _ in range(n):
         alpha, beta = 4 * alpha + 1, 2 * alpha + 2 * beta

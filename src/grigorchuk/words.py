@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import re
 
-from . import cubic
-from .errors import CapExceeded, PreconditionError, WordParseError
+from .errors import CapExceeded, PreconditionError, WordParseError, check_int
 
 LETTERS = "abcd"
+# the letters as items of a sequence: a tuple, so that an item of any type,
+# hashable or not, is tested by equality
+_LETTER_ITEMS = tuple(LETTERS)
 BCD = "bcd"
 IDENTITY = ""
 # the letters that may follow a reduced word, by its last letter ("" for the
@@ -49,14 +51,20 @@ def reduce_word(raw) -> str:
     letters of {b, c, d} is the third.  One pass suffices because the group
     is a free product of finite groups.  The pass would keep the longest
     reduced prefix of a string as it is, so that prefix starts the stack,
-    and a string that is already reduced is returned as it is.
+    and a string that is already reduced is returned as it is.  Any other
+    iterable is joined into a string first; each of its items must be one
+    of the four one-letter strings.
     """
-    stack = []
-    if type(raw) is str:
-        start = _REDUCED_PREFIX.match(raw).end()
-        if start == len(raw):
-            return raw
-        stack, raw = list(raw[:start]), raw[start:]
+    if type(raw) is not str:
+        raw = tuple(raw)
+        for ch in raw:
+            if ch not in _LETTER_ITEMS:
+                raise ValueError(f"invalid letter {ch!r}")
+        raw = "".join(raw)
+    start = _REDUCED_PREFIX.match(raw).end()
+    if start == len(raw):
+        return raw
+    stack, raw = list(raw[:start]), raw[start:]
     for ch in raw:
         if ch not in LETTERS:
             raise ValueError(f"invalid letter {ch!r}")
@@ -155,9 +163,7 @@ def iter_ball_free(n: int):
     Reduced words are exactly the walks that append to each word only the
     ``FOLLOWERS`` of its last letter, so extension never needs re-reduction.
     """
-    cubic._check_int(n, "radius must be an int")
-    if n < 0:
-        raise ValueError("radius must be >= 0")
+    check_int(n, "radius", 0)
     level = [IDENTITY]
     yield IDENTITY
     for _ in range(n):
@@ -207,8 +213,7 @@ def _bracelet_walk(n: int, sections: dict[str, tuple[str, str]]):
     kept.  The pending children on the stack share their parent's strings,
     so the walk streams at any radius.
     """
-    if n < 0:
-        raise ValueError("radius must be >= 0")
+    check_int(n, "radius", 0)
     depth = n // 2
     # the sections that a letter at position t joins onto sides 0 and 1, by t & 1
     joins = ({x: (x1, x0) for x, (x0, x1) in sections.items()}, sections)
@@ -258,8 +263,7 @@ def _letter_classes(n: int):
     n-ball: m is the class's minimal conjugate, and its words of length
     <= n are u.x.u^-1, where u is empty or its last letter does not merge
     with x."""
-    if n < 0:
-        raise ValueError("radius must be >= 0")
+    check_int(n, "radius", 0)
     yield IDENTITY, 1
     if n == 0:
         return
@@ -281,9 +285,7 @@ def enumerate_ball_free(n: int, cap: int | None = None) -> list[str]:
     """The n-ball of the free product as a list; raises CapExceeded past cap,
     TypeError when n or cap is not an int and ValueError when cap < 1."""
     if cap is not None:
-        cubic._check_int(cap, "cap must be an int")
-        if cap < 1:
-            raise ValueError("cap must be >= 1")
+        check_int(cap, "cap", 1)
     out = []
     for w in iter_ball_free(n):
         if cap is not None and len(out) >= cap:

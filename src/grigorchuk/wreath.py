@@ -17,7 +17,8 @@ The memos are ``functools.cache`` on pure functions (``_is_trivial``,
 ``_order``, ``_letter_action``, ``_in_open_ball``, ``_class_exponent``,
 and ``_section_table`` of ``_SPLIT_IMAGE``), each with ``cache_info()``
 and ``cache_clear()``.  A write to ``_SPLIT_IMAGE`` clears every memo
-derived from it.
+derived from it.  Each exhaustive sweep also keeps its child steps in a
+``functools.cache`` of its own, dropped when the sweep returns.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .cubic import (
     triple_compare_power,
     triple_sign,
 )
-from .errors import CapExceeded, GrigError, PreconditionError
+from .errors import CapExceeded, GrigError, PreconditionError, check_int
 from .permgrp import pmul
 from .words import (
     BCD,
@@ -178,9 +179,7 @@ def _word_action(w: str, k: int) -> tuple[int, ...]:
 def level_action(w: str, k: int) -> tuple[int, ...]:
     """Permutation induced by w on the 2^k vertices at depth k of the tree;
     a depth that is not an int raises TypeError, one below 0 ValueError."""
-    cubic._check_int(k, "depth must be an int")
-    if k < 0:
-        raise ValueError("depth must be >= 0")
+    check_int(k, "depth", 0)
     return _word_action(reduce_word(w), k)
 
 
@@ -299,14 +298,6 @@ def _in_open_ball(na: int, nb: int, nc: int, nd: int, r: int) -> bool:
     return triple_compare_power(count_triple(na, nb, nc, nd), r) < 0
 
 
-def _check_level(n) -> None:
-    """Reject a level that is not an int (a bool is not a level) or is
-    below -1, the last level the ball argument defines."""
-    cubic._check_int(n, "level must be an int")
-    if n < -1:
-        raise ValueError("level must be >= -1")
-
-
 def _ball_class(w: str, n: int) -> str:
     """The minimal conjugate of w, once w passes the test the step at level
     n makes of it; otherwise RadiusViolation naming w itself.
@@ -357,9 +348,10 @@ def certify_exponent(w: str, n: int) -> tuple[int, int]:
 
     Raises RadiusViolation, whose ``failure`` is the CertificateFailure
     that ``certify_torsion`` returns for the same input, TypeError for a
-    level that is not an int and ValueError for levels below -1.
+    level that is not an int and ValueError for levels below -1, the last
+    level the ball argument defines.
     """
-    _check_level(n)
+    check_int(n, "level", -1)
     return _class_exponent(_ball_class(w, n), n)
 
 
@@ -446,14 +438,14 @@ def verify_nball_proposition(n: int, words=None, level: int | None = None) -> NB
     is not an int raises TypeError, and a radius below 0 (below 2 without
     ``level``) raises ValueError.
     """
-    cubic._check_int(n, "radius must be an int")
     if level is None:
+        check_int(n, "radius")
         if n < 2:
             raise ValueError("need n >= 2 for a nonnegative level")
         level = cubic.radius_index(n)
-    elif n < 0:
-        raise ValueError("radius must be >= 0")
-    _check_level(level)
+    else:
+        check_int(n, "radius", 0)
+    check_int(level, "level", -1)
     if words is None:
         report = _class_sweep(n, level)
         if report is not None:
@@ -469,19 +461,6 @@ def verify_nball_proposition(n: int, words=None, level: int | None = None) -> NB
             report.word_count += 1
             report.failures.append(exc.failure)
     return report
-
-
-class _ChildSteps(dict):
-    """Child word -> ``certify_exponent(child, level)``, each run on the
-    word's first lookup; a child that raises is not kept."""
-
-    def __init__(self, level: int):
-        super().__init__()
-        self.level = level
-
-    def __missing__(self, child: str) -> tuple[int, int]:
-        found = self[child] = certify_exponent(child, self.level)
-        return found
 
 
 def _class_sweep(n: int, level: int) -> NBallReport | None:
@@ -516,8 +495,9 @@ def _class_sweep(n: int, level: int) -> NBallReport | None:
     ``_class_step(m, n)``; for k odd the one child, side 0 of m.m, is s0
     joined with s1, since the second copy of r has the opposite a-parity
     (one more factor of two).  The child step ``certify_exponent(child,
-    level - 1)`` is kept per child word in a dict that lives as long as the
-    call; a child that fails ends the sweep and is never kept.  A class's
+    level - 1)`` is kept per child word in a ``functools.cache`` that lives
+    as long as the call; a child that fails ends the sweep and is never
+    kept.  A class's
     words are counted by ``_rotation_words`` and added up by (exponent,
     depth), so the report is filled once per pair at the end.
     """
@@ -525,7 +505,7 @@ def _class_sweep(n: int, level: int) -> NBallReport | None:
         return None
     sections = {x: tuple(map(reduce_word, _SPLIT_IMAGE[x])) for x in BCD}
     per_rotation = [_rotation_words(n, k) for k in range(n // 2 + 1)]
-    certified = _ChildSteps(level - 1)
+    certified = functools.cache(functools.partial(certify_exponent, n=level - 1))
     counts = {}  # (exponent, depth) -> words certified with them
     try:
         for m, words in _letter_classes(n):
@@ -537,11 +517,11 @@ def _class_sweep(n: int, level: int) -> NBallReport | None:
             k = len(r)
             words = p * per_rotation[k] * (1 if self_inverse else 2)
             if k & 1:
-                exponent, depth = certified[_join(s0, s1)]
+                exponent, depth = certified(_join(s0, s1))
                 exponent += 1
             else:
-                exponent, depth = certified[s0]
-                e, d = certified[s1]
+                exponent, depth = certified(s0)
+                e, d = certified(s1)
                 if e > exponent:
                     exponent = e
                 if d > depth:

@@ -430,8 +430,9 @@ def test_check_all_ids_match_the_benchmark_reference():
 
 
 # odd inputs for every subcommand, with the exit code each must give; MISSING
-# stands for a file that does not exist (caps below 1, bad --nball radii and
-# undeclared generators have their own tests above)
+# stands for a file that does not exist and PRES for a valid presentation
+# file (caps below 1, bad --nball radii and undeclared generators have their
+# own tests above)
 _ODD_INPUTS = [
     (["reduce", ""], 0),
     (["reduce", "1"], 0),
@@ -458,8 +459,13 @@ _ODD_INPUTS = [
     (["coset", "--gamma0"], 2),  # nothing to close or quotient by: infinite index
     (["coset", "--level", "1"], 2),
     (["coset", "--pres", "MISSING"], 2),
+    # one presentation source at a time
+    (["coset", "--gamma0", "--level", "3", "--close", "abab"], 2),
+    # no closing word: still the infinite group
+    (["coset", "--gamma0", "--close", ","], 2),
     (["abelianize"], 2),
     (["abelianize", "--level", "-5"], 2),
+    (["abelianize", "--level", "-1", "--pres", "PRES"], 2),
     (["abelianize", "--gamma0", "--close", ""], 0),
     (["check-all", "--config", "MISSING"], 2),
     (["check-all", "--seed", "7"], 2),
@@ -471,7 +477,10 @@ def test_odd_inputs_exit_cleanly_and_fast(capsys, tmp_path, argv, expected):
     """Each odd input gives its exit code within a second, and only a usage
     error writes to stderr; an exception other than SystemExit would fail
     the test, as a traceback would show."""
-    argv = [str(tmp_path / "missing") if a == "MISSING" else a for a in argv]
+    pres = tmp_path / "gamma0.pres"
+    pres.write_text(presentations.gamma0_coxeter_presentation().to_text())
+    files = {"MISSING": str(tmp_path / "missing"), "PRES": str(pres)}
+    argv = [files.get(a, a) for a in argv]
     t0 = time.perf_counter()
     try:
         code = main(argv)

@@ -85,7 +85,7 @@ def test_subgroup_word_with_a_bad_exponent_is_rejected():
 
 
 def test_relator_with_a_bad_exponent_is_rejected():
-    # a presentation built without validate(): the column map has no (x, 2)
+    # the presentation rejects its own relators as it is built
     with pytest.raises(ValueError, match="relator uses exponent 2"):
         todd_coxeter(Presentation(("x",), ((("x", 2), ("x", 1)),)))
     with pytest.raises(ValueError, match="relator uses undeclared generator 'y'"):

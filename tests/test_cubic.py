@@ -107,6 +107,9 @@ def test_cubic_numbers_are_immutable():
 def test_lambda_length_additive_on_letters():
     assert lambda_length("ab") == WEIGHT["a"] + WEIGHT["b"]
     assert lambda_length("") == CubicNumber(0)
+    # the length of the element, not of the letters as written
+    assert lambda_length("aa") == CubicNumber(0)
+    assert lambda_length("bc") == WEIGHT["d"]
 
 
 @given(reduced_words())

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import reduced_words
 from grigorchuk.errors import CapExceeded
-from grigorchuk.permgrp import closure
+from grigorchuk.permgrp import closure, cyclic, dihedral
 from grigorchuk.presentations import index_bounds
 from grigorchuk.growth import (
     GrowthTable,
@@ -272,11 +272,14 @@ def test_growth_table_free_rows():
         enumerate_ball_free,
         lambda v: enumerate_ball_free(3, cap=v),
         lambda v: closure([(1, 0)], cap=v),
+        lambda v: closure([], degree=v),
+        cyclic,
+        dihedral,
         index_bounds,
     ],
     ids=[
-        "radius", "budget", "free-ball", "free-table",
-        "free-list", "free-cap", "closure-cap", "index-bounds",
+        "radius", "budget", "free-ball", "free-table", "free-list",
+        "free-cap", "closure-cap", "closure-degree", "cyclic", "dihedral", "index-bounds",
     ],
 )
 def test_sizes_take_only_ints(build, value):

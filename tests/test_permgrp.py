@@ -57,6 +57,23 @@ def test_closure_cap():
                  from_cycles(9, [(0, 1)])], cap=100)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: dihedral(2), "n must be >= 3"),
+        (lambda: cyclic(0), "n must be >= 1"),
+        (lambda: closure([], degree=-1), "degree must be >= 0"),
+        (lambda: closure([(1, 0)], cap=0), "cap must be >= 1"),
+    ],
+    ids=["dihedral-2", "cyclic-0", "degree-negative", "cap-0"],
+)
+def test_degenerate_sizes_are_rejected(build, message):
+    """dihedral(2) would have order 2, not 4, and closure([], degree=-1) a
+    degree of -1."""
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_index_and_normality():
     G = dihedral(4)
     rot = closure([from_cycles(4, [(0, 1, 2, 3)])])

@@ -6,16 +6,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_order_census_smoke():
+def _order_census(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "order_census.py"), "--maxn", "4"],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "order_census.py"), *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def test_order_census_smoke():
+    proc = _order_census("--maxn", "4")
     assert proc.returncode == 0, proc.stderr
     assert "squaring oracle agrees" in proc.stdout
     # the census of the 4-ball, as the script printed it when it still read
@@ -28,3 +32,11 @@ def test_order_census_smoke():
         "  order   8: 10 elements",
         "  order  16: 12 elements",
     ]
+
+
+def test_order_census_rejects_a_negative_radius_as_usage():
+    # exit 1 is kept for an oracle mismatch
+    proc = _order_census("--maxn", "-1")
+    assert proc.returncode == 2
+    assert "--maxn must be >= 0" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -75,6 +75,10 @@ def test_reduce_still_checks_letters_and_takes_sequences():
             reduce_word(bad)
     assert reduce_word(list("abba")) == ""
     assert reduce_word(["a", "b", "a", "c"]) == "abac"
+    # an item is one letter: a longer or an empty string is not a letter
+    for items, bad in ((["bc"], "bc"), (["b", "", "c"], ""), (("a", "bc", "d"), "bc")):
+        with pytest.raises(ValueError, match=f"invalid letter {bad!r}"):
+            reduce_word(items)
 
 
 def test_is_reduced_rejects_other_letters_and_non_strings():

@@ -356,6 +356,8 @@ def test_verify_nball_reduces_supplied_words():
 def test_verify_nball_rejects_invalid_letters():
     with pytest.raises(ValueError, match="invalid letter 'x'"):
         verify_nball_proposition(4, words=["abx"])
+    with pytest.raises(ValueError, match="invalid letter 'bc'"):
+        verify_nball_proposition(4, words=[["bc", "a"]])
 
 
 def test_class_sweep_matches_the_word_loop():
