@@ -15,7 +15,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import CapExceeded, check_int
-from .permgrp import PermGroup, closure as perm_closure, identity, pinv, pmul
+from .permgrp import PermGroup, check_permutation, closure as perm_closure, identity, pinv, pmul
 from .presentations import Presentation, Relator, check_words, relator_from_string
 from .snf import smith_normal_form
 
@@ -243,7 +243,12 @@ def maps_onto(presentation: Presentation, images, G: PermGroup) -> bool:
     """Whether each generator g -> ``images[g]`` defines a homomorphism of
     the presented group onto G: the images kill every relator and their
     closure is G.  When the presented group has order |G|, it is an
-    isomorphism."""
+    isomorphism.  ValueError unless every generator has an image, and
+    every image is a permutation of G's points."""
+    for g in presentation.generators:
+        if g not in images:
+            raise ValueError(f"no image for generator {g!r}")
+        check_permutation(images[g], G.degree)
     ident = identity(G.degree)
     for rel in presentation.relators:
         p = ident

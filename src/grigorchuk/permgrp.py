@@ -1,11 +1,14 @@
 """Small finite permutation groups by explicit element enumeration.
 
-Everything here is desk scale (orders well below 10^4), so naive
-breadth-first closure replaces stabilizer chains.  Subgroups are
-enumerated by joins with one element per right coset, and the core-index
-lemma check reads the core and the normalizer's index from the one orbit
-of H under conjugation by G's generators; ``core`` and ``normalizer``,
-which conjugate by every element, are kept as its oracles.
+Everything here is desk scale (orders well below 10^4), so breadth-first
+closure replaces stabilizer chains.  A group's Cayley table
+(``PermGroup.table``: each element's index and the index of every product)
+is built once, on first use, and subgroup joins and conjugation orbits run
+on element indices, one list lookup per product.  Subgroups are enumerated
+by joins with one element per right coset, and the core-index lemma check
+reads the core and the normalizer's index from the one orbit of H under
+conjugation by G's generators; ``core`` and ``normalizer``, which conjugate
+permutations by every element, are kept as its oracles.
 """
 
 from __future__ import annotations
@@ -38,15 +41,28 @@ def pinv(p: Permutation) -> Permutation:
     return tuple(out)
 
 
+def check_permutation(p, degree: int) -> None:
+    """ValueError unless p lists 0..degree-1 in some order."""
+    if sorted(p) != list(range(degree)):
+        raise ValueError(f"not a permutation of degree {degree}: {p}")
+
+
 def from_cycles(degree: int, cycles) -> Permutation:
+    """The permutation of 0..degree-1 with the given disjoint cycles."""
+    check_int(degree, "degree", 0)
     img = list(range(degree))
+    moved = set()
     for cyc in cycles:
         for i, pt in enumerate(cyc):
+            if pt not in range(degree) or pt in moved:
+                raise ValueError(f"point {pt!r} is out of range or in two cycles: {cycles}")
+            moved.add(pt)
             img[pt] = cyc[(i + 1) % len(cyc)]
     return tuple(img)
 
 
 def to_cycles(p: Permutation) -> list[tuple[int, ...]]:
+    check_permutation(p, len(p))
     seen = set()
     out = []
     for start in range(len(p)):
@@ -77,11 +93,41 @@ class PermGroup:
     def element_set(self) -> frozenset:
         return frozenset(self.elements)
 
+    @functools.cached_property
+    def table(self) -> tuple[dict[Permutation, int], list[list[int]]]:
+        """The Cayley table on element indices: ``position[p]`` is the
+        index of p in ``elements``, and ``mul[x][y]`` that of
+        ``pmul(elements[x], elements[y])``."""
+        position = dict(zip(self.elements, range(self.order)))
+        mul = [[position[pmul(p, q)] for q in self.elements] for p in self.elements]
+        return position, mul
+
     def is_subgroup_of(self, other: "PermGroup") -> bool:
         return self.degree == other.degree and self.element_set <= other.element_set
 
     def generator_cycles(self) -> list[list[tuple[int, ...]]]:
         return [to_cycles(g) for g in self.generators]
+
+
+def _bfs(ident, gens, mul, cap=DEFAULT_CAP) -> list:
+    """The elements of the group generated by ``gens``, in breadth-first
+    order from ``ident``, where ``mul(x, g)`` is the product x*g."""
+    seen = {ident}
+    ordered = [ident]
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = mul(x, g)
+                if y not in seen:
+                    if len(seen) >= cap:
+                        raise CapExceeded(f"closure cap {cap} exceeded", partial=len(seen))
+                    seen.add(y)
+                    ordered.append(y)
+                    nxt.append(y)
+        frontier = nxt
+    return ordered
 
 
 def closure(generators, degree: int | None = None, cap: int = DEFAULT_CAP) -> PermGroup:
@@ -94,25 +140,8 @@ def closure(generators, degree: int | None = None, cap: int = DEFAULT_CAP) -> Pe
         degree = len(gens[0])
     check_int(degree, "degree", 0)
     for g in gens:
-        if sorted(g) != list(range(degree)):
-            raise ValueError(f"not a permutation of degree {degree}: {g}")
-    ident = identity(degree)
-    seen = {ident}
-    ordered = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = pmul(x, g)
-                if y not in seen:
-                    if len(seen) >= cap:
-                        raise CapExceeded(f"closure cap {cap} exceeded", partial=len(seen))
-                    seen.add(y)
-                    ordered.append(y)
-                    nxt.append(y)
-        frontier = nxt
-    return PermGroup(degree, gens, tuple(ordered))
+        check_permutation(g, degree)
+    return PermGroup(degree, gens, tuple(_bfs(identity(degree), gens, pmul, cap)))
 
 
 def _as_group(G: PermGroup, elements) -> PermGroup:
@@ -171,17 +200,22 @@ def _two_power_exponent(n: int) -> int | None:
 
 def _conjugation_orbit(G: PermGroup, H: PermGroup) -> list[frozenset]:
     """The distinct conjugates g.H.g^-1 of a subgroup H by the elements g
-    of G, as element sets, H first: the orbit of H under conjugation by G's
-    generators, which generate G."""
-    orbit = [H.element_set]
+    of G, as sets of indices into ``G.elements``, H first: the orbit of H
+    under conjugation by G's generators, which generate G."""
+    position, mul = G.table
+    # conj[x] is the index of g.x.g^-1, for each generator g
+    conjugations = []
+    for g in G.generators:
+        gi = position[pinv(g)]
+        conjugations.append([mul[y][gi] for y in mul[position[g]]])
+    orbit = [frozenset(map(position.__getitem__, H.elements))]
     seen = set(orbit)
     for K in orbit:
-        for g in G.generators:
-            gi = pinv(g)
-            conj = frozenset([pmul(pmul(g, h), gi) for h in K])
-            if conj not in seen:
-                seen.add(conj)
-                orbit.append(conj)
+        for conj in conjugations:
+            L = frozenset(map(conj.__getitem__, K))
+            if L not in seen:
+                seen.add(L)
+                orbit.append(L)
     return orbit
 
 
@@ -225,29 +259,40 @@ def enumerate_subgroups(G: PermGroup) -> list[PermGroup]:
     """
     if G.order > 64:
         raise ValueError("subgroup enumeration is limited to |G| <= 64")
-    found: dict[frozenset, PermGroup] = {}
-    triv = _as_group(G, [identity(G.degree)])
-    found[triv.element_set] = triv
-    for g in G.elements:
-        S = closure([g], degree=G.degree)
-        found.setdefault(S.element_set, S)
+    position, mul = G.table
+
+    def product(x, y):
+        return mul[x][y]
+
+    # the subgroups on element indices: element set -> (generators, BFS order)
+    e = position[identity(G.degree)]
+    found = {frozenset([e]): ((e,), [e])}
+    for g in range(G.order):
+        S = _bfs(e, (g,), product)
+        found.setdefault(frozenset(S), ((g,), S))
     frontier = list(found.values())
     while frontier:
         new = []
-        for S in frontier:
-            covered = set(S.element_set)
-            for g in G.elements:
+        for gens, S in frontier:
+            covered = set(S)
+            for g in range(G.order):
                 if g in covered:
                     continue
-                covered.update([pmul(s, g) for s in S.elements])
-                J = closure(list(S.generators) + [g], degree=G.degree)
-                if J.element_set not in found:
-                    new.append(J)
-                    found[J.element_set] = J
+                covered.update([mul[s][g] for s in S])
+                J = _bfs(e, gens + (g,), product)
+                key = frozenset(J)
+                if key not in found:
+                    found[key] = joined = gens + (g,), J
+                    new.append(joined)
                     if len(found) > _SUBGROUP_CAP:
                         raise CapExceeded("subgroup cap exceeded", partial=len(found))
         frontier = new
-    return sorted(found.values(), key=lambda S: (S.order, S.elements))
+    perms = G.elements.__getitem__
+    subgroups = [
+        PermGroup(G.degree, tuple(map(perms, gens)), tuple(map(perms, S)))
+        for gens, S in found.values()
+    ]
+    return sorted(subgroups, key=lambda S: (S.order, S.elements))
 
 
 # ---------------------------------------------------------------------------

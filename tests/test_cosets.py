@@ -57,6 +57,23 @@ def test_index_16_quotient_is_z2_times_d8():
     assert maps_onto(p, reports._Z2_D8_IMAGES, target)
 
 
+@pytest.mark.parametrize(
+    "images, message",
+    [
+        ({"a": (1, 0, 2, 3, 4, 5), "b": (0, 1, 2, 3, 5, 4)}, "no image for generator 'd'"),
+        ({**reports._Z2_D8_IMAGES, "b": (1, 0, 3, 2)}, "not a permutation of degree 6"),
+        ({**reports._Z2_D8_IMAGES, "d": (1, 1, 2, 3, 4, 5)}, "not a permutation of degree 6"),
+    ],
+    ids=["missing-generator", "four-point-image", "non-permutation"],
+)
+def test_maps_onto_rejects_bad_images(images, message):
+    """A missing generator leaked KeyError, and an image on the wrong
+    points was read as a failed homomorphism (False)."""
+    p = close_normally(gamma0_coxeter_presentation(), ["abab"])
+    with pytest.raises(ValueError, match=message):
+        maps_onto(p, images, z2_times_d8())
+
+
 def test_parity_kernel_has_index_2():
     t = todd_coxeter(gamma_presentation(0), xi_generators())
     assert t.status == "complete"

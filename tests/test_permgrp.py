@@ -31,6 +31,35 @@ def test_cycle_roundtrip():
     assert pmul(p, pinv(p)) == tuple(range(6))
 
 
+@pytest.mark.parametrize(
+    "degree, cycles, error, message",
+    [
+        (3, [(0, 1), (1, 2)], ValueError, "point 1 is out of range or in two cycles"),
+        (3, [(0, 1, 0)], ValueError, "point 0 is out of range or in two cycles"),
+        (3, [(0, 5)], ValueError, "point 5 is out of range"),
+        (3, [(-1, 0)], ValueError, "point -1 is out of range"),
+        (-1, [], ValueError, "degree must be >= 0"),
+        (2.0, [], TypeError, "degree must be an int"),
+    ],
+    ids=["shared-point", "repeated-point", "point-past-degree", "negative-point",
+         "negative-degree", "float-degree"],
+)
+def test_from_cycles_rejects_bad_input(degree, cycles, error, message):
+    """from_cycles(3, [(0, 1), (1, 2)]) returned the non-permutation
+    (1, 2, 1), [(0, 5)] leaked IndexError and degree -1 returned ()."""
+    with pytest.raises(error, match=message):
+        from_cycles(degree, cycles)
+
+
+def test_to_cycles_rejects_a_non_permutation():
+    """to_cycles((1, 2, 1)) never returned."""
+    with pytest.raises(ValueError, match="not a permutation of degree 3"):
+        to_cycles((1, 2, 1))
+    with pytest.raises(ValueError, match="not a permutation of degree 3"):
+        permgrp.PermGroup(3, ((1, 2, 1),), ((0, 1, 2),)).generator_cycles()
+    assert to_cycles(()) == [] and to_cycles((0, 1)) == []
+
+
 @given(
     st.integers(min_value=1, max_value=40).flatmap(
         lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n)))
@@ -137,18 +166,32 @@ _CORPUS_SUBGROUPS = {
 def test_corpus_subgroups_are_pinned_and_each_joined_once(monkeypatch):
     """The subgroups, their generators and their order are pinned; each
     subgroup S is joined once, in the round after the one that found it,
-    with one element of each right coset S.g outside S (812 closures when
-    S was joined with every element outside it, 1 681 when every round
-    rejoined all subgroups found so far)."""
+    with one element of each right coset S.g outside S (812 joins when S
+    was joined with every element outside it, 1 681 when every round
+    rejoined all subgroups found so far).  Every join, the cyclic seeds
+    included, is a breadth-first search on G's Cayley table: no subgroup is
+    closed over permutations."""
     corpus = lemma_corpus()
-    calls = []
-    real = permgrp.closure
-    monkeypatch.setattr(permgrp, "closure", lambda *a, **k: calls.append(1) or real(*a, **k))
+    for G in corpus.values():
+        G.table
+    joins = []
+    real = permgrp._bfs
+    monkeypatch.setattr(permgrp, "_bfs", lambda *a, **k: joins.append(1) or real(*a, **k))
+    monkeypatch.setattr(permgrp, "pmul", None)  # no product of two permutations
     for name, G in corpus.items():
         subgroups = enumerate_subgroups(G)
         pairs = repr([(S.generators, S.elements) for S in subgroups])
         assert (len(subgroups), hashlib.sha256(pairs.encode()).hexdigest()) == _CORPUS_SUBGROUPS[name]
-    assert len(calls) == 357
+    assert len(joins) == 357
+
+
+@pytest.mark.parametrize("name", [*lemma_corpus(), "A4"])
+def test_cayley_table_is_the_product_of_permutations(name):
+    G = alternating_4() if name == "A4" else lemma_corpus()[name]
+    position, mul = G.table
+    assert G.table is G.table
+    assert position == {p: i for i, p in enumerate(G.elements)}
+    assert mul == [[G.elements.index(pmul(p, q)) for q in G.elements] for p in G.elements]
 
 
 def _orbit_cases():
@@ -161,7 +204,9 @@ def _orbit_cases():
 def test_conjugation_orbit_gives_the_core_and_the_normalizer_index():
     # the oracles conjugate H by every element of G
     for G, H in _orbit_cases():
-        orbit = permgrp._conjugation_orbit(G, H)
+        orbit = [
+            frozenset([G.elements[i] for i in K]) for K in permgrp._conjugation_orbit(G, H)
+        ]
         assert orbit[0] == H.element_set and len(set(orbit)) == len(orbit)
         assert frozenset.intersection(*orbit) == core(G, H).element_set
         assert len(orbit) == index(G, normalizer(G, H))
