@@ -311,8 +311,14 @@ def count_triple(na: int, nb: int, nc: int, nd: int) -> tuple[int, int, int]:
 
 @functools.cache
 def _lambda_power(k: int) -> CubicNumber:
-    """L**k, cached: the radius tests compare against a few powers often."""
-    return LAMBDA**k
+    """L**k, cached: the radius tests compare against a few powers often.
+    For k >= 2 it is the square of the cached L**(k // 2), times L when k
+    is odd, so the thresholds L**0, L**1, ... take one or two products each."""
+    if k < 2:
+        return LAMBDA**k
+    half = _lambda_power(k // 2)
+    square = half * half
+    return square * LAMBDA if k & 1 else square
 
 
 def triple_compare_power(triple: tuple[int, int, int], k: int) -> int:
@@ -341,9 +347,13 @@ _LOG_LAMBDA = math.log(_ENCLOSURE.num_lo / (1 << _ENCLOSURE.k))
 
 def radius_index(n: int) -> int:
     """The unique m with L^(m+1) <= n < L^(m+2), for an integer n >= 1, by
-    comparisons with the exact integer thresholds ceil(L^k)."""
-    check_int(n, "radius", 1)
-    m = max(int(math.log(n) / _LOG_LAMBDA) - 1, -1)
+    comparisons with the exact integer thresholds ceil(L^k), starting one
+    below the float guess.  Only an input that is not a plain int >= 1
+    goes through ``check_int``, which rejects it with the usual error."""
+    if type(n) is not int or n < 1:
+        check_int(n, "radius", 1)
+    # log(n) >= 0, so the guess is at least -1
+    m = int(math.log(n) / _LOG_LAMBDA) - 1
     while _power_ceiling(m + 2) <= n:
         m += 1
     while m >= 0 and _power_ceiling(m + 1) > n:

@@ -97,9 +97,14 @@ class PermGroup:
     def table(self) -> tuple[dict[Permutation, int], list[list[int]]]:
         """The Cayley table on element indices: ``position[p]`` is the
         index of p in ``elements``, and ``mul[x][y]`` that of
-        ``pmul(elements[x], elements[y])``."""
+        ``pmul(elements[x], elements[y])``.  Elements that are not closed
+        under products raise ValueError."""
         position = dict(zip(self.elements, range(self.order)))
-        mul = [[position[pmul(p, q)] for q in self.elements] for p in self.elements]
+        try:
+            mul = [[position[pmul(p, q)] for q in self.elements] for p in self.elements]
+        except KeyError as exc:
+            missing = exc.args[0]
+            raise ValueError(f"elements are not closed under products: {missing} is missing") from None
         return position, mul
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
@@ -201,13 +206,17 @@ def _two_power_exponent(n: int) -> int | None:
 def _conjugation_orbit(G: PermGroup, H: PermGroup) -> list[frozenset]:
     """The distinct conjugates g.H.g^-1 of a subgroup H by the elements g
     of G, as sets of indices into ``G.elements``, H first: the orbit of H
-    under conjugation by G's generators, which generate G."""
+    under conjugation by G's generators, which generate G.  A generator
+    that is not an element of G raises ValueError."""
     position, mul = G.table
     # conj[x] is the index of g.x.g^-1, for each generator g
     conjugations = []
     for g in G.generators:
-        gi = position[pinv(g)]
-        conjugations.append([mul[y][gi] for y in mul[position[g]]])
+        try:
+            gi = position[pinv(g)]
+            conjugations.append([mul[y][gi] for y in mul[position[g]]])
+        except KeyError:
+            raise ValueError(f"generator {g} is not an element of the group") from None
     orbit = [frozenset(map(position.__getitem__, H.elements))]
     seen = set(orbit)
     for K in orbit:

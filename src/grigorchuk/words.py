@@ -143,8 +143,9 @@ def min_conjugate(w: str) -> str:
     A cyclically reduced word of length >= 2 alternates a with a letter of
     {b, c, d}, so its least rotation starts with a and is fixed by the least
     rotation r of the inactive letters s: it is "a" + "a".join(r).  Only the
-    rotations of s that start at min(s) are candidates.  A word that is
-    not reduced raises PreconditionError.
+    rotations of s that start at min(s) are candidates, compared one at a
+    time; when min(s) occurs once, its rotation is r.  A word that is not
+    reduced raises PreconditionError.
     """
     if not is_reduced(w):
         raise PreconditionError(f"min_conjugate needs a reduced word: {w!r}")
@@ -153,7 +154,11 @@ def min_conjugate(w: str) -> str:
         return w
     s = w[1::2] if w[0] == "a" else w[::2]
     first = min(s)
-    r = min(s[i:] + s[:i] for i, ch in enumerate(s) if ch == first)
+    i = s.find(first)
+    if s.find(first, i + 1) < 0:
+        r = s[i:] + s[:i]
+    else:
+        r = min(s[i:] + s[:i] for i, ch in enumerate(s) if ch == first)
     return "a" + "a".join(r)
 
 
@@ -200,54 +205,76 @@ def _bracelet_walk(n: int, sections: dict[str, tuple[str, str]]):
     One depth-first walk of the prenecklace tree (Ruskey, Savage and Wang,
     "Generating necklaces", J. Algorithms 13, 1992) covers every length, in
     lexicographic order.  A node is a prefix r of length t whose longest
-    Lyndon prefix has length p; appending r[t - p] keeps p, a greater letter
-    makes the child its own Lyndon prefix, and r is a necklace iff p divides
-    t.  The necklace of reversed r is its least rotation; only the first p
+    Lyndon prefix has length p, and whose leading run of its least letter
+    has length j; appending r[t - p] keeps p, a greater letter makes the
+    child its own Lyndon prefix, and r is a necklace iff p divides t.  The
+    necklace of reversed r is its least rotation; only the first p
     rotations are distinct, and only those that start with r's leading run
-    of its least letter can be below r, as no run of that letter is longer.
+    can be below r, as no run of that letter is longer.  When that run
+    occurs once in r, the one candidate is the run followed by the rest of
+    r reversed, so one comparison of the rest with its reversal decides r;
+    otherwise the candidates are scanned.
 
     Each node carries the sides of its prefix: the letter at position t of
     r follows t + 1 a's, so at even t it joins x1 onto side 0 and x0 onto
-    side 1, and at odd t the other way round.  A leaf of length n // 2 is
-    pushed only if it is a necklace, and its sides are joined only if it is
-    kept.  The pending children on the stack share their parent's strings,
-    so the walk streams at any radius.
+    side 1, and at odd t the other way round.  A section is appended as it
+    is unless its first letter meets the side's last letter (``_join``).
+    A leaf of length n // 2 is pushed only if it is a necklace, and its
+    sides are joined only if it is kept.  The pending children on the stack
+    share their parent's strings, so the walk streams at any radius.
     """
     check_int(n, "radius", 0)
     depth = n // 2
-    # the sections that a letter at position t joins onto sides 0 and 1, by t & 1
-    joins = ({x: (x1, x0) for x, (x0, x1) in sections.items()}, sections)
-    # (parent prefix, letter, child's p, parent sides)
-    stack = [("", x, 1, "", "") for x in BCD[::-1]] if depth else []
+    # by t & 1, each letter's sections that a letter at position t joins
+    # onto sides 0 and 1, each with the last letters of a side it meets
+    swapped = {x: (x1, x0) for x, (x0, x1) in sections.items()}
+    joins = tuple(
+        {x: (y0, _meets(y0), y1, _meets(y1)) for x, (y0, y1) in pairs.items()}
+        for pairs in (swapped, sections)
+    )
+    # (parent prefix, letter, child's p, child's leading run, parent sides)
+    stack = [("", x, 1, 1, "", "") for x in BCD[::-1]] if depth else []
     while stack:
-        r, x, p, s0, s1 = stack.pop()
+        r, x, p, j, s0, s1 = stack.pop()
         t = len(r)
-        y0, y1 = joins[t & 1][x]
+        y0, meets0, y1, meets1 = joins[t & 1][x]
         r += x
         t += 1
         symmetric = None  # whether r is kept, and then whether r is its reversal's necklace
         if t % p == 0:
-            rotations = r[::-1] * 2
-            lead = r[: t - len(r.lstrip(r[0]))]
-            i = rotations.find(lead)
-            while i < p:
-                if rotations[i : i + t] < r:
-                    break
-                i = rotations.find(lead, i + 1)
+            lead, tail = r[:j], r[j:]
+            if lead not in tail:
+                back = tail[::-1]
+                if tail <= back:
+                    symmetric = tail == back
             else:
-                symmetric = r in rotations
+                rotations = r[::-1] * 2
+                i = rotations.find(lead)
+                while i < p:
+                    if rotations[i : i + t] < r:
+                        break
+                    i = rotations.find(lead, i + 1)
+                else:
+                    symmetric = r in rotations
         if symmetric is None and t == depth:
             continue  # a leaf that is not kept needs no sides
-        s0, s1 = _join(s0, y0), _join(s1, y1)
+        s0 = _join(s0, y0) if s0[-1:] in meets0 else s0 + y0
+        s1 = _join(s1, y1) if s1[-1:] in meets1 else s1 + y1
         if symmetric is not None:
             yield r, p, symmetric, s0, s1
         if t < depth:
             same = r[t - p]
             for y in _ABOVE[same]:
-                stack.append((r, y, t + 1, s0, s1))
+                stack.append((r, y, t + 1, j, s0, s1))
             # a leaf that keeps p is a necklace only if p divides its length
             if t + 1 < depth or depth % p == 0:
-                stack.append((r, same, p, s0, s1))
+                stack.append((r, same, p, j + (j == t), s0, s1))
+
+
+def _meets(v: str) -> frozenset:
+    """The last letters of a reduced word u for which u + v is not
+    reduced, for a reduced word v: none if v is empty."""
+    return frozenset(last for last in LETTERS if v[:1] not in FOLLOWERS[last])
 
 
 def _conjugators(length: int, last: str) -> int:

@@ -351,7 +351,8 @@ def certify_exponent(w: str, n: int) -> tuple[int, int]:
     level that is not an int and ValueError for levels below -1, the last
     level the ball argument defines.
     """
-    check_int(n, "level", -1)
+    if type(n) is not int or n < -1:
+        check_int(n, "level", -1)
     return _class_exponent(_ball_class(w, n), n)
 
 

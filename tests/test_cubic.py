@@ -377,14 +377,32 @@ def test_enclosure_contains_value():
 
 
 def test_radius_index_rejects_zero():
-    with pytest.raises(ValueError):
+    # a plain int in range skips check_int; everything else still meets it
+    with pytest.raises(ValueError, match="^radius must be >= 1$"):
         radius_index(0)
 
 
 @pytest.mark.parametrize("n", [True, 2.0, Fraction(5)])
 def test_radius_index_takes_only_int(n):
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=f"^radius must be an int, not {type(n).__name__}$"):
         radius_index(n)
+
+
+def test_radius_index_takes_an_int_subclass():
+    class Radius(int):
+        pass
+
+    assert [radius_index(Radius(n)) for n in (1, 2, 20, 10**6)] == [
+        radius_index(n) for n in (1, 2, 20, 10**6)
+    ]
+
+
+def test_lambda_power_agrees_with_pow():
+    # each power squares a cached half; built cold from a large k down and
+    # from a small k up, both orders agree with L**k
+    for ks in (range(300, -3, -1), range(-2, 301)):
+        cubic._lambda_power.cache_clear()
+        assert [cubic._lambda_power(k) for k in ks] == [LAMBDA**k for k in ks]
 
 
 def test_power_ceilings_by_bisection():

@@ -221,3 +221,23 @@ def test_deterministic_element_order():
     a = dihedral(4).elements
     b = dihedral(4).elements
     assert a == b
+
+
+def test_elements_not_closed_under_products_are_rejected():
+    # (1 2 0) squared is (2 0 1), which the hand-built elements leave out
+    G = permgrp.PermGroup(3, ((1, 2, 0),), ((0, 1, 2), (1, 2, 0)))
+    trivial = permgrp.PermGroup(3, (), ((0, 1, 2),))
+    message = r"not closed under products: \(2, 0, 1\) is missing"
+    with pytest.raises(ValueError, match=message):
+        G.table
+    with pytest.raises(ValueError, match=message):
+        enumerate_subgroups(G)
+    with pytest.raises(ValueError, match=message):
+        check_core_lemma(G, trivial)
+
+
+def test_generator_outside_the_elements_is_rejected():
+    C3 = cyclic(3)
+    G = permgrp.PermGroup(3, ((1, 0, 2),), C3.elements)
+    with pytest.raises(ValueError, match=r"generator \(1, 0, 2\) is not an element"):
+        check_core_lemma(G, closure([], degree=3))

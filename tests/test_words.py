@@ -13,7 +13,7 @@ from conftest import (
     raw_words,
     reduced_words,
 )
-from grigorchuk import wreath
+from grigorchuk import words, wreath
 from grigorchuk.errors import CapExceeded, PreconditionError, WordParseError
 from grigorchuk.growth import ball_free_product
 from grigorchuk.words import (
@@ -272,6 +272,27 @@ def test_bracelet_walk_is_the_bracelets_with_their_split():
         assert (s0, s1) == wreath._split_reduced("a" + "a".join(r), table), r
         count += 1
     assert count == 272_130  # OEIS A027671, summed over k = 1..14
+
+
+def test_bracelet_walk_joins_sections_longer_than_a_letter(monkeypatch):
+    """With multi-letter sections a side's last letter sometimes meets the
+    next section and sometimes does not, so the walk both joins and
+    appends; its sides are still those of the split kernel."""
+    images = {"b": ("aca", "dab"), "c": ("bad", "a"), "d": ("", "cab")}
+    for x, image in images.items():
+        monkeypatch.setitem(wreath._SPLIT_IMAGE, x, image)
+    joins = []
+    real_join = words._join
+    monkeypatch.setattr(words, "_join", lambda u, v: joins.append(u + v) or real_join(u, v))
+    table = wreath._section_table()
+    walked = list(_bracelet_walk(16, images))
+    assert [item[:3] for item in walked] == list(merge(*(_bracelets(k) for k in range(1, 9))))
+    for r, _p, _self_inverse, s0, s1 in walked:
+        assert (s0, s1) == wreath._split_reduced("a" + "a".join(r), table), r
+    # each yielded node took a section onto both sides; a join only where
+    # the plain concatenation is not reduced
+    assert 0 < len(joins) < 2 * len(walked)
+    assert not any(map(is_reduced, joins))
 
 
 @given(reduced_words(), reduced_words())

@@ -343,6 +343,22 @@ def test_certify_exponent_radius_violation_is_public():
     assert info.value.failure == certify_torsion("abababab", 2)
 
 
+def test_certify_exponent_rejects_unreduced_words():
+    # bb is the identity and adadd is ada: a class step of the letters as
+    # they stand would certify some other element
+    for w, level in (("bb", 0), ("adadd", 6)):
+        with pytest.raises(PreconditionError, match="needs a reduced word"):
+            certify_exponent(w, level)
+
+
+def test_certify_exponent_takes_an_int_subclass():
+    class Level(int):
+        pass
+
+    for w, level in (("b", -1), ("ad", 0), ("ab", 3), ("abadacab", 9)):
+        assert certify_exponent(w, Level(level)) == certify_exponent(w, level)
+
+
 def test_verify_nball_reduces_supplied_words():
     # aabab = bab and abbab = b, both inside the 4-ball
     rep = verify_nball_proposition(4, words=["aabab", "abbab"])
@@ -595,8 +611,9 @@ def test_class_orders_within_their_certificates_on_the_20_ball():
 
 def test_levels_below_minus_one_are_rejected():
     # level -1 is the last level the ball argument defines
-    with pytest.raises(ValueError, match="level must be >= -1"):
-        certify_exponent("ad", -5)
+    for level in (-5, -2):
+        with pytest.raises(ValueError, match="^level must be >= -1$"):
+            certify_exponent("ad", level)
     with pytest.raises(ValueError, match="level must be >= -1"):
         certify_torsion("ad", -5)
     with pytest.raises(ValueError, match="level must be >= -1"):
@@ -620,7 +637,7 @@ def test_levels_below_minus_one_are_rejected():
 @pytest.mark.parametrize("level", [2.5, True, "2"])
 def test_levels_that_are_not_ints_are_rejected(call, level):
     # a bool is an int to Python, but True would run as level 1
-    with pytest.raises(TypeError, match="level must be an int"):
+    with pytest.raises(TypeError, match=f"^level must be an int, not {type(level).__name__}$"):
         call(level)
 
 
