@@ -4,9 +4,10 @@ Two groups are covered: the limit group itself (breadth-first search over
 the Cayley graph, equality decided exactly by canonical keys or by the word
 problem) and the ambient free product (closed-form alternation
 recurrence), which bounds it from above.  A canonical key is the section
-triple (p, id(g0), id(g1)) of g = (g0, g1)·a^p; the BFS multiplies triples
-by letters without building a section word and keeps the keys of three
-spheres only.  Entropy estimates log(|B_n|)/n are reported as rational
+triple (p, id(g0), id(g1)) of g = (g0, g1)·a^p packed into one int; the
+BFS multiplies keys by letters in its loop, keeps the keys of three
+spheres only, and, for ball sizes, only the last letter of each
+representative.  Entropy estimates log(|B_n|)/n are reported as rational
 enclosures, never as floats posing as exact values.
 """
 
@@ -16,11 +17,11 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from operator import itemgetter
 
 from .cubic import ln_enclosure
 from .errors import CapExceeded, check_int
-from .permgrp import identity, pmul
-from .words import BCD, FOLLOWERS, LETTERS, NUCLEUS, invert, multiply
+from .words import BCD, FOLLOWERS, LETTERS, NUCLEUS, _join, multiply
 from .wreath import _SPLIT_IMAGE, is_trivial, level_action
 
 # depth of the tree action that buckets the word-problem oracle's candidates
@@ -59,13 +60,6 @@ class GrowthTable:
         return [r.ball for r in self.rows]
 
 
-def _entropy_enclosure(ball: int, n: int) -> tuple[Fraction, Fraction]:
-    if n == 0:
-        return Fraction(0), Fraction(0)
-    lo, hi = ln_enclosure(ball)
-    return lo / n, hi / n
-
-
 class _SignatureEquality:
     """Exact canonical keys by arithmetic on section triples.
 
@@ -79,13 +73,16 @@ class _SignatureEquality:
     id, ends there.  The splitting is injective, so equal elements get
     equal ids and equal triples.
 
-    The BFS holds sphere elements as triples and never interns them: only
-    sections get ids, a ball of about half the radius (271 ids at radius
-    16).  A candidate rep·g with rep in S(k) lies in S(k-1), S(k) or S(k+1),
-    so those three sets of triples are all that a probe consults.
+    The BFS packs an element's triple into the int key p | id0 << 1 |
+    id1 << 33 and multiplies keys by letters in ``extend``, calling
+    ``_mul`` only on a memo miss; a candidate rep·g with rep in S(k) lies
+    in S(k-1), S(k) or S(k+1), so only those keys are kept.  Only sections
+    get ids, a ball of about half the radius (271 ids at radius 16), far
+    below 2^32.  With ``words`` False a representative's tag is its last
+    letter instead of its word.
     """
 
-    def __init__(self):
+    def __init__(self, words: bool = True):
         # 1 = (1, 1), a = (1, 1)·a, and b, c, d split into the nucleus
         self.triples = [(0, 0, 0), (1, 0, 0)]
         self.triples += [(0, *map(NUCLEUS.index, _SPLIT_IMAGE[x])) for x in BCD]
@@ -94,18 +91,9 @@ class _SignatureEquality:
             (i, g): NUCLEUS.index(multiply(x, g))
             for i, x in enumerate(NUCLEUS) for g in LETTERS if multiply(x, g) in NUCLEUS
         }
-        self.identity = self.triples[0]
-        self.spheres: tuple[set, set, set] = (set(), set(), set())
-
-    def times(self, t: tuple[int, int, int], g: str) -> tuple[int, int, int]:
-        """Triple of the element t times the letter g."""
-        p, i0, i1 = t
-        if g == "a":
-            return (1 - p, i0, i1)
-        x0, x1 = _SPLIT_IMAGE[g]
-        if p:
-            x0, x1 = x1, x0
-        return (p, self._mul(i0, x0), self._mul(i1, x1))
+        self.identity = 0  # the packed key of (0, 0, 0)
+        self.words = words
+        self.spheres = (set(), {self.identity})  # the keys of S(k-1) and S(k)
 
     def _mul(self, i: int, g: str) -> int:
         """Id of the section i times the letter g (or the empty word)."""
@@ -113,7 +101,12 @@ class _SignatureEquality:
             return i
         k = self.products.get((i, g))
         if k is None:
-            t = self.times(self.triples[i], g)
+            p, i0, i1 = self.triples[i]
+            if g == "a":
+                t = (1 - p, i0, i1)
+            else:
+                x0, x1 = _SPLIT_IMAGE[g][:: 1 - 2 * p]  # swapped when p = 1
+                t = (p, self._mul(i0, x0), self._mul(i1, x1))
             k = self.ids.get(t)
             if k is None:
                 k = self.ids[t] = len(self.triples)
@@ -125,18 +118,36 @@ class _SignatureEquality:
         """Id of the element of the word w."""
         return reduce(self._mul, w, 0)
 
-    def next_sphere(self) -> None:
-        """Start the next radius: S(k-1), S(k), S(k+1) move down by one."""
-        _, cur, nxt = self.spheres
-        self.spheres = (cur, nxt, set())
-
-    def probe(self, w: str, t: tuple[int, int, int]) -> bool:
-        """True if the element t (of the word w) is new; records it if so."""
-        prev, cur, nxt = self.spheres
-        if t in prev or t in cur or t in nxt:
-            return False
-        nxt.add(t)
-        return True
+    def extend(self, sphere: list[str], keys: list[int], room: float) -> tuple[list, list, bool]:
+        """``_PureEquality.extend`` on packed keys."""
+        get, mul, words = self.products.get, self._mul, self.words
+        prev, cur, nxt = *self.spheres, set()
+        steps = [[(x, *_SPLIT_IMAGE[x][:: 1 - 2 * p]) for x in BCD] for p in (0, 1)]
+        new, new_keys = [], []
+        for rep, key in zip(sphere, keys):
+            if len(new) >= room:
+                return new, new_keys, True
+            # a follows anything but a, and b, c, d follow a or nothing
+            last = rep[-1:]
+            if last != "a":
+                t = key ^ 1
+                if t not in nxt and t not in cur and t not in prev:
+                    nxt.add(t)
+                    new.append(rep + "a" if words else "a")
+                    new_keys.append(t)
+            if last in "a":
+                p, i0, i1 = key & 1, key >> 1 & 0xFFFFFFFF, key >> 33
+                for g, x0, x1 in steps[p]:
+                    # an identity product, id 0, reads the memo through _mul
+                    j0 = (get((i0, x0)) or mul(i0, x0)) if x0 else i0
+                    j1 = (get((i1, x1)) or mul(i1, x1)) if x1 else i1
+                    t = p | j0 << 1 | j1 << 33
+                    if t not in nxt and t not in cur and t not in prev:
+                        nxt.add(t)
+                        new.append(rep + g if words else g)
+                        new_keys.append(t)
+        self.spheres = (cur, nxt)
+        return new, new_keys, False
 
 
 class _PureEquality:
@@ -147,39 +158,47 @@ class _PureEquality:
     The action is a homomorphism, so equal elements share a bucket and the
     word problem alone decides equality.  The BFS carries each
     representative's image, act(w·g) = act(w) o act(g), so each candidate
-    costs one composition.  Depth 5 is the smallest depth with no false
-    collision at radius 12 (depth 4 leaves 454 there): every confirmation
-    then finds a duplicate.
+    costs one composition, an ``itemgetter`` of act(g).  Depth 5 is the
+    smallest depth with no false collision at radius 12 (depth 4 leaves
+    454 there): every confirmation then finds a duplicate.
     """
 
     def __init__(self):
-        self.letter_images = {g: level_action(g, _BUCKET_DEPTH) for g in LETTERS}
-        self.identity = identity(1 << _BUCKET_DEPTH)
-        self.buckets: dict[tuple[int, ...], list[str]] = {}
-
-    def times(self, image: tuple[int, ...], g: str) -> tuple[int, ...]:
-        """Action of the element of action ``image`` times the letter g."""
-        return pmul(image, self.letter_images[g])
+        self.compose = {g: itemgetter(*level_action(g, _BUCKET_DEPTH)) for g in LETTERS}
+        self.identity = tuple(range(1 << _BUCKET_DEPTH))
+        self.buckets: dict[tuple[int, ...], list[str]] = {self.identity: [""]}
 
     def key(self, w: str) -> tuple[int, ...]:
         """Action of the word w at depth ``_BUCKET_DEPTH``."""
-        return reduce(self.times, w, self.identity)
-
-    def next_sphere(self) -> None:
-        """Nothing to do: the buckets span the whole ball."""
+        return reduce(lambda image, g: self.compose[g](image), w, self.identity)
 
     def probe(self, w: str, image: tuple[int, ...]) -> bool:
         """True if w is new; records it if so."""
         bucket = self.buckets.setdefault(image, [])
         for rep in bucket:
-            if is_trivial(multiply(invert(rep), w)):
+            # rep is reduced, so its reversal is the normal form of rep^-1
+            if is_trivial(_join(rep[::-1], w)):
                 return False
         bucket.append(w)
         return True
 
+    def extend(self, sphere: list[str], keys: list, room: float) -> tuple[list, list, bool]:
+        """The words and keys of the sphere after (``sphere``, ``keys``), and
+        True if it stopped at a representative after ``room`` new elements."""
+        new, new_keys = [], []
+        for rep, key in zip(sphere, keys):
+            if len(new) >= room:
+                return new, new_keys, True
+            for g in FOLLOWERS[rep[-1:]]:
+                w, t = rep + g, self.compose[g](key)
+                if self.probe(w, t):
+                    new.append(w)
+                    new_keys.append(t)
+        return new, new_keys, False
+
 
 def iter_spheres(
-    maxn: int, use_signatures: bool = True, budget: int | None = None
+    maxn: int, use_signatures: bool = True, budget: int | None = None, _words: bool = True
 ) -> Iterator[list[str]]:
     """The sorted new shortlex geodesics of each radius 0..``maxn``, by BFS.
 
@@ -195,9 +214,13 @@ def iter_spheres(
 
     Each representative travels with its key, and a candidate's key is the
     representative's key times g.  With ``use_signatures`` the key is the
-    element's section triple and equality is key equality within three
-    spheres; without it, the key is the depth-5 tree action and equality is
-    decided by the word problem within its buckets, the independent oracle.
+    element's section triple packed into one int, and equality is key
+    equality within three spheres; without it, the key is the depth-5 tree
+    action and equality is decided by the word problem within its buckets,
+    the independent oracle.  The private ``_words`` False, which only the
+    signatures honour, yields each representative's last letter instead of
+    its word: all that the search reads of it, and all ``ball_grigorchuk``
+    needs.
 
     With a ``budget`` the search stops at the first candidate, reducing or
     not, reached once ``budget`` elements are counted: it yields the sphere
@@ -208,49 +231,38 @@ def iter_spheres(
     check_int(maxn, "radius", 0)
     if budget is not None:
         check_int(budget, "budget", 1)
-    eq = _SignatureEquality() if use_signatures else _PureEquality()
-    eq.probe("", eq.identity)
+    eq = _SignatureEquality(_words) if use_signatures else _PureEquality()
     sphere, keys = [""], [eq.identity]
     yield sphere
     total = 1
     for k in range(1, maxn + 1):
-        eq.next_sphere()
-        new: list[str] = []
-        new_keys = []
-        for rep, key in zip(sphere, keys):
-            followers = FOLLOWERS[rep[-1:]]
-            for g in LETTERS:
-                if budget is not None and total + len(new) >= budget:
-                    yield new
-                    raise CapExceeded(f"budget {budget} reached at radius {k}")
-                if g not in followers:
-                    continue
-                w, t = rep + g, eq.times(key, g)
-                if eq.probe(w, t):
-                    new.append(w)
-                    new_keys.append(t)
-        yield new
-        total += len(new)
-        sphere, keys = new, new_keys
+        room = float("inf") if budget is None else budget - total
+        sphere, keys, stopped = eq.extend(sphere, keys, room)
+        # only a new element moves the count, so of the checks before every
+        # letter the first to see room elements comes right after the
+        # room-th, or before the next representative if it came at the last
+        # letter; extend checks before each representative only
+        if stopped or len(sphere) >= room and sphere[room - 1][-1:] != LETTERS[-1]:
+            yield sphere[:room]
+            raise CapExceeded(f"budget {budget} reached at radius {k}")
+        yield sphere
+        total += len(sphere)
 
 
 def _table(sphere_sizes: list[int], complete: bool = True) -> GrowthTable:
     table, ball = GrowthTable([], complete), 0
     for k, s in enumerate(sphere_sizes):
         ball += s
-        table.rows.append(GrowthRow(k, ball, s, _entropy_enclosure(ball, k)))
+        enclosure = tuple(x / k for x in ln_enclosure(ball)) if k else (Fraction(0),) * 2
+        table.rows.append(GrowthRow(k, ball, s, enclosure))
     return table
 
 
-def ball_grigorchuk(
-    maxn: int,
-    use_signatures: bool = True,
-    budget: int | None = None,
-) -> GrowthTable:
+def ball_grigorchuk(maxn: int, use_signatures: bool = True, budget: int | None = None) -> GrowthTable:
     """Ball sizes of the limit group to radius ``maxn``: a fold of ``iter_spheres``."""
     sizes: list[int] = []
     try:
-        for sphere in iter_spheres(maxn, use_signatures, budget):
+        for sphere in iter_spheres(maxn, use_signatures, budget, _words=False):
             sizes.append(len(sphere))
     except CapExceeded:
         return _table(sizes, complete=False)

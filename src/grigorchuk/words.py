@@ -53,9 +53,11 @@ def reduce_word(raw) -> str:
     reduced prefix of a string as it is, so that prefix starts the stack,
     and a string that is already reduced is returned as it is.  Any other
     iterable is joined into a string first; each of its items must be one
-    of the four one-letter strings.
+    of the four one-letter strings.  Anything else is a TypeError.
     """
     if type(raw) is not str:
+        if not hasattr(raw, "__iter__"):
+            raise TypeError(f"word must be a str or an iterable of letters, not {type(raw).__name__}")
         raw = tuple(raw)
         for ch in raw:
             if ch not in _LETTER_ITEMS:
@@ -95,8 +97,8 @@ def multiply(u: str, v: str) -> str:
 
 
 def invert(w: str) -> str:
-    # every generator is an involution, so the inverse is the reversal
-    return w[::-1]
+    # every letter is an involution: a normal form reversed is the inverse's
+    return reduce_word(w)[::-1]
 
 
 def a_parity(w: str) -> int:

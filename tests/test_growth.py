@@ -126,6 +126,37 @@ def test_key_triple_is_the_split(pair):
     assert eq.key(u) == eq.key(v)
 
 
+def test_packed_bfs_keys_are_the_split():
+    # every key the BFS computes for the 10-ball, unpacked, against the
+    # sections that wreath.split gives its word
+    eq, seen = _SignatureEquality(), 0
+    sphere, keys = [""], [eq.identity]
+    for _ in range(10):
+        sphere, keys, stopped = eq.extend(sphere, keys, float("inf"))
+        assert not stopped
+        for w, key in zip(sphere, keys):
+            p = a_parity(w)
+            w0, w1 = split(multiply(w, "a") if p else w)
+            assert (key & 1, key >> 1 & 0xFFFFFFFF, key >> 33) == (p, eq.key(w0), eq.key(w1))
+            seen += 1
+    assert seen + 1 == 643
+
+
+@pytest.mark.parametrize("use_signatures", [True, False], ids=["signatures", "oracle"])
+def test_word_free_path_cuts_like_the_word_path(use_signatures):
+    # the 6-ball has 108 elements, so budget 109 completes it
+    for budget in range(1, 110):
+        cut, complete = [], True
+        try:
+            for sphere in iter_spheres(6, use_signatures, budget):
+                cut.append(sphere)
+        except CapExceeded:
+            complete = False
+        table = ball_grigorchuk(6, use_signatures, budget)
+        assert [r.sphere for r in table.rows] == [len(s) for s in cut], budget
+        assert table.complete == complete == (budget > 108), budget
+
+
 @given(word_pairs())
 @example(("adadadad", ""))
 @example(("b", "aba"))

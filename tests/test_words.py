@@ -15,6 +15,7 @@ from conftest import (
 )
 from grigorchuk import words, wreath
 from grigorchuk.errors import CapExceeded, PreconditionError, WordParseError
+from grigorchuk.cubic import lambda_length
 from grigorchuk.growth import ball_free_product
 from grigorchuk.words import (
     BCD,
@@ -79,6 +80,16 @@ def test_reduce_still_checks_letters_and_takes_sequences():
     for items, bad in ((["bc"], "bc"), (["b", "", "c"], ""), (("a", "bc", "d"), "bc")):
         with pytest.raises(ValueError, match=f"invalid letter {bad!r}"):
             reduce_word(items)
+    # neither a str nor an iterable: a TypeError that names the type, also
+    # from the entry points that reduce a caller's word first
+    for call, name in (
+        (lambda: reduce_word(5), "int"),
+        (lambda: wreath.verify_nball_proposition(3, words=["ab", 5]), "int"),
+        (lambda: wreath.split(None), "NoneType"),
+        (lambda: lambda_length(5), "int"),
+    ):
+        with pytest.raises(TypeError, match=f"^word must be a str or an iterable of letters, not {name}$"):
+            call()
 
 
 def test_is_reduced_rejects_other_letters_and_non_strings():
@@ -90,6 +101,19 @@ def test_is_reduced_rejects_other_letters_and_non_strings():
 def test_inverse_cancels(w):
     assert multiply(w, invert(w)) == ""
     assert multiply(invert(w), w) == ""
+
+
+@given(raw_words)
+def test_inverse_is_a_normal_form(w):
+    assert invert(w) == reduce_word(invert(w))
+    assert multiply(w, invert(w)) == ""
+
+
+def test_inverse_reduces_first_and_checks_letters():
+    # abc = ad, whose inverse is da; the reversal cba is not reduced
+    assert invert("abc") == "da"
+    with pytest.raises(ValueError, match="invalid letter 'x'"):
+        invert("xyz")
 
 
 @given(reduced_words(), reduced_words())
@@ -126,8 +150,6 @@ def test_min_conjugate_examples():
 
 @given(reduced_words(max_size=10))
 def test_min_conjugate_is_minimal_over_rotations(w):
-    from grigorchuk.cubic import lambda_length
-
     m = min_conjugate(w)
     c = cyclically_reduce(w)
     rotations = [c[i:] + c[:i] for i in range(max(len(c), 1))]
