@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import itemgetter
+from sys import maxsize
 
 from .cubic import ln_enclosure
 from .errors import CapExceeded, check_int
@@ -118,7 +119,7 @@ class _SignatureEquality:
         """Id of the element of the word w."""
         return reduce(self._mul, w, 0)
 
-    def extend(self, sphere: list[str], keys: list[int], room: float) -> tuple[list, list, bool]:
+    def extend(self, sphere: list[str], keys: list[int], room: int) -> tuple[list, list, bool]:
         """``_PureEquality.extend`` on packed keys."""
         get, mul, words = self.products.get, self._mul, self.words
         prev, cur, nxt = *self.spheres, set()
@@ -182,7 +183,7 @@ class _PureEquality:
         bucket.append(w)
         return True
 
-    def extend(self, sphere: list[str], keys: list, room: float) -> tuple[list, list, bool]:
+    def extend(self, sphere: list[str], keys: list, room: int) -> tuple[list, list, bool]:
         """The words and keys of the sphere after (``sphere``, ``keys``), and
         True if it stopped at a representative after ``room`` new elements."""
         new, new_keys = [], []
@@ -198,7 +199,7 @@ class _PureEquality:
 
 
 def iter_spheres(
-    maxn: int, use_signatures: bool = True, budget: int | None = None, _words: bool = True
+    maxn: int, use_signatures: bool = True, budget: int | None = None, *, _words: bool = True
 ) -> Iterator[list[str]]:
     """The sorted new shortlex geodesics of each radius 0..``maxn``, by BFS.
 
@@ -236,7 +237,7 @@ def iter_spheres(
     yield sphere
     total = 1
     for k in range(1, maxn + 1):
-        room = float("inf") if budget is None else budget - total
+        room = maxsize if budget is None else budget - total
         sphere, keys, stopped = eq.extend(sphere, keys, room)
         # only a new element moves the count, so of the checks before every
         # letter the first to see room elements comes right after the

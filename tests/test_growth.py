@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -132,7 +133,7 @@ def test_packed_bfs_keys_are_the_split():
     eq, seen = _SignatureEquality(), 0
     sphere, keys = [""], [eq.identity]
     for _ in range(10):
-        sphere, keys, stopped = eq.extend(sphere, keys, float("inf"))
+        sphere, keys, stopped = eq.extend(sphere, keys, sys.maxsize)
         assert not stopped
         for w, key in zip(sphere, keys):
             p = a_parity(w)
