@@ -14,7 +14,6 @@ from .cubic import (
 )
 from .errors import CapExceeded, GrigError, PreconditionError, WordParseError
 from .words import (
-    enumerate_ball_free,
     format_word,
     invert,
     min_conjugate,
@@ -51,7 +50,6 @@ __all__ = [
     "ball_grigorchuk",
     "certify_torsion",
     "check_all",
-    "enumerate_ball_free",
     "format_word",
     "gamma_presentation",
     "growth_table_free",

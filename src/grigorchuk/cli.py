@@ -4,7 +4,8 @@ Exit codes: 0 success / all checks pass, 1 check failure, 2 usage or
 parse error, 3 resource cap exceeded.  Output is deterministic; the
 timestamp on check-all reports can be suppressed with --no-timestamp.
 check-all runs a fixed suite, and --nball, its one input, sets the radii
-of its n-ball sweeps.
+of its n-ball sweeps.  ball streams its words, and with --cap exits 3,
+before it prints one, when the ball has more than cap words.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import json
 import sys
 import time
+from itertools import islice
 
 from . import growth, presentations, reports, wreath
 from .cosets import (
@@ -25,8 +27,8 @@ from .cosets import (
     todd_coxeter,
 )
 from .cubic import lambda_length, radius_index
-from .errors import CapExceeded, GrigError, WordParseError
-from .words import enumerate_ball_free, format_word, min_conjugate, parse_word
+from .errors import CapExceeded, GrigError, WordParseError, check_int
+from .words import format_word, iter_ball_free, min_conjugate, parse_word
 from .wreath import certify_torsion, order, split, verify_nball_proposition
 
 EXIT_OK = 0
@@ -97,8 +99,11 @@ def cmd_verify_nball(args) -> int:
 
 
 def cmd_ball(args) -> int:
-    words = enumerate_ball_free(args.n, cap=args.cap)
-    for w in words:
+    if args.cap is not None:
+        check_int(args.cap, "cap", 1)
+        if next(islice(iter_ball_free(args.n), args.cap, None), None) is not None:
+            raise CapExceeded(f"free ball cap {args.cap} exceeded at radius {args.n}", partial=args.cap)
+    for w in iter_ball_free(args.n):
         if args.lengths:
             print(format_word(w), str(lambda_length(w)))
         else:

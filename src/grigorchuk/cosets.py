@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import CapExceeded, check_int
+from .errors import CapExceeded, check_int, check_type
 from .permgrp import PermGroup, check_permutation, closure as perm_closure, identity, pinv, pmul
 from .presentations import Presentation, Relator, check_words, relator_from_string
 from .snf import smith_normal_form
@@ -209,10 +209,11 @@ def todd_coxeter(
 
     Words may be strings over single-letter generators or pre-parsed
     signed relators; a word over an undeclared generator or with an
-    exponent other than 1 or -1, or a ``cap`` < 1, raises ValueError; a
-    ``cap`` that is not an int raises TypeError.  The relators were
-    checked when the ``Presentation`` was built.
+    exponent other than 1 or -1, or a ``cap`` < 1, raises ValueError, and
+    an argument of the wrong type TypeError.  The relators were checked
+    when the ``Presentation`` was built.
     """
+    check_type(presentation, Presentation, "presentation")
     check_int(cap, "cap", 1)
     words = tuple(
         w if isinstance(w, tuple) else relator_from_string(w) for w in subgroup_words
@@ -224,6 +225,7 @@ def todd_coxeter(
 def close_normally(presentation: Presentation, words) -> Presentation:
     """Presentation of the quotient by the normal closure of ``words``;
     raises ValueError on a word over an undeclared generator."""
+    check_type(presentation, Presentation, "presentation")
     extra = tuple(w if isinstance(w, tuple) else relator_from_string(w) for w in words)
     return Presentation(presentation.generators, presentation.relators + extra)
 
@@ -232,6 +234,7 @@ def quotient_group(table: CosetTable) -> PermGroup:
     """Permutation group of the generator action on cosets; for a
     trivial-subgroup enumeration this is the regular representation, so
     its order equals the coset count."""
+    check_type(table, CosetTable, "table")
     if table.status != "complete":
         raise ValueError("coset table is not complete")
     columns = table._column_map
@@ -245,6 +248,8 @@ def maps_onto(presentation: Presentation, images, G: PermGroup) -> bool:
     closure is G.  When the presented group has order |G|, it is an
     isomorphism.  ValueError unless every generator has an image, and
     every image is a permutation of G's points."""
+    check_type(presentation, Presentation, "presentation")
+    check_type(G, PermGroup, "G")
     for g in presentation.generators:
         if g not in images:
             raise ValueError(f"no image for generator {g!r}")
@@ -289,6 +294,8 @@ def reidemeister_schreier(presentation: Presentation, table: CosetTable) -> Pres
     cancelled.  Generators occurring exactly once overall are removed with
     their relator; unused generators are kept (they are free factors).
     """
+    check_type(presentation, Presentation, "presentation")
+    check_type(table, CosetTable, "table")
     if table.status != "complete":
         raise ValueError("coset table is not complete")
     tree = _schreier_tree(table)
@@ -336,8 +343,8 @@ def reidemeister_schreier(presentation: Presentation, table: CosetTable) -> Pres
             if r:
                 relators.append(tuple(r))
 
-    generators = sorted(gen_name.values(), key=lambda s: int(s[1:]))
-    return _simplify_single_occurrences(Presentation(tuple(generators), tuple(relators)))
+    generators = tuple(gen_name.values())
+    return _simplify_single_occurrences(Presentation(generators, tuple(relators)))
 
 
 def _simplify_single_occurrences(p: Presentation) -> Presentation:
@@ -390,6 +397,7 @@ def relation_matrix(p: Presentation) -> list[dict[int, int]]:
 def abelian_invariants(p: Presentation) -> AbelianInvariants:
     """Invariant factors and free rank from the Smith normal form of the
     exponent-sum relation matrix."""
+    check_type(p, Presentation, "presentation")
     factors = smith_normal_form(relation_matrix(p))
     divisors = tuple(d for d in factors if d > 1)
     return AbelianInvariants(divisors, len(p.generators) - len(factors))

@@ -225,7 +225,9 @@ class CubicNumber:
     # -- reporting ------------------------------------------------------
 
     def enclosure(self, width: Fraction) -> tuple[Fraction, Fraction]:
-        """Rational interval containing the value, of width < ``width``."""
+        """Rational interval containing the value, of width < ``width``, which must be > 0."""
+        if not width > 0:
+            raise ValueError(f"width must be > 0, not {width}")
         while True:
             low, high, q2 = _interval(self.n0, self.n1, self.n2)
             d = q2 * self.den
@@ -242,19 +244,6 @@ class CubicNumber:
 
     def __str__(self):
         return "{} + {}*L + {}*L^2".format(*self._fractions())
-
-    @classmethod
-    def parse(cls, text: str) -> "CubicNumber":
-        parts = text.replace(" ", "").split("+")
-        c = [Fraction(0)] * 3
-        for part in parts:
-            if part.endswith("*L^2"):
-                c[2] = Fraction(part[:-4])
-            elif part.endswith("*L"):
-                c[1] = Fraction(part[:-2])
-            else:
-                c[0] = Fraction(part)
-        return cls(*c)
 
 
 def _coerce(x) -> CubicNumber:

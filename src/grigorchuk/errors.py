@@ -1,5 +1,5 @@
-"""Shared exception types, and the one check of an int input: every size,
-level, depth and cap goes through ``check_int``."""
+"""Shared exception types, and the checks of an input's type: ``check_int``
+for every size, level, depth and cap, and ``check_type`` for the rest."""
 
 
 class GrigError(Exception):
@@ -34,3 +34,9 @@ def check_int(value, name: str, least: int | None = None) -> None:
         raise TypeError(f"{name} must be an int, not {type(value).__name__}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}")
+
+
+def check_type(value, kind: type, name: str) -> None:
+    """TypeError unless value is an instance of ``kind``."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be a {kind.__name__}, not {type(value).__name__}")

@@ -328,13 +328,6 @@ def direct_product(G: PermGroup, H: PermGroup) -> PermGroup:
     return closure(gens, degree=d)
 
 
-def klein_four() -> PermGroup:
-    return closure(
-        [from_cycles(4, [(0, 1)]), from_cycles(4, [(2, 3)])],
-        degree=4,
-    )
-
-
 def alternating_4() -> PermGroup:
     return closure(
         [from_cycles(4, [(0, 1, 2)]), from_cycles(4, [(0, 1), (2, 3)])],

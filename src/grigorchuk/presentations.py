@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import check_int
+from .errors import check_int, check_type
 from .words import reduce_word
 
 # a relator is a tuple of (generator, +1|-1) pairs
@@ -105,6 +105,7 @@ class Presentation:
 
     @staticmethod
     def from_text(text: str) -> "Presentation":
+        check_type(text, str, "text")
         gens: tuple[str, ...] | None = None
         rels = []
         for lineno, raw in enumerate(text.splitlines(), 1):
@@ -123,6 +124,7 @@ class Presentation:
 
 
 def relator_from_string(s: str) -> Relator:
+    check_type(s, str, "word")
     # compact strings are letters only, so a lone token such as x3 or
     # x3^-1 is a signed generator
     if not s.isalpha():

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import CapExceeded, PreconditionError, WordParseError, check_int
+from .errors import PreconditionError, WordParseError, check_int
 
 LETTERS = "abcd"
 # the letters as items of a sequence: a tuple, so that an item of any type,
@@ -309,15 +309,3 @@ def _rotation_words(n: int, k: int) -> int:
     has ``p * _rotation_words(n, k)`` words."""
     return 2 * (1 + _conjugators((n - 2 * k - 1) // 2, "a"))
 
-
-def enumerate_ball_free(n: int, cap: int | None = None) -> list[str]:
-    """The n-ball of the free product as a list; raises CapExceeded past cap,
-    TypeError when n or cap is not an int and ValueError when cap < 1."""
-    if cap is not None:
-        check_int(cap, "cap", 1)
-    out = []
-    for w in iter_ball_free(n):
-        if cap is not None and len(out) >= cap:
-            raise CapExceeded(f"free ball cap {cap} exceeded at radius {n}", partial=len(out))
-        out.append(w)
-    return out

@@ -210,7 +210,7 @@ def order_by_squaring(w: str) -> int:
 # torsion certification
 
 # the letter cases are the nucleus; at level <= 0 also the classes of ad
-_BASE_EXPONENT = {**dict.fromkeys(NUCLEUS, 1), "ad": 2, "da": 2}
+_BASE_EXPONENT = {**dict.fromkeys(NUCLEUS, 1), "ad": 2}
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import time
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from grigorchuk import cli, presentations, reports
 from grigorchuk.cli import main
 from grigorchuk.cubic import WEIGHT, CubicNumber
+from grigorchuk.words import format_word, iter_ball_free
 
 
 def run(capsys, *argv):
@@ -92,13 +94,46 @@ def test_ball_lists_words_and_lengths(capsys):
     assert code == 0
     lines = [line.split(" ", 1) for line in out.splitlines()]
     assert [w for w, _ in lines] == ["1", "a", "b", "c", "d"]
-    assert [CubicNumber.parse(x) for _, x in lines] == [CubicNumber(0)] + [WEIGHT[x] for x in "abcd"]
+    # the printed form is canonical, so equal strings are equal numbers
+    assert [x for _, x in lines] == [str(CubicNumber(0))] + [str(WEIGHT[x]) for x in "abcd"]
 
 
 def test_ball_cap_exit_3(capsys):
-    code, _, err = run(capsys, "ball", "12", "--cap", "10")
+    """A ball larger than the cap exits 3 before it prints any word."""
+    code, out, err = run(capsys, "ball", "10", "--cap", "50")
     assert code == 3
-    assert "partial" in err
+    assert out == ""
+    assert "(partial: 50)" in err
+
+
+class _Enough(Exception):
+    pass
+
+
+class _FirstLines(io.StringIO):
+    """A stdout that stops the run with _Enough once it holds ``lines``
+    lines."""
+
+    def __init__(self, lines: int):
+        super().__init__()
+        self.lines = lines
+
+    def write(self, s):
+        n = super().write(s)
+        if self.getvalue().count("\n") >= self.lines:
+            raise _Enough
+        return n
+
+
+def test_ball_streams_its_words():
+    """The 40-ball has over 10^10 words, and its first 100 are printed
+    within a second."""
+    out = _FirstLines(100)
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out), pytest.raises(_Enough):
+        main(["ball", "40"])
+    assert time.perf_counter() - t0 < 1.0
+    assert out.getvalue().split() == [format_word(w) for w in islice(iter_ball_free(40), 100)]
 
 
 @pytest.mark.parametrize(
@@ -448,6 +483,8 @@ _ODD_INPUTS = [
     (["verify-nball", "-1"], 2),
     (["ball", "0"], 0),
     (["ball", "-1"], 2),
+    (["ball", "1000000", "--cap", "10"], 3),
+    (["ball", "3", "--cap", "5"], 3),
     (["growth", "--maxn", "0"], 0),
     (["growth", "--group", "free", "--maxn", "-1"], 2),
     (["relators", "--level", "-1"], 2),
@@ -475,8 +512,9 @@ _ODD_INPUTS = [
 @pytest.mark.parametrize("argv, expected", _ODD_INPUTS, ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_odd_inputs_exit_cleanly_and_fast(capsys, tmp_path, argv, expected):
     """Each odd input gives its exit code within a second, and only a usage
-    error writes to stderr; an exception other than SystemExit would fail
-    the test, as a traceback would show."""
+    error or an exceeded cap writes to stderr, and then nothing to stdout;
+    an exception other than SystemExit would fail the test, as a traceback
+    would show."""
     pres = tmp_path / "gamma0.pres"
     pres.write_text(presentations.gamma0_coxeter_presentation().to_text())
     files = {"MISSING": str(tmp_path / "missing"), "PRES": str(pres)}
@@ -487,9 +525,11 @@ def test_odd_inputs_exit_cleanly_and_fast(capsys, tmp_path, argv, expected):
     except SystemExit as exc:  # argparse, and a presentation source left out
         code = exc.code
     elapsed = time.perf_counter() - t0
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == expected
-    assert (err != "") == (expected == 2)
+    assert (err != "") == (expected in (2, 3))
+    if err:
+        assert out == ""
     assert elapsed < 1.0
 
 

@@ -1,0 +1,126 @@
+"""The contract of the public entry points: whatever the arguments, a call
+returns, or raises GrigError, TypeError or ValueError, within a second."""
+
+import contextlib
+import inspect
+import signal
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import grigorchuk
+from grigorchuk import (
+    LAMBDA,
+    CubicNumber,
+    GrigError,
+    Presentation,
+    TorsionCertificate,
+    abelian_invariants,
+    certify_torsion,
+    reidemeister_schreier,
+    todd_coxeter,
+)
+from grigorchuk.cosets import close_normally, maps_onto, quotient_group
+
+# Z/2 x Z/2, a finite group, so that enumerating its cosets is quick
+_KLEIN = Presentation.from_strings("ab", ["aa", "bb", "abab"])
+
+
+def _entry_points() -> dict:
+    """Every callable of ``grigorchuk.__all__``, and the public methods of
+    CubicNumber, Presentation and TorsionCertificate, each bound to one
+    instance, by name."""
+    points = {
+        name: getattr(grigorchuk, name)
+        for name in grigorchuk.__all__
+        if callable(getattr(grigorchuk, name))
+    }
+    instances = (
+        (CubicNumber, LAMBDA),
+        (Presentation, _KLEIN),
+        (TorsionCertificate, certify_torsion("ab", 3)),
+    )
+    for cls, instance in instances:
+        for name in dir(cls):
+            if not name.startswith("_") and callable(getattr(cls, name)):
+                points[f"{cls.__name__}.{name}"] = getattr(instance, name)
+    return points
+
+
+_ENTRY_POINTS = _entry_points()
+
+
+def _arity(fn) -> tuple[int, int]:
+    """The least and the most positional arguments that fn takes."""
+    try:
+        params = inspect.signature(fn).parameters.values()
+    except ValueError:  # an exception type that takes Exception's *args
+        return 0, 2
+    positional = [p for p in params if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    return sum(p.default is p.empty for p in positional), len(positional)
+
+
+# odd values, and a few valid ones (a small size, a word and a finite
+# presentation) so that a call gets past its first argument; bytes iterate
+# as ints, and check_all reads them as radii, so they stay small
+_VALUES = [None, True, 2.5, -1, 0, bytes([2, 3]), ["a", "b"], [5], "é", object(), 3, "ab", _KLEIN]
+
+
+@st.composite
+def _calls(draw):
+    name = draw(st.sampled_from(sorted(_ENTRY_POINTS)))
+    least, most = _arity(_ENTRY_POINTS[name])
+    size = draw(st.integers(least, most))
+    return name, draw(st.lists(st.sampled_from(_VALUES), min_size=size, max_size=size))
+
+
+@contextlib.contextmanager
+def _within(seconds: float, what: str):
+    """AssertionError, raised where the body is, once it has run for
+    ``seconds``: the body may be a call that never returns."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"{what} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_calls())
+def test_public_calls_return_or_reject_within_a_second(call):
+    name, args = call
+    with _within(1.0, f"{name}{tuple(args)!r}"):
+        try:
+            _ENTRY_POINTS[name](*args)
+        except (GrigError, TypeError, ValueError):
+            pass
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (todd_coxeter, (None,)),
+        (todd_coxeter, (_KLEIN, [5])),
+        (abelian_invariants, ("ab",)),
+        (reidemeister_schreier, (_KLEIN, None)),
+        (close_normally, (None, ["ab"])),
+        (close_normally, (_KLEIN, [5])),
+        (quotient_group, (None,)),
+        (maps_onto, (None, {}, None)),
+        (Presentation.from_text, (None,)),
+        (Presentation.from_strings, ("ab", [5])),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else None,
+)
+def test_an_argument_of_the_wrong_type_is_a_type_error(fn, args):
+    """A presentation, coset table or word of the wrong type is named in a
+    TypeError before it is used."""
+    with pytest.raises(TypeError, match="must be a"):
+        fn(*args)

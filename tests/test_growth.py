@@ -25,7 +25,6 @@ from grigorchuk.words import (
     FOLLOWERS,
     LETTERS,
     a_parity,
-    enumerate_ball_free,
     invert,
     is_reduced,
     iter_ball_free,
@@ -301,8 +300,6 @@ def test_growth_table_free_rows():
         lambda v: ball_grigorchuk(4, budget=v),
         lambda v: list(iter_ball_free(v)),
         growth_table_free,
-        enumerate_ball_free,
-        lambda v: enumerate_ball_free(3, cap=v),
         lambda v: closure([(1, 0)], cap=v),
         lambda v: closure([], degree=v),
         cyclic,
@@ -310,8 +307,7 @@ def test_growth_table_free_rows():
         index_bounds,
     ],
     ids=[
-        "radius", "budget", "free-ball", "free-table", "free-list",
-        "free-cap", "closure-cap", "closure-degree", "cyclic", "dihedral", "index-bounds",
+        "radius", "budget", "free-ball", "free-table", "closure-cap", "closure-degree", "cyclic", "dihedral", "index-bounds",
     ],
 )
 def test_sizes_take_only_ints(build, value):

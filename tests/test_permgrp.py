@@ -12,10 +12,10 @@ from grigorchuk.permgrp import (
     core,
     cyclic,
     dihedral,
+    direct_product,
     enumerate_subgroups,
     from_cycles,
     index,
-    klein_four,
     lemma_corpus,
     normalizer,
     pinv,
@@ -75,7 +75,7 @@ def test_pmul_composes_pointwise(pq):
 def test_closure_orders():
     assert cyclic(7).order == 7
     assert dihedral(4).order == 8
-    assert klein_four().order == 4
+    assert direct_product(cyclic(2), cyclic(2)).order == 4
     assert alternating_4().order == 12
     assert z2_times_d8().order == 16
 
@@ -150,7 +150,7 @@ def test_core_lemma_corpus_has_no_violations():
 
 
 def test_subgroup_counts():
-    assert len(enumerate_subgroups(klein_four())) == 5
+    assert len(enumerate_subgroups(direct_product(cyclic(2), cyclic(2)))) == 5
     assert len(enumerate_subgroups(dihedral(4))) == 10
 
 

@@ -14,7 +14,7 @@ from conftest import (
     reduced_words,
 )
 from grigorchuk import words, wreath
-from grigorchuk.errors import CapExceeded, PreconditionError, WordParseError
+from grigorchuk.errors import PreconditionError, WordParseError
 from grigorchuk.cubic import lambda_length
 from grigorchuk.growth import ball_free_product
 from grigorchuk.words import (
@@ -25,7 +25,6 @@ from grigorchuk.words import (
     _rotation_words,
     a_parity,
     cyclically_reduce,
-    enumerate_ball_free,
     format_word,
     invert,
     is_reduced,
@@ -215,15 +214,9 @@ def test_ball_counts_follow_alternation_recurrence():
 
 
 def test_ball_words_are_reduced_and_distinct():
-    words = enumerate_ball_free(5)
+    words = list(iter_ball_free(5))
     assert len(set(words)) == len(words)
     assert all(is_reduced(w) for w in words)
-
-
-def test_ball_cap():
-    with pytest.raises(CapExceeded) as exc:
-        enumerate_ball_free(10, cap=50)
-    assert exc.value.partial == 50
 
 
 def test_class_word_counts_match_the_grouped_ball():
