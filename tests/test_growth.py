@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import reduced_words
+from grigorchuk import cli
 from grigorchuk.errors import CapExceeded
 from grigorchuk.permgrp import closure, cyclic, dihedral
 from grigorchuk.presentations import index_bounds
@@ -292,6 +293,14 @@ def test_growth_table_free_rows():
     assert [r.ball for r in t.rows] == [1, 5, 11, 23, 41, 77]
 
 
+def _cmd_ball_with_cap(cap):
+    """Run ``grig ball 3`` with ``cap`` set past the parser, as a library
+    caller of cmd_ball may."""
+    args = cli.build_parser().parse_args(["ball", "3"])
+    args.cap = cap
+    return cli.cmd_ball(args)
+
+
 @pytest.mark.parametrize("value", [2.5, True, "3"], ids=["float", "bool", "str"])
 @pytest.mark.parametrize(
     "build",
@@ -300,6 +309,7 @@ def test_growth_table_free_rows():
         lambda v: ball_grigorchuk(4, budget=v),
         lambda v: list(iter_ball_free(v)),
         growth_table_free,
+        _cmd_ball_with_cap,
         lambda v: closure([(1, 0)], cap=v),
         lambda v: closure([], degree=v),
         cyclic,
@@ -307,7 +317,7 @@ def test_growth_table_free_rows():
         index_bounds,
     ],
     ids=[
-        "radius", "budget", "free-ball", "free-table", "closure-cap", "closure-degree", "cyclic", "dihedral", "index-bounds",
+        "radius", "budget", "free-ball", "free-table", "free-cap", "closure-cap", "closure-degree", "cyclic", "dihedral", "index-bounds",
     ],
 )
 def test_sizes_take_only_ints(build, value):

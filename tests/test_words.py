@@ -13,8 +13,8 @@ from conftest import (
     raw_words,
     reduced_words,
 )
-from grigorchuk import words, wreath
-from grigorchuk.errors import PreconditionError, WordParseError
+from grigorchuk import cli, words, wreath
+from grigorchuk.errors import CapExceeded, PreconditionError, WordParseError
 from grigorchuk.cubic import lambda_length
 from grigorchuk.growth import ball_free_product
 from grigorchuk.words import (
@@ -217,6 +217,15 @@ def test_ball_words_are_reduced_and_distinct():
     words = list(iter_ball_free(5))
     assert len(set(words)) == len(words)
     assert all(is_reduced(w) for w in words)
+
+
+def test_ball_cap():
+    """The 10-ball has more than 50 words, so ``grig ball --cap 50`` raises
+    CapExceeded with the 50 words it counted."""
+    args = cli.build_parser().parse_args(["ball", "10", "--cap", "50"])
+    with pytest.raises(CapExceeded) as exc:
+        cli.cmd_ball(args)
+    assert exc.value.partial == 50
 
 
 def test_class_word_counts_match_the_grouped_ball():
