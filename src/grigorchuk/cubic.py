@@ -2,11 +2,14 @@
 
 An element is stored as integers (n0 + n1*L + n2*L**2) / den in canonical
 form: den > 0 and gcd(n0, n1, n2, den) = 1, so equality is decided field
-by field.  Order comparisons refine a shared rational isolating interval
-for L until the sign of an integer triple is certain.  The letter weights
-of the metric and the radius function live here too, and rational
-enclosures of logarithms: atanh series summed in fixed-point integers with
-every floor and the tail accounted for, rounded outward to 2**-80.
+by field.  Signs are decided by the field norm: L is the only real root
+of the irreducible cubic, so the other two conjugates of x are complex
+conjugates of each other, and N(x) = x * |s(x)|**2 has the sign of x; it
+is the determinant of an integer matrix (see triple_sign).  The letter
+weights of the metric and the radius function live here too, and rational
+enclosures: of elements, over dyadic bounds for L, and of logarithms, as
+atanh series summed in fixed-point integers with every floor and the tail
+accounted for, rounded outward to 2**-80.
 """
 
 from __future__ import annotations
@@ -34,68 +37,38 @@ __all__ = [
 ]
 
 
-def _minpoly_sign(p: int, q: int) -> int:
-    """Sign of 2*x^3 - x^2 - x - 1 at x = p/q (q > 0)."""
-    v = 2 * p * p * p - p * p * q - p * q * q - q * q * q
-    return (v > 0) - (v < 0)
+def _columns(c0: int, c1: int, c2: int) -> tuple[tuple[int, int, int], ...]:
+    """The coordinates of x, 2L*x and 4L^2*x for x = c0 + c1*L + c2*L^2.
+    By 2L^3 = L^2 + L + 1, 2L times (c0, c1, c2) is (c2, 2c0 + c2, 2c1 + c2),
+    so the three are integer columns with determinant 8 N(x)."""
+    x2 = (c2, 2 * c0 + c2, 2 * c1 + c2)
+    return (c0, c1, c2), x2, (x2[2], 2 * x2[0] + x2[2], 2 * x2[1] + x2[2])
 
 
-class _Enclosure:
-    """Shared isolating interval [lo, hi] = [num_lo, num_hi] / 2**k for L.
-
-    Starts at [1, 2]: the minimal polynomial changes sign there and is
-    increasing, so the interval always contains exactly the real root.
-    """
-
-    def __init__(self):
-        self.num_lo = 1
-        self.num_hi = 2
-        self.k = 0
-        self.refine(64)
-
-    def refine(self, bits: int) -> None:
-        while self.k < bits:
-            self.num_lo *= 2
-            self.num_hi *= 2
-            self.k += 1
-            mid = (self.num_lo + self.num_hi) // 2
-            if _minpoly_sign(mid, 1 << self.k) <= 0:
-                self.num_lo = mid
-            else:
-                self.num_hi = mid
-
-    def bounds(self) -> tuple[Fraction, Fraction]:
-        q = 1 << self.k
-        return Fraction(self.num_lo, q), Fraction(self.num_hi, q)
-
-
-_ENCLOSURE = _Enclosure()
-
-
-def _interval(c0: int, c1: int, c2: int) -> tuple[int, int, int]:
-    """(low, high, q2) with low/q2 <= c0 + c1*L + c2*L^2 <= high/q2, by
-    interval evaluation over the current enclosure [lo, hi]/q, q2 = q^2
-    (lo > 0, so each term is monotone in L)."""
-    enc = _ENCLOSURE
-    lo, hi, q = enc.num_lo, enc.num_hi, 1 << enc.k
-    t1a, t1b = c1 * lo * q, c1 * hi * q
-    t2a, t2b = c2 * lo * lo, c2 * hi * hi
-    base = c0 * q * q
-    return base + min(t1a, t1b) + min(t2a, t2b), base + max(t1a, t1b) + max(t2a, t2b), q * q
+def _det3(cols):
+    (a, b, c), (d, e, f), (g, h, i) = cols
+    return a * (e * i - f * h) - d * (b * i - c * h) + g * (b * f - c * e)
 
 
 def triple_sign(c0: int, c1: int, c2: int) -> int:
-    """Exact sign of c0 + c1*L + c2*L^2 for integer coefficients."""
-    if c0 == 0 and c1 == 0 and c2 == 0:
-        return 0
-    while True:
-        low, high, _ = _interval(c0, c1, c2)
-        if low > 0:
-            return 1
-        if high < 0:
-            return -1
-        # a nonzero element of Q(L) is nonzero at L, so refinement terminates
-        _ENCLOSURE.refine(_ENCLOSURE.k * 2)
+    """Exact sign of x = c0 + c1*L + c2*L^2 for integer coefficients: the
+    sign of its norm N(x) = x * |s(x)|**2, s a complex embedding, read off
+    the determinant 8 N(x) of ``_columns``.  N(x) = 0 only for x = 0, as
+    the minimal polynomial is irreducible."""
+    n = _det3(_columns(c0, c1, c2))
+    return (n > 0) - (n < 0)
+
+
+@functools.cache
+def _lambda_bounds(bits: int) -> tuple[int, int]:
+    """(lo, lo + 1) with lo / 2**bits < L < (lo + 1) / 2**bits, by bisection
+    of [1, 2]: L > mid / 2**k iff 2**k * L - mid > 0."""
+    lo = 1
+    for k in range(1, bits + 1):
+        lo *= 2
+        if triple_sign(-lo - 1, 1 << k, 0) > 0:
+            lo += 1
+    return lo, lo + 1
 
 
 _set = object.__setattr__
@@ -167,13 +140,16 @@ class CubicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CubicNumber":
-        if self.is_zero():
+        # solve self * y = 1 by integer Cramer's rule: for x the numerator
+        # and z the solution of z0*x + z1*2L*x + z2*4L^2*x = 1 over the
+        # columns of x, y = den * (z0 + 2*z1*L + 4*z2*L^2)
+        m = _columns(self.n0, self.n1, self.n2)
+        det = _det3(m)  # 8 N(x), zero only for x = 0
+        if not det:
             raise ZeroDivisionError("inverse of zero in Q(L)")
-        # solve (self * x) = 1 as a 3x3 linear system over Q by Cramer's
-        # rule on the columns self * L^i
-        m = [col._fractions() for col in (self, self * LAMBDA, self * LAMBDA * LAMBDA)]
-        det = _det3(m)
-        return CubicNumber(*(_det3(m[:i] + [(1, 0, 0)] + m[i + 1 :]) / det for i in range(3)))
+        z = [_det3(m[:i] + ((1, 0, 0),) + m[i + 1 :]) for i in range(3)]
+        k = self.den if det > 0 else -self.den
+        return _new(k * z[0], 2 * k * z[1], 4 * k * z[2], abs(det))
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -228,12 +204,18 @@ class CubicNumber:
         """Rational interval containing the value, of width < ``width``, which must be > 0."""
         if not width > 0:
             raise ValueError(f"width must be > 0, not {width}")
+        # interval evaluation over L's bounds [lo, hi]/q, at 64 bits and
+        # doubled until narrow enough (lo > 0, so each term is monotone in L)
+        bits = 64
         while True:
-            low, high, q2 = _interval(self.n0, self.n1, self.n2)
-            d = q2 * self.den
+            lo, hi = _lambda_bounds(bits)
+            q = 1 << bits
+            t1, t2 = (self.n1 * lo * q, self.n1 * hi * q), (self.n2 * lo * lo, self.n2 * hi * hi)
+            base, d = self.n0 * q * q, q * q * self.den
+            low, high = base + min(t1) + min(t2), base + max(t1) + max(t2)
             if Fraction(high - low, d) < width:
                 return Fraction(low, d), Fraction(high, d)
-            _ENCLOSURE.refine(_ENCLOSURE.k * 2)
+            bits *= 2
 
     def __float__(self):
         lo, hi = self.enclosure(Fraction(1, 10**17))
@@ -252,11 +234,6 @@ def _coerce(x) -> CubicNumber:
     if isinstance(x, (int, Fraction)):
         return _new(x.numerator, 0, 0, x.denominator)
     raise TypeError(f"expected int, Fraction or CubicNumber, not {type(x).__name__}")
-
-
-def _det3(cols):
-    (a, b, c), (d, e, f), (g, h, i) = cols
-    return a * (e * i - f * h) - d * (b * i - c * h) + g * (b * f - c * e)
 
 
 LAMBDA = CubicNumber(0, 1, 0)
@@ -284,8 +261,12 @@ def lambda_length(w: str) -> CubicNumber:
 
 
 def length_triple(w: str) -> tuple[int, int, int]:
-    """The integer triple of lambda_length(w), from the letter counts of w."""
-    counts = [w.count(x) for x in "abcd"]
+    """The integer triple of lambda_length(w), from the letter counts of w.
+    A w without a str's ``count`` is a TypeError that names its type."""
+    try:
+        counts = [w.count(x) for x in "abcd"]
+    except (AttributeError, TypeError):
+        raise TypeError(f"word must be a str, not {type(w).__name__}") from None
     if sum(counts) != len(w):
         bad = next(ch for ch in w if ch not in _WEIGHT_TRIPLE)
         raise ValueError(f"not a letter of a, b, c, d: {bad!r}")
@@ -331,7 +312,7 @@ def _power_ceiling(k: int) -> int:
 
 
 # log(L) as a float, for the starting guess of radius_index only
-_LOG_LAMBDA = math.log(_ENCLOSURE.num_lo / (1 << _ENCLOSURE.k))
+_LOG_LAMBDA = math.log(_lambda_bounds(64)[0] / (1 << 64))
 
 
 def radius_index(n: int) -> int:
@@ -423,9 +404,9 @@ def ln_enclosure(y) -> tuple[Fraction, Fraction]:
 
 def log_lambda_enclosure(y) -> tuple[Fraction, Fraction]:
     """Rational enclosure of log base L of y (y rational > 0): an enclosure
-    of ln(y) divided outward by one of ln(L) over the isolating interval."""
-    _ENCLOSURE.refine(_LN_BITS)
-    lam_lo, lam_hi = _ENCLOSURE.bounds()
-    den = (ln_enclosure(lam_lo)[0], ln_enclosure(lam_hi)[1])  # ln(L) > 0
+    of ln(y) divided outward by one of ln(L) over L's bounds at _LN_BITS."""
+    lo, hi = _lambda_bounds(_LN_BITS)
+    q = 1 << _LN_BITS
+    den = (ln_enclosure(Fraction(lo, q))[0], ln_enclosure(Fraction(hi, q))[1])  # ln(L) > 0
     quotients = [x / d for x in ln_enclosure(y) for d in den]
     return min(quotients), max(quotients)

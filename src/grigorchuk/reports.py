@@ -32,6 +32,7 @@ from .cosets import (
     todd_coxeter,
 )
 from .cubic import CubicNumber, LAMBDA, LAMBDA_INV, WEIGHT, lambda_length
+from .errors import check_int
 from .words import _KLEIN, FOLLOWERS, LETTERS
 from .wreath import _SPLIT_IMAGE, order
 
@@ -414,6 +415,14 @@ def check_radius_index() -> Iterator[CheckReport]:
 
 
 def check_all(nball_radii: tuple[int, ...] = NBALL_RADII) -> list[CheckReport]:
+    """Every check, sorted by id.  The n-ball radii are checked before any
+    check runs: a str or bytes is no sequence of radii, and each radius
+    must be an int >= 2."""
+    if isinstance(nball_radii, (str, bytes, bytearray)):
+        raise TypeError(f"nball radii must be ints, not a {type(nball_radii).__name__}")
+    nball_radii = tuple(nball_radii)
+    for n in nball_radii:
+        check_int(n, "radius", 2)
     reports = [
         *check_weight_identities(),
         *check_splitting_identity(),

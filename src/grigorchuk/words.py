@@ -121,16 +121,16 @@ def format_word(w: str) -> str:
 
 
 def cyclically_reduce(w: str) -> str:
-    """Strip/merge matching ends until the word is cyclically reduced."""
-    while len(w) >= 2:
-        first, last = w[0], w[-1]
-        if first == last:
-            w = w[1:-1]
-        elif first in BCD and last in BCD:
-            # conjugating by the last letter merges it into the first
-            w = _KLEIN[last, first] + w[1:-1]
-        else:
-            break
+    """Cyclic reduction of a reduced word w.  The matching ends that cancel
+    are the common prefix of w and its reverse, stripped by one slice; if
+    both ends left are letters of {b, c, d}, conjugating by the last one
+    merges it into the first, and the merged letter then meets an a."""
+    n, i = len(w), 0
+    while 2 * i + 2 <= n and w[i] == w[n - 1 - i]:
+        i += 1
+    w = w[i : n - i]
+    if len(w) >= 2 and w[0] in BCD and w[-1] in BCD:
+        w = _KLEIN[w[-1], w[0]] + w[1:-1]
     return w
 
 

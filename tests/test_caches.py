@@ -9,6 +9,7 @@ import grigorchuk
 from grigorchuk.wreath import certify_torsion, is_trivial, level_action, order, verify_nball_proposition
 
 CACHES = {
+    "cubic._lambda_bounds",
     "cubic._lambda_power",
     "cubic._power_ceiling",
     "wreath._in_open_ball",

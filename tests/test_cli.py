@@ -337,6 +337,18 @@ def test_check_all_rejects_bad_nball_before_any_check(capsys, monkeypatch, radii
     assert _BAD_NBALL[radii] in err
 
 
+@pytest.mark.parametrize(
+    "radii, error", [(b"ab", TypeError), ("25", TypeError), ((1,), ValueError), ((5, 2.0), TypeError)]
+)
+def test_check_all_rejects_bad_radii_before_any_check(monkeypatch, radii, error):
+    def no_check():
+        raise AssertionError("a check ran before the radii were validated")
+
+    monkeypatch.setattr(reports, "check_weight_identities", no_check)
+    with pytest.raises(error):
+        reports.check_all(radii)
+
+
 _BUILDERS = [
     reports.check_weight_identities,
     reports.check_splitting_identity,

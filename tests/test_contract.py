@@ -18,6 +18,7 @@ from grigorchuk import (
     TorsionCertificate,
     abelian_invariants,
     certify_torsion,
+    cubic,
     reidemeister_schreier,
     todd_coxeter,
 )
@@ -28,13 +29,14 @@ _KLEIN = Presentation.from_strings("ab", ["aa", "bb", "abab"])
 
 
 def _entry_points() -> dict:
-    """Every callable of ``grigorchuk.__all__``, and the public methods of
-    CubicNumber, Presentation and TorsionCertificate, each bound to one
-    instance, by name."""
+    """Every callable of ``grigorchuk.__all__`` and of ``cubic.__all__``,
+    and the public methods of CubicNumber, Presentation and
+    TorsionCertificate, each bound to one instance, by name."""
     points = {
-        name: getattr(grigorchuk, name)
-        for name in grigorchuk.__all__
-        if callable(getattr(grigorchuk, name))
+        name: getattr(module, name)
+        for module in (grigorchuk, cubic)
+        for name in module.__all__
+        if callable(getattr(module, name))
     }
     instances = (
         (CubicNumber, LAMBDA),
@@ -62,9 +64,8 @@ def _arity(fn) -> tuple[int, int]:
 
 
 # odd values, and a few valid ones (a small size, a word and a finite
-# presentation) so that a call gets past its first argument; bytes iterate
-# as ints, and check_all reads them as radii, so they stay small
-_VALUES = [None, True, 2.5, -1, 0, bytes([2, 3]), ["a", "b"], [5], "é", object(), 3, "ab", _KLEIN]
+# presentation) so that a call gets past its first argument
+_VALUES = [None, True, 2.5, -1, 0, b"ab", ["a", "b"], [5], "é", object(), 3, "ab", _KLEIN]
 
 
 @st.composite

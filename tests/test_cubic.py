@@ -23,6 +23,7 @@ from grigorchuk.cubic import (
     log_lambda_enclosure,
     radius_index,
     triple_compare_power,
+    triple_sign,
 )
 
 small_rationals = st.fractions(
@@ -43,12 +44,10 @@ def test_lambda_is_the_real_root_near_1_23():
 
 @pytest.mark.parametrize("width", [0, -1])
 def test_enclosure_needs_a_positive_width(width):
-    """No interval is narrower than 0, so the width is rejected before the
-    shared interval is refined: refining it would never end."""
-    bits = cubic._ENCLOSURE.k
+    """No interval is narrower than 0, so the width is rejected before any
+    bounds for L are bisected: refining them would never end."""
     with pytest.raises(ValueError, match="width must be > 0"):
         LAMBDA.enclosure(width)
-    assert cubic._ENCLOSURE.k == bits
 
 
 def test_weight_identities_exact():
@@ -137,6 +136,12 @@ def test_length_triple_names_a_foreign_letter(w, bad):
         length_triple(w)
 
 
+@pytest.mark.parametrize("w", [None, 5, 2.5, object(), b"ab"])
+def test_length_triple_takes_only_a_str(w):
+    with pytest.raises(TypeError, match=f"^word must be a str, not {type(w).__name__}$"):
+        length_triple(w)
+
+
 def test_triple_compare_power():
     assert triple_compare_power(length_triple("ab"), 0) == 0  # |ab| = 1
     assert triple_compare_power(length_triple("abab"), 3) == 1  # 2 > L^3
@@ -203,6 +208,55 @@ def _reference_sign(c) -> int:
         if low > 0 or high < 0:
             return 1 if low > 0 else -1
         bits *= 2
+
+
+def _convergents(bits: int = 256):
+    """The convergents p/q of L's continued fraction, while the bisection
+    bracket at these bits still fixes each partial quotient."""
+    lo, hi = _lambda_bracket(bits)
+    (p0, q0), (p1, q1) = (1, 0), (0, 1)
+    while math.floor(lo) == math.floor(hi):
+        a = math.floor(lo)
+        p0, q0, p1, q1 = a * p0 + p1, a * q0 + q1, p0, q0
+        yield p0, q0
+        if lo == a:
+            return
+        lo, hi = 1 / (hi - a), 1 / (lo - a)
+
+
+def _power_ceiling_by_bisection(k: int) -> int:
+    """ceil(L^k) for k >= 1, from brackets fine enough to fix it."""
+    bits = 128
+    while True:
+        lo, hi = _lambda_bracket(bits)
+        if math.ceil(lo**k) == math.ceil(hi**k):
+            return math.ceil(lo**k)
+        bits *= 2
+
+
+def test_triple_sign_decides_near_ties():
+    """p - q*L for the convergents p/q of L, which alternate about L and
+    come within 1/q^2 of it, and L^k against ceil(L^k) and ceil(L^k) - 1,
+    agree with the bisection oracle."""
+    ps = list(_convergents())
+    assert ps[-1][1] > 2**60
+    for i, (p, q) in enumerate(ps):
+        assert triple_sign(p, -q, 0) == _reference_sign((p, -q, 0)) == (-1) ** (i + 1), (p, q)
+    for k in range(1, 201):
+        x = LAMBDA**k
+        c = _power_ceiling_by_bisection(k)
+        for n, sign in ((c, -1), (c - 1, 1)):
+            t = (x.n0 - n * x.den, x.n1, x.n2)
+            assert triple_sign(*t) == _reference_sign(t) == sign, (k, n)
+
+
+def test_enclosures_do_not_depend_on_earlier_signs():
+    """A near-tie decided before leaves L's enclosure as it was: the one
+    over the 64-bit bisection bracket."""
+    p, q = next((p, q) for p, q in _convergents() if q > 2**40)
+    assert LAMBDA.enclosure(Fraction(1, 10**6)) == _lambda_bracket(64)
+    assert triple_sign(p, -q, 0) != 0
+    assert LAMBDA.enclosure(Fraction(1, 10**6)) == _lambda_bracket(64)
 
 
 def _fractions_of(x: CubicNumber):

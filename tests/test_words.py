@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from heapq import merge
 from itertools import islice, product
@@ -139,6 +140,34 @@ def test_cyclic_reduction():
     assert cyclically_reduce("bab") == "a"
     # Klein ends merge: conjugating bac by c turns the leading b into cb = d
     assert cyclically_reduce("bac") == "da"
+
+
+def _cyclically_reduce_by_pairs(w):
+    """The cyclic reduction, one end pair at a time."""
+    while len(w) >= 2:
+        first, last = w[0], w[-1]
+        if first == last:
+            w = w[1:-1]
+        elif first in BCD and last in BCD:
+            w = words._KLEIN[last, first] + w[1:-1]
+        else:
+            break
+    return w
+
+
+@given(reduced_words(), reduced_words(max_size=6))
+def test_cyclic_reduction_agrees_with_pairwise_stripping(v, core):
+    # a conjugate of the core by v has |v| matching ends to strip
+    for w in (v, reduce_word(v + core + invert(v))):
+        assert cyclically_reduce(w) == _cyclically_reduce_by_pairs(w)
+
+
+def test_cyclic_reduction_of_a_long_conjugate_is_linear():
+    # 400 000 stripped pairs and one slice; copying the word once per pair
+    # is quadratic and takes seconds here
+    start = time.perf_counter()
+    assert min_conjugate("ab" * 200_000 + "a" + "ba" * 200_000) == "a"
+    assert time.perf_counter() - start < 1.0
 
 
 def test_min_conjugate_examples():
