@@ -54,8 +54,11 @@ def triple_sign(c0: int, c1: int, c2: int) -> int:
     """Exact sign of x = c0 + c1*L + c2*L^2 for integer coefficients: the
     sign of its norm N(x) = x * |s(x)|**2, s a complex embedding, read off
     the determinant 8 N(x) of ``_columns``.  N(x) = 0 only for x = 0, as
-    the minimal polynomial is irreducible."""
+    the minimal polynomial is irreducible.  The determinant is exact only
+    in integers, so any other coefficient type is a TypeError."""
     n = _det3(_columns(c0, c1, c2))
+    if type(n) is not int:
+        raise TypeError(f"triple_sign needs int coefficients, not {type(n).__name__}")
     return (n > 0) - (n < 0)
 
 

@@ -121,10 +121,13 @@ def format_word(w: str) -> str:
 
 
 def cyclically_reduce(w: str) -> str:
-    """Cyclic reduction of a reduced word w.  The matching ends that cancel
-    are the common prefix of w and its reverse, stripped by one slice; if
-    both ends left are letters of {b, c, d}, conjugating by the last one
-    merges it into the first, and the merged letter then meets an a."""
+    """Cyclic reduction of a reduced word w; a word that is not reduced
+    raises PreconditionError.  The matching ends that cancel are the common
+    prefix of w and its reverse, stripped by one slice; if both ends left
+    are letters of {b, c, d}, conjugating by the last one merges it into
+    the first, and the merged letter then meets an a."""
+    if not is_reduced(w):
+        raise PreconditionError(f"cyclic reduction needs a reduced word: {w!r}")
     n, i = len(w), 0
     while 2 * i + 2 <= n and w[i] == w[n - 1 - i]:
         i += 1
@@ -149,8 +152,6 @@ def min_conjugate(w: str) -> str:
     time; when min(s) occurs once, its rotation is r.  A word that is not
     reduced raises PreconditionError.
     """
-    if not is_reduced(w):
-        raise PreconditionError(f"min_conjugate needs a reduced word: {w!r}")
     w = cyclically_reduce(w)
     if len(w) <= 1:
         return w

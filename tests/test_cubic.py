@@ -250,6 +250,17 @@ def test_triple_sign_decides_near_ties():
             assert triple_sign(*t) == _reference_sign(t) == sign, (k, n)
 
 
+def test_triple_sign_takes_only_ints():
+    """The determinant is exact only in integers: in float arithmetic this
+    near-tie p - q*L gets the wrong sign, so floats are a TypeError."""
+    t = (722427618, -585553385, 0)
+    assert triple_sign(*t) == _reference_sign(t)
+    with pytest.raises(TypeError, match="float"):
+        triple_sign(*map(float, t))
+    with pytest.raises(TypeError, match="Fraction"):
+        triple_sign(Fraction(1, 2), 0, 0)
+
+
 def test_enclosures_do_not_depend_on_earlier_signs():
     """A near-tie decided before leaves L's enclosure as it was: the one
     over the 64-bit bisection bracket."""

@@ -140,6 +140,10 @@ def test_cyclic_reduction():
     assert cyclically_reduce("bab") == "a"
     # Klein ends merge: conjugating bac by c turns the leading b into cb = d
     assert cyclically_reduce("bac") == "da"
+    # words that are not reduced; bdc is the identity
+    for w in ("bdc", "aa", "abba"):
+        with pytest.raises(PreconditionError):
+            cyclically_reduce(w)
 
 
 def _cyclically_reduce_by_pairs(w):
