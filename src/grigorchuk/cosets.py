@@ -383,6 +383,7 @@ class AbelianInvariants:
 
 def relation_matrix(p: Presentation) -> list[dict[int, int]]:
     """Sparse exponent-sum rows ``{generator column: exponent sum}``."""
+    check_type(p, Presentation, "presentation")
     column = {g: i for i, g in enumerate(p.generators)}
     rows = []
     for rel in p.relators:
@@ -397,7 +398,6 @@ def relation_matrix(p: Presentation) -> list[dict[int, int]]:
 def abelian_invariants(p: Presentation) -> AbelianInvariants:
     """Invariant factors and free rank from the Smith normal form of the
     exponent-sum relation matrix."""
-    check_type(p, Presentation, "presentation")
     factors = smith_normal_form(relation_matrix(p))
     divisors = tuple(d for d in factors if d > 1)
     return AbelianInvariants(divisors, len(p.generators) - len(factors))

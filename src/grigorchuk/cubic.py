@@ -170,9 +170,6 @@ class CubicNumber:
 
     # -- order ----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return self.n0 == 0 and self.n1 == 0 and self.n2 == 0
-
     def sign(self) -> int:
         return triple_sign(self.n0, self.n1, self.n2)
 

@@ -119,15 +119,15 @@ class _SignatureEquality:
         """Id of the element of the word w."""
         return reduce(self._mul, w, 0)
 
-    def extend(self, sphere: list[str], keys: list[int], room: int) -> tuple[list, list, bool]:
+    def extend(self, sphere: list[str], keys: list[int], room: int) -> tuple[list, list]:
         """``_PureEquality.extend`` on packed keys."""
         get, mul, words = self.products.get, self._mul, self.words
         prev, cur, nxt = *self.spheres, set()
         steps = [[(x, *_SPLIT_IMAGE[x][:: 1 - 2 * p]) for x in BCD] for p in (0, 1)]
         new, new_keys = [], []
         for rep, key in zip(sphere, keys):
-            if len(new) >= room:
-                return new, new_keys, True
+            if len(new) > room:
+                break
             # a follows anything but a, and b, c, d follow a or nothing
             last = rep[-1:]
             if last != "a":
@@ -148,7 +148,7 @@ class _SignatureEquality:
                         new.append(rep + g if words else g)
                         new_keys.append(t)
         self.spheres = (cur, nxt)
-        return new, new_keys, False
+        return new, new_keys
 
 
 class _PureEquality:
@@ -183,19 +183,19 @@ class _PureEquality:
         bucket.append(w)
         return True
 
-    def extend(self, sphere: list[str], keys: list, room: int) -> tuple[list, list, bool]:
-        """The words and keys of the sphere after (``sphere``, ``keys``), and
-        True if it stopped at a representative after ``room`` new elements."""
+    def extend(self, sphere: list[str], keys: list, room: int) -> tuple[list, list]:
+        """The words and keys of the sphere after (``sphere``, ``keys``),
+        stopped before a representative once more than ``room`` are found."""
         new, new_keys = [], []
         for rep, key in zip(sphere, keys):
-            if len(new) >= room:
-                return new, new_keys, True
+            if len(new) > room:
+                break
             for g in FOLLOWERS[rep[-1:]]:
                 w, t = rep + g, self.compose[g](key)
                 if self.probe(w, t):
                     new.append(w)
                     new_keys.append(t)
-        return new, new_keys, False
+        return new, new_keys
 
 
 def iter_spheres(
@@ -223,11 +223,11 @@ def iter_spheres(
     its word: all that the search reads of it, and all ``ball_grigorchuk``
     needs.
 
-    With a ``budget`` the search stops at the first candidate, reducing or
-    not, reached once ``budget`` elements are counted: it yields the sphere
-    as it stands and raises CapExceeded.  Raises TypeError when ``maxn``
-    or ``budget`` is not an int, and ValueError when ``maxn`` < 0 or
-    ``budget`` < 1.
+    With a ``budget`` the search counts at most ``budget`` elements: once
+    it finds one more, it yields the sphere being built cut to the
+    elements that fit (possibly none) and raises CapExceeded.  Raises
+    TypeError when ``maxn`` or ``budget`` is not an int, and ValueError
+    when ``maxn`` < 0 or ``budget`` < 1.
     """
     check_int(maxn, "radius", 0)
     if budget is not None:
@@ -235,19 +235,14 @@ def iter_spheres(
     eq = _SignatureEquality(_words) if use_signatures else _PureEquality()
     sphere, keys = [""], [eq.identity]
     yield sphere
-    total = 1
+    room = maxsize if budget is None else budget - 1
     for k in range(1, maxn + 1):
-        room = maxsize if budget is None else budget - total
-        sphere, keys, stopped = eq.extend(sphere, keys, room)
-        # only a new element moves the count, so of the checks before every
-        # letter the first to see room elements comes right after the
-        # room-th, or before the next representative if it came at the last
-        # letter; extend checks before each representative only
-        if stopped or len(sphere) >= room and sphere[room - 1][-1:] != LETTERS[-1]:
+        sphere, keys = eq.extend(sphere, keys, room)
+        if len(sphere) > room:
             yield sphere[:room]
-            raise CapExceeded(f"budget {budget} reached at radius {k}")
+            raise CapExceeded(f"budget {budget} exceeded at radius {k}")
         yield sphere
-        total += len(sphere)
+        room -= len(sphere)
 
 
 def _table(sphere_sizes: list[int], complete: bool = True) -> GrowthTable:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import CapExceeded, check_int
+from .errors import CapExceeded, check_int, check_type
 
 Permutation = tuple[int, ...]
 
@@ -31,10 +31,14 @@ def identity(degree: int) -> Permutation:
 
 def pmul(p: Permutation, q: Permutation) -> Permutation:
     """Composition 'p after q': (p*q)(i) = p(q(i))."""
-    return tuple([p[i] for i in q])
+    try:
+        return tuple([p[i] for i in q])
+    except (IndexError, KeyError):
+        raise ValueError(f"not permutations of one degree: {p!r}, {q!r}") from None
 
 
 def pinv(p: Permutation) -> Permutation:
+    check_permutation(p, len(p))
     out = [0] * len(p)
     for i, v in enumerate(p):
         out[v] = i
@@ -154,21 +158,29 @@ def _as_group(G: PermGroup, elements) -> PermGroup:
     return PermGroup(G.degree, tuple(elems), tuple(elems))
 
 
-def index(G: PermGroup, H: PermGroup) -> int:
+def _check_subgroup(G: PermGroup, H: PermGroup) -> None:
+    """TypeError unless G and H are PermGroups, and ValueError unless H is
+    a subgroup of G."""
+    check_type(G, PermGroup, "G")
+    check_type(H, PermGroup, "H")
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
+
+
+def index(G: PermGroup, H: PermGroup) -> int:
+    _check_subgroup(G, H)
     assert G.order % H.order == 0
     return G.order // H.order
 
 
 def conjugate_subgroup(H: PermGroup, g: Permutation) -> frozenset:
+    check_type(H, PermGroup, "H")
     gi = pinv(g)
     return frozenset(pmul(pmul(g, h), gi) for h in H.elements)
 
 
 def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
-    if not H.is_subgroup_of(G):
-        raise ValueError("H is not a subgroup of G")
+    _check_subgroup(G, H)
     hset = H.element_set
     return _as_group(G, (g for g in G.elements if conjugate_subgroup(H, g) == hset))
 
@@ -176,8 +188,7 @@ def normalizer(G: PermGroup, H: PermGroup) -> PermGroup:
 def core(G: PermGroup, H: PermGroup) -> PermGroup:
     """Intersection of all G-conjugates of H: the largest normal subgroup
     of G inside H."""
-    if not H.is_subgroup_of(G):
-        raise ValueError("H is not a subgroup of G")
+    _check_subgroup(G, H)
     current = H.element_set
     for g in G.elements:
         current = current & conjugate_subgroup(H, g)
@@ -266,6 +277,7 @@ def enumerate_subgroups(G: PermGroup) -> list[PermGroup]:
     coset in G's element order, the g that found that join when every g was
     tried: the subgroups, their generators and their order are the same.
     """
+    check_type(G, PermGroup, "G")
     if G.order > 64:
         raise ValueError("subgroup enumeration is limited to |G| <= 64")
     position, mul = G.table
@@ -322,6 +334,8 @@ def dihedral(n: int) -> PermGroup:
 
 
 def direct_product(G: PermGroup, H: PermGroup) -> PermGroup:
+    check_type(G, PermGroup, "G")
+    check_type(H, PermGroup, "H")
     d = G.degree + H.degree
     gens = [g + tuple(i + G.degree for i in range(H.degree)) for g in G.generators]
     gens += [tuple(range(G.degree)) + tuple(v + G.degree for v in h) for h in H.generators]

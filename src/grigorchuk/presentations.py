@@ -187,12 +187,14 @@ def index_bounds(n: int) -> IndexBounds:
 
 
 def closed_form_alpha(n: int) -> int:
+    check_int(n, "n", 0)
     num = 13 * 4**n - 1
     assert num % 3 == 0
     return num // 3
 
 
 def closed_form_beta(n: int) -> int:
+    check_int(n, "n", 0)
     num = 13 * 4**n - 15 * 2**n + 2
     assert num % 3 == 0
     return num // 3

@@ -15,7 +15,10 @@ def smith_normal_form(rows) -> list[int]:
     """Return the nonzero invariant factors d1 | d2 | ... | dr (all
     positive, r the rank) of the integer matrix whose rows are the given
     ``{column: value}`` mappings; absent columns are zero."""
-    rows = [r for r in ({j: x for j, x in row.items() if x} for row in rows) if r]
+    try:
+        rows = [r for r in ({j: x for j, x in row.items() if x} for row in rows) if r]
+    except AttributeError:
+        raise TypeError("each row must be a {column: value} mapping") from None
     diagonal = []
     while rows:
         # least-magnitude pivot, on ties from the shortest row: each

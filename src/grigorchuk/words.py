@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import PreconditionError, WordParseError, check_int
+from .errors import PreconditionError, WordParseError, check_int, check_type
 
 LETTERS = "abcd"
 # the letters as items of a sequence: a tuple, so that an item of any type,
@@ -103,7 +103,11 @@ def invert(w: str) -> str:
 
 def a_parity(w: str) -> int:
     """Number of a's mod 2; a homomorphism onto Z/2 with kernel Xi."""
-    return w.count("a") & 1
+    try:
+        return w.count("a") & 1
+    except AttributeError:
+        check_type(w, str, "word")
+        raise
 
 
 def parse_word(text: str) -> str:

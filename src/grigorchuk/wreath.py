@@ -36,7 +36,7 @@ from .cubic import (
     triple_compare_power,
     triple_sign,
 )
-from .errors import CapExceeded, GrigError, PreconditionError, check_int
+from .errors import CapExceeded, GrigError, PreconditionError, check_int, check_type
 from .permgrp import pmul
 from .words import (
     BCD,
@@ -82,7 +82,7 @@ def split(w: str) -> tuple[str, str]:
     w = reduce_word(w)
     if a_parity(w) != 0:
         raise PreconditionError(f"split needs an even number of a's: {w!r}")
-    return _split_reduced(w, _section_table())
+    return _split_reduced(w)
 
 
 @functools.cache
@@ -97,24 +97,23 @@ def _section_table() -> dict[int, str | None]:
     return sections
 
 
-def _split_reduced(w: str, sections: dict[int, str | None], sides: int = 2) -> tuple[str, ...]:
-    """The first ``sides`` components of ``split(w)``, for a word w that is
-    already reduced and of parity 0.
+def _split_reduced(w: str) -> tuple[str, str]:
+    """``split(w)`` for a word w that is already reduced and of parity 0;
+    for w of parity 1, the two sides that ``_class_step`` joins into side 0
+    of w.w.
 
     A letter x in {b, c, d} contributes its section x0 to side p and x1 to
     side 1-p, where p is the parity of the a's before it.  In a reduced word
     these letters alternate with a, so their parities alternate too: the
-    letters of parity 1 are upper-cased, one read of ``sections`` translates
-    the tagged letters into side 0 and the case-swapped ones into side 1,
-    and each side is reduced.
+    letters of parity 1 are upper-cased, one read of ``_section_table``
+    translates the tagged letters into side 0 and the case-swapped ones
+    into side 1, and each side is reduced.
     """
     # the first letter of {b, c, d} has parity 1 iff w starts with a
     odd = w[:1] == "a"
     tagged = bytearray(w[odd::2], "ascii")
     tagged[1 - odd :: 2] = tagged[1 - odd :: 2].upper()
-    tagged = tagged.decode()
-    if sides == 1:
-        return (reduce_word(tagged.translate(sections)),)
+    tagged, sections = tagged.decode(), _section_table()
     return reduce_word(tagged.translate(sections)), reduce_word(tagged.swapcase().translate(sections))
 
 
@@ -130,7 +129,7 @@ def _is_trivial(w: str) -> bool:
         return True
     if a_parity(w) == 1 or len(w) == 1:
         return False  # b, c, d are nontrivial involutions
-    w0, w1 = _split_reduced(w, _section_table())
+    w0, w1 = _split_reduced(w)
     return _is_trivial(w0) and _is_trivial(w1)
 
 
@@ -332,10 +331,11 @@ def _class_step(m: str, n: int) -> tuple[str, int, tuple[str, ...]]:
         return "base-case", _BASE_EXPONENT[m], ()
     if m in NUCLEUS:
         return "letter-case", _BASE_EXPONENT[m], ()
-    # m is cyclically reduced, so m.m is reduced, and of parity 0
     if a_parity(m) == 0:
-        return "inactive-split", 0, _split_reduced(m, _section_table())
-    return "active-square", 1, _split_reduced(m + m, _section_table(), 1)
+        return "inactive-split", 0, _split_reduced(m)
+    # side 0 of m.m, which is reduced as m is cyclically reduced: the second
+    # copy of m has the opposite a-parity, so it is m's two sides joined
+    return "active-square", 1, (_join(*_split_reduced(m)),)
 
 
 def certify_exponent(w: str, n: int) -> tuple[int, int]:
@@ -348,12 +348,17 @@ def certify_exponent(w: str, n: int) -> tuple[int, int]:
 
     Raises RadiusViolation, whose ``failure`` is the CertificateFailure
     that ``certify_torsion`` returns for the same input, TypeError for a
-    level that is not an int and ValueError for levels below -1, the last
-    level the ball argument defines.
+    word that is not a str or a level that is not an int, and ValueError
+    for levels below -1, the last level the ball argument defines.
     """
     if type(n) is not int or n < -1:
         check_int(n, "level", -1)
-    return _class_exponent(_ball_class(w, n), n)
+    try:
+        m = _ball_class(w, n)
+    except AttributeError:
+        check_type(w, str, "word")
+        raise
+    return _class_exponent(m, n)
 
 
 @functools.cache
@@ -372,15 +377,17 @@ def certify_torsion(w: str, n: int):
     """Torsion certificate for w at approximant level n, or a failure report.
 
     The tree records each step of the ball argument (see ``_class_step``);
-    every node's exponent is the one ``certify_exponent`` gives it, which
-    also checks the level.
+    every node's exponent is the one ``certify_exponent`` gives it.  The
+    tree walks the children in ``certify_exponent``'s order, so its first
+    failure is the one that ``certify_exponent`` reports.
     """
     w = reduce_word(w)
+    check_int(n, "level", -1)
     try:
-        exponent, _depth = certify_exponent(w, n)
+        root = _certificate_tree(w, n)
     except RadiusViolation as exc:
         return exc.failure
-    return TorsionCertificate(word=w, level=n, exponent=exponent, root=_certificate_tree(w, n))
+    return TorsionCertificate(word=w, level=n, exponent=root.exponent, root=root)
 
 
 def _certificate_tree(w: str, n: int) -> CertificateNode:

@@ -169,6 +169,13 @@ def test_growth_rejects_bad_radius_or_budget(capsys, option):
     assert "must be >= " in err
 
 
+def test_growth_budget_of_the_ball_size_completes(capsys):
+    # the 6-ball has 108 elements
+    code, out, _ = run(capsys, "growth", "--maxn", "6", "--budget", "108")
+    assert code == 0
+    assert out.strip().splitlines()[-1].split(",")[:3] == ["6", "108", "40"]
+
+
 def test_growth_free_rejects_budget(capsys):
     code, out, err = run(capsys, "growth", "--group", "free", "--maxn", "3", "--budget", "5")
     assert code == 2

@@ -1,6 +1,7 @@
 """The contract of the public entry points: whatever the arguments, a call
 returns, or raises GrigError, TypeError or ValueError, within a second."""
 
+import collections
 import contextlib
 import inspect
 import signal
@@ -18,11 +19,21 @@ from grigorchuk import (
     TorsionCertificate,
     abelian_invariants,
     certify_torsion,
+    cosets,
     cubic,
+    growth,
+    permgrp,
+    presentations,
     reidemeister_schreier,
+    snf,
     todd_coxeter,
+    words,
+    wreath,
 )
 from grigorchuk.cosets import close_normally, maps_onto, quotient_group
+
+# modules without an ``__all__``: every public callable defined in them is drawn
+_MODULES = (words, wreath, growth, permgrp, presentations, cosets, snf)
 
 # Z/2 x Z/2, a finite group, so that enumerating its cosets is quick
 _KLEIN = Presentation.from_strings("ab", ["aa", "bb", "abab"])
@@ -30,14 +41,20 @@ _KLEIN = Presentation.from_strings("ab", ["aa", "bb", "abab"])
 
 def _entry_points() -> dict:
     """Every callable of ``grigorchuk.__all__`` and of ``cubic.__all__``,
-    and the public methods of CubicNumber, Presentation and
-    TorsionCertificate, each bound to one instance, by name."""
+    every public callable that the ``_MODULES`` define, and the public
+    methods of CubicNumber, Presentation and TorsionCertificate, each bound
+    to one instance, by name."""
     points = {
         name: getattr(module, name)
         for module in (grigorchuk, cubic)
         for name in module.__all__
         if callable(getattr(module, name))
     }
+    for module in _MODULES:
+        for name, value in vars(module).items():
+            public = not name.startswith("_") and callable(value) and value.__module__ == module.__name__
+            if public and value not in points.values():
+                points[f"{module.__name__.rpartition('.')[2]}.{name}"] = value
     instances = (
         (CubicNumber, LAMBDA),
         (Presentation, _KLEIN),
@@ -63,9 +80,11 @@ def _arity(fn) -> tuple[int, int]:
     return sum(p.default is p.empty for p in positional), len(positional)
 
 
-# odd values, and a few valid ones (a small size, a word and a finite
-# presentation) so that a call gets past its first argument
-_VALUES = [None, True, 2.5, -1, 0, b"ab", ["a", "b"], [5], "é", object(), 3, "ab", _KLEIN]
+# odd values, and a few valid ones (a small size, a word, a finite
+# presentation and a permutation group) so that a call gets past its first
+# argument
+_VALUES = [None, True, 2.5, -1, 0, b"ab", ["a", "b"], [5], {}, "é", object()]
+_VALUES += [3, "ab", _KLEIN, permgrp.cyclic(2)]
 
 
 @st.composite
@@ -93,13 +112,15 @@ def _within(seconds: float, what: str):
         signal.signal(signal.SIGALRM, previous)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=1000, deadline=None)
 @given(_calls())
 def test_public_calls_return_or_reject_within_a_second(call):
     name, args = call
     with _within(1.0, f"{name}{tuple(args)!r}"):
         try:
-            _ENTRY_POINTS[name](*args)
+            result = _ENTRY_POINTS[name](*args)
+            if inspect.isgenerator(result):
+                collections.deque(result, maxlen=0)  # a generator checks on its first next
         except (GrigError, TypeError, ValueError):
             pass
 
@@ -117,11 +138,39 @@ def test_public_calls_return_or_reject_within_a_second(call):
         (maps_onto, (None, {}, None)),
         (Presentation.from_text, (None,)),
         (Presentation.from_strings, ("ab", [5])),
+        (words.a_parity, (None,)),
+        (wreath.certify_exponent, (None, 3)),
+        (permgrp.index, (None, None)),
+        (permgrp.conjugate_subgroup, (None, (1, 0))),
+        (permgrp.normalizer, (None, None)),
+        (permgrp.core, (None, None)),
+        (permgrp.check_core_lemma, (None, None)),
+        (permgrp.enumerate_subgroups, (None,)),
+        (permgrp.direct_product, (None, None)),
+        (presentations.closed_form_alpha, (2.5,)),
+        (presentations.closed_form_beta, (2.5,)),
+        (cosets.relation_matrix, (None,)),
+        (snf.smith_normal_form, (b"ab",)),
     ],
     ids=lambda v: v.__name__ if callable(v) else None,
 )
 def test_an_argument_of_the_wrong_type_is_a_type_error(fn, args):
-    """A presentation, coset table or word of the wrong type is named in a
-    TypeError before it is used."""
+    """A presentation, coset table, group, size, row or word of the wrong
+    type is named in a TypeError before it is used."""
     with pytest.raises(TypeError, match="must be a"):
+        fn(*args)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (permgrp.pmul, (b"ab", b"ab")),
+        (permgrp.pmul, ({}, b"ab")),
+        (permgrp.pinv, (b"ab",)),
+        (presentations.closed_form_alpha, (-1,)),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else None,
+)
+def test_a_value_out_of_range_is_a_value_error(fn, args):
+    with pytest.raises(ValueError):
         fn(*args)

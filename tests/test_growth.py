@@ -133,8 +133,7 @@ def test_packed_bfs_keys_are_the_split():
     eq, seen = _SignatureEquality(), 0
     sphere, keys = [""], [eq.identity]
     for _ in range(10):
-        sphere, keys, stopped = eq.extend(sphere, keys, sys.maxsize)
-        assert not stopped
+        sphere, keys = eq.extend(sphere, keys, sys.maxsize)
         for w, key in zip(sphere, keys):
             p = a_parity(w)
             w0, w1 = split(multiply(w, "a") if p else w)
@@ -145,7 +144,7 @@ def test_packed_bfs_keys_are_the_split():
 
 @pytest.mark.parametrize("use_signatures", [True, False], ids=["signatures", "oracle"])
 def test_word_free_path_cuts_like_the_word_path(use_signatures):
-    # the 6-ball has 108 elements, so budget 109 completes it
+    # the 6-ball has 108 elements, so budget 108 completes it
     for budget in range(1, 110):
         cut, complete = [], True
         try:
@@ -155,7 +154,7 @@ def test_word_free_path_cuts_like_the_word_path(use_signatures):
             complete = False
         table = ball_grigorchuk(6, use_signatures, budget)
         assert [r.sphere for r in table.rows] == [len(s) for s in cut], budget
-        assert table.complete == complete == (budget > 108), budget
+        assert table.complete == complete == (budget >= 108), budget
 
 
 @given(word_pairs())
@@ -225,15 +224,15 @@ def test_budget_marks_incomplete():
     [
         (1, 2, [1, 0], False),
         (5, 2, [1, 4, 0], False),
-        (11, 3, [1, 4, 6], False),
+        (11, 3, [1, 4, 6, 0], False),
         (23, 3, [1, 4, 6, 12], True),
         (30, 8, [1, 4, 6, 12, 7], False),
     ],
 )
 def test_budget_edge_cases(budget, maxn, spheres, complete):
-    # the budget is tested once per candidate, reducing candidates included:
-    # at budget 11 the 11th element "da" is followed by "db", "dc", "dd",
-    # and the cut falls there, at radius 2, not at the start of radius 3
+    # the search counts at most budget elements: budget 11 holds the whole
+    # 2-ball, and the first element of radius 3 is one too many, so radius
+    # 3 is cut to none of its elements
     table = ball_grigorchuk(maxn, budget=budget)
     assert [r.sphere for r in table.rows] == spheres
     assert table.complete == complete
@@ -247,6 +246,15 @@ def test_budget_edge_cases(budget, maxn, spheres, complete):
     full = list(iter_spheres(maxn))
     assert cut[:-1] == full[: len(spheres) - 1]
     assert cut[-1] == full[len(spheres) - 1][: spheres[-1]]
+
+
+@pytest.mark.parametrize("use_signatures", [True, False], ids=["signatures", "oracle"])
+def test_budget_of_the_ball_size_completes_it(use_signatures):
+    sizes = ball_grigorchuk(10).ball_sizes()
+    for k, size in enumerate(sizes):
+        table = ball_grigorchuk(k, use_signatures, budget=size)
+        assert table.complete, k
+        assert table.ball_sizes() == sizes[: k + 1], k
 
 
 @pytest.mark.parametrize("maxn, budget", [(-1, None), (3, 0)])

@@ -321,12 +321,11 @@ def test_bracelet_walk_is_the_bracelets_with_their_split():
     test, and the split kernel on "a" + "a".join(r) with each side reduced.
     The walk goes depth first, so it yields in lexicographic order, which
     is the order of the lengths' streams merged."""
-    table = wreath._section_table()
     want = merge(*(_bracelets(k) for k in range(1, 15)))
     count = 0
     for (r, p, self_inverse, s0, s1), oracle in zip(_bracelet_walk(29, _real_sections()), want, strict=True):
         assert (r, p, self_inverse) == oracle
-        assert (s0, s1) == wreath._split_reduced("a" + "a".join(r), table), r
+        assert (s0, s1) == wreath._split_reduced("a" + "a".join(r)), r
         count += 1
     assert count == 272_130  # OEIS A027671, summed over k = 1..14
 
@@ -341,11 +340,10 @@ def test_bracelet_walk_joins_sections_longer_than_a_letter(monkeypatch):
     joins = []
     real_join = words._join
     monkeypatch.setattr(words, "_join", lambda u, v: joins.append(u + v) or real_join(u, v))
-    table = wreath._section_table()
     walked = list(_bracelet_walk(16, images))
     assert [item[:3] for item in walked] == list(merge(*(_bracelets(k) for k in range(1, 9))))
     for r, _p, _self_inverse, s0, s1 in walked:
-        assert (s0, s1) == wreath._split_reduced("a" + "a".join(r), table), r
+        assert (s0, s1) == wreath._split_reduced("a" + "a".join(r)), r
     # each yielded node took a section onto both sides; a join only where
     # the plain concatenation is not reduced
     assert 0 < len(joins) < 2 * len(walked)
