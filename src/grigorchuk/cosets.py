@@ -12,7 +12,7 @@ relator and generate the group give a homomorphism onto it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapExceeded, check_int, check_type
 from .permgrp import PermGroup, check_permutation, closure as perm_closure, identity, pinv, pmul
@@ -28,7 +28,6 @@ def _columns(generators) -> dict[tuple[str, int], int]:
     return {(g, e): 2 * i + (e == -1) for i, g in enumerate(generators) for e in (1, -1)}
 
 
-@dataclass
 class CosetTable:
     """Completed (or overflowed) coset table.
 
@@ -38,10 +37,17 @@ class CosetTable:
     entries it never defined -1.
     """
 
-    presentation: Presentation
-    subgroup_words: tuple[Relator, ...]
-    rows: list[list[int]]
-    status: str  # "complete" | "overflowed"
+    def __init__(
+        self,
+        presentation: Presentation,
+        subgroup_words: tuple[Relator, ...],
+        rows: list[list[int]],
+        status: str,
+    ):
+        self.presentation = presentation
+        self.subgroup_words = subgroup_words
+        self.rows = rows
+        self.status = status  # "complete" | "overflowed"
 
     @property
     def index(self) -> int:
@@ -52,7 +58,19 @@ class CosetTable:
         return _columns(self.presentation.generators)
 
     def trace(self, coset: int, word: Relator) -> int:
-        """The coset word leads to from coset; -1 at an undefined entry."""
+        """The coset word leads to from coset; -1 at an undefined entry.
+        A coset outside 0..index-1, or a letter that is not a signed
+        generator of the presentation, raises ValueError, and a coset that
+        is not an int TypeError."""
+        check_int(coset, "coset", 0)
+        if coset >= self.index:
+            raise ValueError(f"coset {coset} is not below the index {self.index}")
+        try:
+            return self._trace(coset, word)
+        except KeyError as exc:
+            raise ValueError(f"{exc.args[0]!r} is not a signed generator of the presentation") from None
+
+    def _trace(self, coset: int, word: Relator) -> int:
         for letter in word:
             coset = self.rows[coset][self._column_map[letter]]
             if coset < 0:
@@ -63,9 +81,9 @@ class CosetTable:
         """Re-trace every relator at every coset and every subgroup word at 0."""
         for rel in self.presentation.relators:
             for c in range(len(self.rows)):
-                if self.trace(c, rel) != c:
+                if self._trace(c, rel) != c:
                     return False
-        return all(self.trace(0, w) == 0 for w in self.subgroup_words)
+        return all(self._trace(0, w) == 0 for w in self.subgroup_words)
 
 
 class _Enumerator:
@@ -371,8 +389,7 @@ def _simplify_single_occurrences(p: Presentation) -> Presentation:
 # abelian invariants
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(NamedTuple):
     divisors: tuple[int, ...]  # invariant factors > 1, each dividing the next
     free_rank: int
 

@@ -14,11 +14,11 @@ enclosures, never as floats posing as exact values.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import itemgetter
 from sys import maxsize
+from typing import NamedTuple
 
 from .cubic import ln_enclosure
 from .errors import CapExceeded, check_int
@@ -44,16 +44,14 @@ def ball_free_product(n: int) -> int:
     return sum(free_sphere_sizes(n))
 
 
-@dataclass
-class GrowthRow:
+class GrowthRow(NamedTuple):
     radius: int
     ball: int
     sphere: int
     entropy_enclosure: tuple[Fraction, Fraction]  # encloses log(ball)/radius
 
 
-@dataclass
-class GrowthTable:
+class GrowthTable(NamedTuple):
     rows: list[GrowthRow]
     complete: bool = True
 

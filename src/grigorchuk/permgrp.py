@@ -14,7 +14,7 @@ permutations by every element, are kept as its oracles.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapExceeded, check_int, check_type
 
@@ -83,11 +83,11 @@ def to_cycles(p: Permutation) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
 class PermGroup:
-    degree: int
-    generators: tuple[Permutation, ...]
-    elements: tuple[Permutation, ...]  # deterministic BFS order
+    def __init__(self, degree: int, generators: tuple[Permutation, ...], elements: tuple[Permutation, ...]):
+        self.degree = degree
+        self.generators = generators
+        self.elements = elements  # deterministic BFS order
 
     @property
     def order(self) -> int:
@@ -112,6 +112,7 @@ class PermGroup:
         return position, mul
 
     def is_subgroup_of(self, other: "PermGroup") -> bool:
+        check_type(other, PermGroup, "other")
         return self.degree == other.degree and self.element_set <= other.element_set
 
     def generator_cycles(self) -> list[list[tuple[int, ...]]]:
@@ -195,8 +196,7 @@ def core(G: PermGroup, H: PermGroup) -> PermGroup:
     return _as_group(G, current)
 
 
-@dataclass(frozen=True)
-class CoreLemmaReport:
+class CoreLemmaReport(NamedTuple):
     applicable: bool
     reason: str
     index_h: int  # [G : H]

@@ -13,7 +13,7 @@ generators (as produced by subgroup rewriting) are space-separated tokens
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import check_int, check_type
 from .words import reduce_word
@@ -76,19 +76,25 @@ def check_words(generators, words, kind: str) -> None:
                 raise ValueError(f"{kind} uses exponent {e}")
 
 
-@dataclass(frozen=True)
 class Presentation:
     """Generators and relators; a relator that is empty, or that uses an
     undeclared generator or an exponent other than 1 or -1, raises
     ValueError when the presentation is built."""
 
-    generators: tuple[str, ...]
-    relators: tuple[Relator, ...]
-
-    def __post_init__(self) -> None:
-        if not all(self.relators):
+    def __init__(self, generators: tuple[str, ...], relators: tuple[Relator, ...]):
+        if not all(relators):
             raise ValueError("empty relator")
-        check_words(self.generators, self.relators, "relator")
+        check_words(generators, relators, "relator")
+        self.generators = generators
+        self.relators = relators
+
+    def __eq__(self, other):
+        if not isinstance(other, Presentation):
+            return NotImplemented
+        return (self.generators, self.relators) == (other.generators, other.relators)
+
+    def __hash__(self):
+        return hash((self.generators, self.relators))
 
     @staticmethod
     def from_strings(generators, relator_words) -> "Presentation":
@@ -169,8 +175,7 @@ def xi_generators() -> list[str]:
     return ["b", "c", "d", "aba", "aca", "ada"]
 
 
-@dataclass(frozen=True)
-class IndexBounds:
+class IndexBounds(NamedTuple):
     n: int
     alpha: int
     beta: int

@@ -20,7 +20,6 @@ import functools
 import time
 from bisect import bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import cubic, growth, permgrp, presentations, wreath
@@ -48,13 +47,13 @@ GROWTH_MAXN = 8
 _Z2_D8_IMAGES = {"a": (0, 3, 2, 1, 4, 5), "b": (0, 1, 2, 3, 5, 4), "d": (1, 0, 3, 2, 4, 5)}
 
 
-@dataclass
 class CheckReport:
-    check_id: str
-    anchor: str
-    status: str  # pass | fail | skipped
-    witnesses: dict = field(default_factory=dict)
-    wall_time: float = 0.0
+    def __init__(self, check_id: str, anchor: str, status: str, witnesses: dict | None = None):
+        self.check_id = check_id
+        self.anchor = anchor
+        self.status = status  # pass | fail | skipped
+        self.witnesses = {} if witnesses is None else witnesses
+        self.wall_time = 0.0  # set by _timed
 
     def to_dict(self) -> dict:
         return {

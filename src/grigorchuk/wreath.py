@@ -24,8 +24,7 @@ derived from it.  Each exhaustive sweep also keeps its child steps in a
 from __future__ import annotations
 
 import functools
-import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import cubic
 from .cubic import (
@@ -212,8 +211,7 @@ def order_by_squaring(w: str) -> int:
 _BASE_EXPONENT = {**dict.fromkeys(NUCLEUS, 1), "ad": 2}
 
 
-@dataclass(frozen=True)
-class CertificateNode:
+class CertificateNode(NamedTuple):
     word: str
     level: int
     rule: str  # base-case | letter-case | inactive-split | active-square
@@ -232,14 +230,15 @@ class CertificateNode:
         }
 
 
-@dataclass(frozen=True)
-class TorsionCertificate:
+class TorsionCertificate(NamedTuple):
     word: str
     level: int
     exponent: int  # the order divides 2**exponent at this level
     root: CertificateNode
 
     def to_json(self, indent=None) -> str:
+        import json  # here, so that importing the package does not load json
+
         return json.dumps(self.to_dict(), indent=indent)
 
     def to_dict(self) -> dict:
@@ -251,8 +250,7 @@ class TorsionCertificate:
         }
 
 
-@dataclass(frozen=True)
-class CertificateFailure:
+class CertificateFailure(NamedTuple):
     word: str
     level: int
     lambda_length: CubicNumber
@@ -396,15 +394,17 @@ def _certificate_tree(w: str, n: int) -> CertificateNode:
     return CertificateNode(w, n, rule, certify_exponent(w, n)[0], lambda_length(w), kids)
 
 
-@dataclass
 class NBallReport:
-    radius: int
-    level: int
-    word_count: int
-    max_exponent: int
-    max_depth: int
-    exponent_histogram: dict[int, int] = field(default_factory=dict)
-    failures: list[CertificateFailure] = field(default_factory=list)
+    """The certified words of a ball, counted as they are added."""
+
+    def __init__(self, radius: int, level: int):
+        self.radius = radius
+        self.level = level
+        self.word_count = 0
+        self.max_exponent = 0
+        self.max_depth = 0
+        self.exponent_histogram: dict[int, int] = {}
+        self.failures: list[CertificateFailure] = []
 
     @property
     def ok(self) -> bool:
@@ -461,7 +461,7 @@ def verify_nball_proposition(n: int, words=None, level: int | None = None) -> NB
         words = iter_ball_free(n)
     else:
         words = map(reduce_word, words)
-    report = NBallReport(radius=n, level=level, word_count=0, max_exponent=0, max_depth=0)
+    report = NBallReport(n, level)
     for w in words:
         try:
             report.add(*certify_exponent(w, level))
@@ -538,7 +538,7 @@ def _class_sweep(n: int, level: int) -> NBallReport | None:
             counts[key] = counts.get(key, 0) + words
     except RadiusViolation:
         return None
-    report = NBallReport(radius=n, level=level, word_count=0, max_exponent=0, max_depth=0)
+    report = NBallReport(n, level)
     for (exponent, depth), words in counts.items():
         report.add(exponent, depth, words)
     return report

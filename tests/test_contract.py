@@ -25,6 +25,7 @@ from grigorchuk import (
     permgrp,
     presentations,
     reidemeister_schreier,
+    reports,
     snf,
     todd_coxeter,
     words,
@@ -42,8 +43,8 @@ _KLEIN = Presentation.from_strings("ab", ["aa", "bb", "abab"])
 def _entry_points() -> dict:
     """Every callable of ``grigorchuk.__all__`` and of ``cubic.__all__``,
     every public callable that the ``_MODULES`` define, and the public
-    methods of CubicNumber, Presentation and TorsionCertificate, each bound
-    to one instance, by name."""
+    methods of the classes with methods, each bound to one instance, by
+    name."""
     points = {
         name: getattr(module, name)
         for module in (grigorchuk, cubic)
@@ -59,6 +60,12 @@ def _entry_points() -> dict:
         (CubicNumber, LAMBDA),
         (Presentation, _KLEIN),
         (TorsionCertificate, certify_torsion("ab", 3)),
+        (permgrp.PermGroup, permgrp.cyclic(4)),
+        (cosets.CosetTable, todd_coxeter(_KLEIN)),
+        (growth.GrowthTable, growth.growth_table_free(3)),
+        (wreath.NBallReport, wreath.verify_nball_proposition(2)),
+        (reports.CheckReport, reports.CheckReport("check", "anchor", "pass")),
+        (cosets.AbelianInvariants, abelian_invariants(_KLEIN)),
     )
     for cls, instance in instances:
         for name in dir(cls):
@@ -151,6 +158,7 @@ def test_public_calls_return_or_reject_within_a_second(call):
         (presentations.closed_form_beta, (2.5,)),
         (cosets.relation_matrix, (None,)),
         (snf.smith_normal_form, (b"ab",)),
+        (permgrp.cyclic(2).is_subgroup_of, (None,)),
     ],
     ids=lambda v: v.__name__ if callable(v) else None,
 )

@@ -300,3 +300,22 @@ def test_trace_stops_at_an_undefined_entry():
                         break
                 assert t.trace(c, rel) == walk
     assert todd_coxeter(p, cap=3).trace(0, abab) == -1
+
+
+@pytest.mark.parametrize(
+    "coset, word, error",
+    [
+        (-1, (("a", 1),), ValueError),  # used to wrap round to row 3
+        (-4, (), ValueError),  # used to return -4
+        (4, (), ValueError),  # used to raise IndexError
+        (2.5, (), TypeError),
+        (True, (), TypeError),
+        (0, (("x", 1),), ValueError),  # a letter not in the presentation
+        (0, "ab", ValueError),  # a str word: its letters are not signed generators
+    ],
+)
+def test_trace_rejects_a_coset_off_the_table_or_a_foreign_letter(coset, word, error):
+    t = todd_coxeter(Presentation.from_strings("ab", ["aa", "bb", "abab"]))
+    assert t.index == 4
+    with pytest.raises(error):
+        t.trace(coset, word)

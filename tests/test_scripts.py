@@ -6,16 +6,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _order_census(*argv):
+def _python(*argv):
+    """Run a fresh interpreter with ``src`` on its path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "order_census.py"), *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
+
+
+def _order_census(*argv):
+    return _python(str(ROOT / "scripts" / "order_census.py"), *argv)
+
+
+def test_the_package_import_loads_no_dataclasses_inspect_or_json():
+    """The result records are NamedTuples or plain classes, and only
+    ``to_json`` needs json, so ``import grigorchuk`` loads none of these;
+    the CLI, which does need json, still imports."""
+    proc = _python(
+        "-c",
+        "import grigorchuk, sys; "
+        "loaded = sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)); "
+        "assert not loaded, loaded; "
+        "import grigorchuk.cli",
     )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_order_census_smoke():
