@@ -15,7 +15,6 @@ import csv
 import json
 import sys
 import time
-from itertools import islice
 
 from . import growth, presentations, reports, wreath
 from .cosets import (
@@ -101,7 +100,8 @@ def cmd_verify_nball(args) -> int:
 def cmd_ball(args) -> int:
     if args.cap is not None:
         check_int(args.cap, "cap", 1)
-        if next(islice(iter_ball_free(args.n), args.cap, None), None) is not None:
+        # for b = cap.bit_length(), the 2b-ball has over 3^b > cap words
+        if growth.ball_free_product(min(args.n, 2 * args.cap.bit_length())) > args.cap:
             raise CapExceeded(f"free ball cap {args.cap} exceeded at radius {args.n}", partial=args.cap)
     for w in iter_ball_free(args.n):
         if args.lengths:

@@ -9,6 +9,7 @@ unique, so string equality decides equality in the group.
 from __future__ import annotations
 
 import re
+from itertools import product
 
 from .errors import PreconditionError, WordParseError, check_int, check_type
 
@@ -170,17 +171,15 @@ def min_conjugate(w: str) -> str:
 
 
 def iter_ball_free(n: int):
-    """Yield all reduced words of word length <= n, in shortlex order.
-
-    Reduced words are exactly the walks that append to each word only the
-    ``FOLLOWERS`` of its last letter, so extension never needs re-reduction.
-    """
+    """Yield all reduced words of word length <= n, in shortlex order, in
+    O(n) memory: a reduced word alternates a with a letter of {b, c, d}, so
+    the words of length k are the product of the k alphabets ("a", "bcd",
+    "a", ...), followed by the product of ("bcd", "a", "bcd", ...)."""
     check_int(n, "radius", 0)
-    level = [IDENTITY]
     yield IDENTITY
-    for _ in range(n):
-        level = [w + g for w in level for g in FOLLOWERS[w[-1:]]]
-        yield from level
+    for k in range(1, n + 1):
+        for alphabets in ("a", BCD) * k, (BCD, "a") * k:
+            yield from map("".join, product(*alphabets[:k]))
 
 
 def _join(u: str, v: str) -> str:

@@ -389,9 +389,10 @@ def certify_torsion(w: str, n: int):
 
 
 def _certificate_tree(w: str, n: int) -> CertificateNode:
-    rule, _added, children = _class_step(_ball_class(w, n), n)
+    m = _ball_class(w, n)
+    rule, _added, children = _class_step(m, n)
     kids = tuple(_certificate_tree(c, n - 1) for c in children)
-    return CertificateNode(w, n, rule, certify_exponent(w, n)[0], lambda_length(w), kids)
+    return CertificateNode(w, n, rule, _class_exponent(m, n)[0], lambda_length(w), kids)
 
 
 class NBallReport:

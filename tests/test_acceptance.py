@@ -31,7 +31,7 @@ import random
 import pytest
 
 from conftest import lemma_split_contraction_check, random_reduced_word
-from grigorchuk import cubic, reports, words, wreath
+from grigorchuk import cubic, permgrp, reports, words, wreath
 from grigorchuk.cubic import compare_power_to_int, radius_index
 from grigorchuk.reports import (
     check_core_lemma_corpus,
@@ -313,6 +313,21 @@ def test_criterion_08_core_lemma():
         f"{len(corpus.witnesses['violations'])} violations; "
         f"A4 core index {sharp.witnesses['core_index']}",
     )
+
+
+def test_negative_control_core_lemma_corpus_lists_each_violation(monkeypatch):
+    """A core lemma that fails every applicable pair fails the corpus check,
+    which lists each pair as a violation."""
+    real = permgrp.check_core_lemma
+
+    def failing(G, H):
+        rep = real(G, H)
+        return rep._replace(passed=False) if rep.applicable else rep
+
+    monkeypatch.setattr(permgrp, "check_core_lemma", failing)
+    corpus, _sharp = check_core_lemma_corpus()
+    assert corpus.status == "fail"
+    assert len(corpus.witnesses["violations"]) == corpus.witnesses["applicable_pairs"] > 0
 
 
 def test_criterion_09_growth_cross_validation():

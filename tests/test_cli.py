@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grigorchuk import cli, presentations, reports
+from grigorchuk import cli, growth, presentations, reports
 from grigorchuk.cli import main
 from grigorchuk.cubic import WEIGHT, CubicNumber
 from grigorchuk.words import format_word, iter_ball_free
@@ -104,6 +104,27 @@ def test_ball_cap_exit_3(capsys):
     assert code == 3
     assert out == ""
     assert "(partial: 50)" in err
+
+
+def test_ball_cap_walks_no_word(capsys, monkeypatch):
+    """The cap is decided from the ball's size: the 40-ball has over 10^10
+    words, and no word is walked to find it over a cap of 10^8."""
+
+    def walk(n):
+        raise AssertionError("the cap walked the ball")
+
+    monkeypatch.setattr(cli, "iter_ball_free", walk)
+    code, out, _err = run(capsys, "ball", "40", "--cap", "100000000")
+    assert code == 3
+    assert out == ""
+
+
+def test_ball_cap_exits_3_exactly_when_the_ball_is_larger(capsys):
+    balls = [growth.ball_free_product(k) for k in range(13)]
+    for n in range(13):
+        for cap in sorted({b + d for b in balls[: n + 1] for d in (-1, 0, 1)} - {0}):
+            code, out, _err = run(capsys, "ball", str(n), "--cap", str(cap))
+            assert (code, out == "") == ((3, True) if balls[n] > cap else (0, False)), (n, cap)
 
 
 class _Enough(Exception):

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -85,9 +86,13 @@ def test_distributivity(x, y, z):
 
 
 @given(cubics)
+@example(CubicNumber(0))
 def test_inverse(x):
     if x != CubicNumber(0):
         assert x * x.inverse() == CubicNumber(1)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
 
 
 @given(cubics, cubics)
@@ -294,6 +299,7 @@ def test_hash_agrees_with_equality():
     assert Fraction(1, 2) in {CubicNumber(Fraction(1, 2))}
     assert CubicNumber(Fraction(6, 4), 0, 0) in {Fraction(3, 2)}
     assert hash(LAMBDA * LAMBDA_INV) == hash(1)
+    assert hash(LAMBDA) == hash(LAMBDA * 1) != hash(LAMBDA_INV)
 
 
 def test_floats_are_rejected():
@@ -446,6 +452,13 @@ def test_enclosure_contains_value():
     assert hi - lo <= Fraction(2, 10**9)
 
 
+def test_enclosure_narrower_than_64_bits():
+    # L's 64-bit bounds are too wide for a width of 2^-80, so they double
+    lo, hi = LAMBDA.enclosure(Fraction(1, 2**80))
+    assert CubicNumber(lo) <= LAMBDA <= CubicNumber(hi)
+    assert hi - lo < Fraction(1, 2**80)
+
+
 def test_radius_index_rejects_zero():
     # a plain int in range skips check_int; everything else still meets it
     with pytest.raises(ValueError, match="^radius must be >= 1$"):
@@ -508,6 +521,21 @@ def test_radius_index_reads_two_thresholds_per_n(monkeypatch):
     for n in range(1, 10_001):
         radius_index(n)
     assert len(calls) == 2 * 10_000 - 1
+
+
+@pytest.mark.parametrize("scale", [0.97, 1.03])
+def test_radius_index_corrects_a_wrong_guess(monkeypatch, scale):
+    """With log(L) 3 % off, the float guess is wrong for most n, too high
+    (0.97) or too low (1.03), and the correcting loops alone make i(n) the
+    m with T_(m+1) <= n < T_(m+2) over the thresholds T_k = ceil(L^k), for
+    n = 1..10 000 and at both ends of each threshold interval up to 10^6."""
+    thresholds = [cubic._power_ceiling(0)]
+    while thresholds[-1] <= 10**6:
+        thresholds.append(cubic._power_ceiling(len(thresholds)))
+    edges = sorted({n for t in thresholds for n in (t - 1, t) if 10_000 < n <= 10**6})
+    ns = [*range(1, 10_001), *edges]
+    monkeypatch.setattr(cubic, "_LOG_LAMBDA", cubic._LOG_LAMBDA * scale)
+    assert [radius_index(n) for n in ns] == [bisect_right(thresholds, n) - 2 for n in ns]
 
 
 @given(cubics, st.integers(min_value=-(10**12), max_value=10**12))

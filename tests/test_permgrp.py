@@ -93,8 +93,9 @@ def test_closure_cap():
         (lambda: cyclic(0), "n must be >= 1"),
         (lambda: closure([], degree=-1), "degree must be >= 0"),
         (lambda: closure([(1, 0)], cap=0), "cap must be >= 1"),
+        (lambda: closure([]), "need generators or an explicit degree"),
     ],
-    ids=["dihedral-2", "cyclic-0", "degree-negative", "cap-0"],
+    ids=["dihedral-2", "cyclic-0", "degree-negative", "cap-0", "no-generators"],
 )
 def test_degenerate_sizes_are_rejected(build, message):
     """dihedral(2) would have order 2, not 4, and closure([], degree=-1) a
@@ -107,6 +108,12 @@ def test_index_and_normality():
     G = dihedral(4)
     rot = closure([from_cycles(4, [(0, 1, 2, 3)])])
     assert index(G, rot) == 2
+
+
+def test_index_rejects_a_non_subgroup():
+    rot = closure([from_cycles(4, [(0, 1, 2, 3)])])
+    with pytest.raises(ValueError, match="not a subgroup"):
+        index(rot, dihedral(4))
 
 
 def test_core_of_normal_subgroup_is_itself():
@@ -132,6 +139,15 @@ def test_core_lemma_a4_inapplicable():
     assert "normalizer" in rep.reason
 
 
+def test_core_lemma_needs_a_two_power_index():
+    G = alternating_4()
+    V4 = closure([from_cycles(4, [(0, 1), (2, 3)]), from_cycles(4, [(0, 2), (1, 3)])])
+    rep = check_core_lemma(G, V4)
+    assert (rep.applicable, rep.reason, rep.index_h, rep.passed) == (
+        False, "index is not a 2-power", 3, None
+    )
+
+
 def test_core_lemma_index2_subgroups():
     G = z2_times_d8()
     for H in enumerate_subgroups(G):
@@ -152,6 +168,21 @@ def test_core_lemma_corpus_has_no_violations():
 def test_subgroup_counts():
     assert len(enumerate_subgroups(direct_product(cyclic(2), cyclic(2)))) == 5
     assert len(enumerate_subgroups(dihedral(4))) == 10
+
+
+def test_subgroup_enumeration_is_limited_to_order_64():
+    S5 = closure([from_cycles(5, [(0, 1, 2, 3, 4)]), from_cycles(5, [(0, 1)])])
+    assert S5.order == 120
+    with pytest.raises(ValueError, match="limited to"):
+        enumerate_subgroups(S5)
+
+
+def test_subgroup_cap(monkeypatch):
+    # D8 has 10 subgroups, 7 of them cyclic seeds: the first join is over a cap of 7
+    monkeypatch.setattr(permgrp, "_SUBGROUP_CAP", 7)
+    with pytest.raises(CapExceeded, match="subgroup cap") as exc:
+        enumerate_subgroups(dihedral(4))
+    assert exc.value.partial == 8
 
 
 # (count, sha256 of repr([(S.generators, S.elements) for S in subgroups]))

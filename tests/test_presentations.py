@@ -111,6 +111,16 @@ def test_presentation_text_roundtrip():
     assert "rel: adadadad" in p.to_text()
 
 
+def test_presentation_text_skips_blank_and_comment_lines():
+    text = "# level 1\n\ngens: a b c d\n  \nrel: aa\n# end\n"
+    assert Presentation.from_text(text) == Presentation.from_strings("abcd", ["aa"])
+
+
+def test_presentation_rejects_an_empty_relator():
+    with pytest.raises(ValueError, match="empty relator"):
+        Presentation(("a",), ((),))
+
+
 def test_presentation_text_rejects_garbage():
     with pytest.raises(ValueError):
         Presentation.from_text("rel: ab\n")  # no gens line

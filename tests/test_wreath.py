@@ -180,6 +180,13 @@ def test_order_matches_squaring_oracle():
         assert order(w) == order_by_squaring(w)
 
 
+def test_squaring_oracle_cap(monkeypatch):
+    # ab has order 16, so squaring passes a cap of 8
+    monkeypatch.setattr(wreath, "_SQUARING_CAP", 8)
+    with pytest.raises(CapExceeded, match="order cap 8"):
+        order_by_squaring("ab")
+
+
 @given(reduced_words(max_size=8))
 @settings(max_examples=40)
 def test_order_power_is_trivial(w):
