@@ -26,7 +26,7 @@ from .cosets import (
     todd_coxeter,
 )
 from .cubic import lambda_length, radius_index
-from .errors import CapExceeded, GrigError, WordParseError, check_int
+from .errors import CapExceeded, GrigError, check_int
 from .words import format_word, iter_ball_free, min_conjugate, parse_word
 from .wreath import certify_torsion, order, split, verify_nball_proposition
 
@@ -70,12 +70,7 @@ def cmd_order(args) -> int:
 
 
 def cmd_split(args) -> int:
-    w = parse_word(args.word)
-    if wreath.a_parity(w) != 0:
-        print(f"error: {format_word(w)} is active (odd number of a's); "
-              "split applies to its square or to w*a", file=sys.stderr)
-        return EXIT_USAGE
-    w0, w1 = split(w)
+    w0, w1 = split(parse_word(args.word))
     print(format_word(w0), format_word(w1))
     return EXIT_OK
 
@@ -334,9 +329,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except WordParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except CapExceeded as exc:
         print(f"error: {exc} (partial: {exc.partial})", file=sys.stderr)
         return EXIT_CAP

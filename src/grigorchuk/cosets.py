@@ -34,7 +34,9 @@ class CosetTable:
     ``rows[c][2*g]`` is the coset reached from ``c`` by generator ``g``,
     ``rows[c][2*g+1]`` the one reached by its inverse.  For involutory
     generators the two columns coincide.  An overflowed table marks the
-    entries it never defined -1.
+    entries it never defined -1.  Anything else (no row, a row that is not
+    one entry per column, an entry that is neither a coset nor such a -1, a
+    foreign subgroup word) raises ValueError, and a wrong type TypeError.
     """
 
     def __init__(
@@ -44,6 +46,20 @@ class CosetTable:
         rows: list[list[int]],
         status: str,
     ):
+        check_type(presentation, Presentation, "presentation")
+        check_words(presentation.generators, subgroup_words, "subgroup word")
+        index = len(rows)  # rows that have no len raise TypeError
+        if index == 0:
+            raise ValueError("a coset table has at least the coset 0")
+        width = 2 * len(presentation.generators)
+        least = 0 if status == "complete" else -1
+        for row in rows:
+            if len(row) != width:
+                raise ValueError(f"a row has {len(row)} entries, not one per column ({width})")
+            for v in row:
+                check_int(v, "coset table entry")
+                if not least <= v < index:
+                    raise ValueError(f"coset table entry {v} is outside {least}..{index - 1}")
         self.presentation = presentation
         self.subgroup_words = subgroup_words
         self.rows = rows
@@ -316,6 +332,8 @@ def reidemeister_schreier(presentation: Presentation, table: CosetTable) -> Pres
     check_type(table, CosetTable, "table")
     if table.status != "complete":
         raise ValueError("coset table is not complete")
+    if table.presentation.generators != presentation.generators:
+        raise ValueError("the table enumerates cosets over other generators")
     tree = _schreier_tree(table)
     tree_edges = set()
     for d, (c, col) in tree.items():
@@ -344,7 +362,8 @@ def reidemeister_schreier(presentation: Presentation, table: CosetTable) -> Pres
                     # the inverse step crosses the forward edge (d, col - 1)
                     out.append((gen_name[(d, col - 1)], -1))
             c = d
-        assert c == start
+        if c != start:
+            raise ValueError(f"the table does not close a relator at coset {start}")
         # free cancellation
         stack: list[tuple[str, int]] = []
         for item in out:

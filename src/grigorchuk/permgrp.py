@@ -161,16 +161,15 @@ def _as_group(G: PermGroup, elements) -> PermGroup:
 
 def _check_subgroup(G: PermGroup, H: PermGroup) -> None:
     """TypeError unless G and H are PermGroups, and ValueError unless H is
-    a subgroup of G."""
+    a subset of G whose order divides |G|."""
     check_type(G, PermGroup, "G")
     check_type(H, PermGroup, "H")
-    if not H.is_subgroup_of(G):
+    if not H.is_subgroup_of(G) or not H.order or G.order % H.order:
         raise ValueError("H is not a subgroup of G")
 
 
 def index(G: PermGroup, H: PermGroup) -> int:
     _check_subgroup(G, H)
-    assert G.order % H.order == 0
     return G.order // H.order
 
 

@@ -152,22 +152,20 @@ def min_conjugate(w: str) -> str:
 
     A cyclically reduced word of length >= 2 alternates a with a letter of
     {b, c, d}, so its least rotation starts with a and is fixed by the least
-    rotation r of the inactive letters s: it is "a" + "a".join(r).  Only the
-    rotations of s that start at min(s) are candidates, compared one at a
-    time; when min(s) occurs once, its rotation is r.  A word that is not
-    reduced raises PreconditionError.
+    rotation of the inactive letters s.  s is q copies of its least period
+    u, the prefix of s up to the first index > 0 where s occurs in s + s,
+    so the least rotation of s is r * q, for r the least rotation of u; the
+    candidates for r start at min(u) and are compared one at a time, so a
+    periodic word costs one period.  Unreduced words raise PreconditionError.
     """
     w = cyclically_reduce(w)
     if len(w) <= 1:
         return w
     s = w[1::2] if w[0] == "a" else w[::2]
-    first = min(s)
-    i = s.find(first)
-    if s.find(first, i + 1) < 0:
-        r = s[i:] + s[:i]
-    else:
-        r = min(s[i:] + s[:i] for i, ch in enumerate(s) if ch == first)
-    return "a" + "a".join(r)
+    u = s[: (s + s).find(s, 1)]
+    first = min(u)
+    r = min(u[i:] + u[:i] for i, ch in enumerate(u) if ch == first)
+    return "a" + "a".join(r * (len(s) // len(u)))
 
 
 def iter_ball_free(n: int):

@@ -80,7 +80,9 @@ def split(w: str) -> tuple[str, str]:
     """Subtree components (w0, w1) of a parity-0 word, reduced first."""
     w = reduce_word(w)
     if a_parity(w) != 0:
-        raise PreconditionError(f"split needs an even number of a's: {w!r}")
+        raise PreconditionError(
+            f"{format_word(w)} is active (odd number of a's); split applies to its square or to w*a"
+        )
     return _split_reduced(w)
 
 
@@ -174,10 +176,17 @@ def _word_action(w: str, k: int) -> tuple[int, ...]:
     return perm
 
 
+# the deepest level_action: each letter's action there is 2^16 cached ints
+MAX_DEPTH = 16
+
+
 def level_action(w: str, k: int) -> tuple[int, ...]:
     """Permutation induced by w on the 2^k vertices at depth k of the tree;
-    a depth that is not an int raises TypeError, one below 0 ValueError."""
+    a depth that is not an int raises TypeError, one below 0 or above
+    ``MAX_DEPTH`` ValueError."""
     check_int(k, "depth", 0)
+    if k > MAX_DEPTH:
+        raise ValueError(f"depth must be <= {MAX_DEPTH}, not {k}")
     return _word_action(reduce_word(w), k)
 
 
@@ -375,9 +384,9 @@ def certify_torsion(w: str, n: int):
     """Torsion certificate for w at approximant level n, or a failure report.
 
     The tree records each step of the ball argument (see ``_class_step``);
-    every node's exponent is the one ``certify_exponent`` gives it.  The
-    tree walks the children in ``certify_exponent``'s order, so its first
-    failure is the one that ``certify_exponent`` reports.
+    a node's exponent is its step's plus its children's greatest, as in
+    ``_class_exponent``, and the tree walks the children in that order, so
+    its first failure is the one that ``certify_exponent`` reports.
     """
     w = reduce_word(w)
     check_int(n, "level", -1)
@@ -390,9 +399,10 @@ def certify_torsion(w: str, n: int):
 
 def _certificate_tree(w: str, n: int) -> CertificateNode:
     m = _ball_class(w, n)
-    rule, _added, children = _class_step(m, n)
+    rule, added, children = _class_step(m, n)
     kids = tuple(_certificate_tree(c, n - 1) for c in children)
-    return CertificateNode(w, n, rule, _class_exponent(m, n)[0], lambda_length(w), kids)
+    exponent = added + max((kid.exponent for kid in kids), default=0)
+    return CertificateNode(w, n, rule, exponent, lambda_length(w), kids)
 
 
 class NBallReport:

@@ -1,3 +1,5 @@
+import contextlib
+import signal
 from dataclasses import dataclass
 
 from hypothesis import strategies as st
@@ -7,6 +9,23 @@ from grigorchuk.words import BCD, LETTERS, _letter_classes, a_parity, multiply, 
 from grigorchuk.wreath import split
 
 raw_words = st.text(alphabet=LETTERS, max_size=24)
+
+
+@contextlib.contextmanager
+def within(seconds: float, what: str):
+    """AssertionError, raised where the body is, once it has run for
+    ``seconds``: the body may be a call that never returns."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"{what} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @st.composite

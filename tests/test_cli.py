@@ -57,9 +57,9 @@ def test_split(capsys):
 
 
 def test_split_active_word_is_usage_error(capsys):
-    code, _, err = run(capsys, "split", "ab")
-    assert code == 2
-    assert "active" in err
+    code, out, err = run(capsys, "split", "ab")
+    assert (code, out) == (2, "")
+    assert err == "error: ab is active (odd number of a's); split applies to its square or to w*a\n"
 
 
 def test_certify_json(capsys):

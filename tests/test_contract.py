@@ -2,15 +2,14 @@
 returns, or raises GrigError, TypeError or ValueError, within a second."""
 
 import collections
-import contextlib
 import inspect
-import signal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grigorchuk
+from conftest import within
 from grigorchuk import (
     LAMBDA,
     CubicNumber,
@@ -102,28 +101,11 @@ def _calls(draw):
     return name, draw(st.lists(st.sampled_from(_VALUES), min_size=size, max_size=size))
 
 
-@contextlib.contextmanager
-def _within(seconds: float, what: str):
-    """AssertionError, raised where the body is, once it has run for
-    ``seconds``: the body may be a call that never returns."""
-
-    def expire(signum, frame):
-        raise AssertionError(f"{what} ran past {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @settings(max_examples=1000, deadline=None)
 @given(_calls())
 def test_public_calls_return_or_reject_within_a_second(call):
     name, args = call
-    with _within(1.0, f"{name}{tuple(args)!r}"):
+    with within(1.0, f"{name}{tuple(args)!r}"):
         try:
             result = _ENTRY_POINTS[name](*args)
             if inspect.isgenerator(result):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from grigorchuk import reports
 from grigorchuk.cosets import (
+    CosetTable,
     _columns,
     abelian_invariants,
     close_normally,
@@ -319,3 +320,51 @@ def test_trace_rejects_a_coset_off_the_table_or_a_foreign_letter(coset, word, er
     assert t.index == 4
     with pytest.raises(error):
         t.trace(coset, word)
+
+
+_V4 = Presentation.from_strings("ab", ["aa", "bb", "abab"])
+
+
+@pytest.mark.parametrize(
+    "presentation, subgroup_words, rows, status, error, message",
+    [
+        (None, (), [[0, 0, 0, 0]], "complete", TypeError, "presentation must be"),
+        (_V4, ((("x", 1),),), [[0, 0, 0, 0]], "complete", ValueError, "undeclared generator"),
+        (_V4, (), [], "complete", ValueError, "at least the coset 0"),
+        (_V4, (), [[0, 0, 0]], "complete", ValueError, "3 entries"),
+        (_V4, (), None, "complete", TypeError, "has no len"),
+        (_V4, (), [[0, 0, 0, 0.0]], "complete", TypeError, "entry must be an int"),
+        # verify() used to raise IndexError
+        (_V4, (), [[5, 5, 0, 0]], "complete", ValueError, "entry 5 is outside 0..0"),
+        # reidemeister_schreier used to raise KeyError (-1, 2)
+        (_V4, (), [[1, 1, -1, -1], [0, 0, 1, 1]], "complete", ValueError, "entry -1 is outside 0..1"),
+        (_V4, (), [[1, 1, -2, -2], [0, 0, 1, 1]], "overflowed", ValueError, "entry -2 is outside -1..1"),
+    ],
+    ids=[
+        "no-presentation",
+        "foreign-subgroup-word",
+        "no-rows",
+        "short-row",
+        "rows-none",
+        "float-entry",
+        "entry-off-the-table",
+        "undefined-entry-in-complete-table",
+        "entry-below-minus-one",
+    ],
+)
+def test_coset_table_rejects_rows_that_are_not_a_table(presentation, subgroup_words, rows, status, error, message):
+    with pytest.raises(error, match=message):
+        CosetTable(presentation, subgroup_words, rows, status)
+
+
+def test_reidemeister_schreier_rejects_a_table_that_does_not_close_the_relators():
+    # aa runs 0 -> 1 -> 1; this used to trip a bare assert
+    t = CosetTable(_V4, (), [[1, 1, 1, 1], [1, 1, 0, 0]], "complete")
+    with pytest.raises(ValueError, match="does not close a relator at coset 0"):
+        reidemeister_schreier(_V4, t)
+
+
+def test_reidemeister_schreier_rejects_a_table_over_other_generators():
+    # the columns of c and d are not in a table over a and b
+    with pytest.raises(ValueError, match="other generators"):
+        reidemeister_schreier(gamma_presentation(0), todd_coxeter(_V4))

@@ -116,6 +116,15 @@ def test_index_rejects_a_non_subgroup():
         index(rot, dihedral(4))
 
 
+@pytest.mark.parametrize("call", [index, check_core_lemma])
+@pytest.mark.parametrize("size", [3, 0])
+def test_a_subset_whose_order_does_not_divide_is_not_a_subgroup(call, size):
+    # three elements of Z/4 used to trip a bare assert in index
+    G = cyclic(4)
+    with pytest.raises(ValueError, match="not a subgroup"):
+        call(G, permgrp.PermGroup(4, (), G.elements[:size]))
+
+
 def test_core_of_normal_subgroup_is_itself():
     G = dihedral(4)
     rot = closure([from_cycles(4, [(0, 1, 2, 3)])])

@@ -4,7 +4,7 @@ from heapq import merge
 from itertools import islice, product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from conftest import (
     _bracelets,
@@ -13,6 +13,7 @@ from conftest import (
     iter_ball_classes,
     raw_words,
     reduced_words,
+    within,
 )
 from grigorchuk import cli, words, wreath
 from grigorchuk.errors import CapExceeded, PreconditionError, WordParseError
@@ -194,20 +195,41 @@ def _least_rotation(w):
     return min(c[i:] + c[:i] for i in range(max(len(c), 1)))
 
 
-def test_min_conjugate_is_least_rotation_on_14_ball():
+def test_min_conjugate_is_least_rotation_on_16_ball():
     # a canonical class key: the least rotation of the cyclic reduction
     count = 0
-    for w in iter_ball_free(14):
+    for w in iter_ball_free(16):
         assert min_conjugate(w) == _least_rotation(w), w
         count += 1
-    assert count == 10931
+    assert count == 32801
 
 
 @given(reduced_words(max_size=80))
+# powers u^k of a primitive u, some starting with a letter of {b, c, d}
+@example("ab" * 40)
+@example("abacad" * 13)
+@example("abacabad" * 10)
+@example("dacaba" * 13)
+# powers of a u that is itself a power: the least period is shorter than u
+@example(("abac" * 3) * 6)
+@example(("acabacad" * 2) * 4)
+@example(("dabaca" * 2) * 6)
 def test_min_conjugate_is_least_rotation(w):
     m = min_conjugate(w)
     assert m == _least_rotation(w)
     assert min_conjugate(m) == m
+
+
+@pytest.mark.parametrize(
+    "call, period, k",
+    [(min_conjugate, "ab", 10**6), (wreath.order, "ab", 10**5), (wreath.order, "abac", 80_000)],
+    ids=["min_conjugate-ab^1000000", "order-ab^100000", "order-abac^80000"],
+)
+def test_min_conjugate_is_linear_on_periodic_words(call, period, k):
+    """A periodic word costs one period: scanning the rotations of all of
+    it took seconds on each of these."""
+    with within(1.0, f"{call.__name__}({period!r} * {k})"):
+        call(period * k)
 
 
 def test_min_conjugate_memory_is_linear():

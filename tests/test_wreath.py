@@ -13,6 +13,7 @@ from conftest import (
     lemma_split_contraction_check,
     raw_words,
     reduced_words,
+    within,
 )
 from grigorchuk import wreath
 from grigorchuk.cubic import (
@@ -117,8 +118,11 @@ def test_split_conjugation_by_a_swaps_components(w):
 
 
 def test_split_rejects_active_words():
-    with pytest.raises(PreconditionError):
-        split("ab")
+    # the message, which grig split prints, names the reduced word
+    with pytest.raises(PreconditionError, match=r"^bab is active \(odd number of a's\); split applies to"):
+        split("bab")
+    with pytest.raises(PreconditionError, match="^ab is active"):
+        split("aaab")
 
 
 def test_split_rejects_bad_input_as_reduce_word_does():
@@ -210,6 +214,11 @@ def test_level_action_rejects_a_depth_that_is_not_an_int():
             level_action("ab", k)
     with pytest.raises(ValueError, match="depth must be >= 0"):
         level_action("ab", -1)
+    # each letter's action at depth k is 2^k ints: depth 20 took 318 MB
+    for k in (wreath.MAX_DEPTH + 1, 10**6):
+        with within(0.5, f"level_action at depth {k}"):
+            with pytest.raises(ValueError, match="depth must be <= 16, not"):
+                level_action("ab", k)
 
 
 @given(reduced_words(max_size=12), reduced_words(max_size=12))
@@ -340,6 +349,11 @@ def test_certificate_tree_agrees_with_certify_exponent():
                     continue
                 assert cert.exponent == expected[0]
                 assert (_tree_exponent(cert.root), _tree_depth(cert.root)) == expected
+                stack = [cert.root]
+                while stack:
+                    node = stack.pop()
+                    assert node.exponent == certify_exponent(node.word, node.level)[0]
+                    stack.extend(node.children)
     assert (pairs, failures) == (9704, 4158)
 
 
