@@ -384,20 +384,26 @@ def check_radius_index() -> Iterator[CheckReport]:
     ends T_k - 1, T_k of each threshold interval up to RADIUS_MAX, where a
     wrong comparison or threshold first shows.  L^k <= n iff the threshold
     T_k = ``cubic._power_ceiling(k)`` <= n, and each T_k is proved once,
-    exactly in Q(L) (L^k <= T_k < L^k + 1), so m = bisect_right(T, n) - 2
-    is the m with T_(m+1) <= n < T_(m+2), and nondecreasing in n.
-    """
+    exactly in Q(L) (L^k <= T_k < L^k + 1), so i(n) = k - 1 on T_k <= n <
+    T_(k+1), laid out bracket by bracket and compared in one pass; only a
+    failed comparison runs the scan by bisection that names the violations."""
     thresholds = [cubic._power_ceiling(0)]
     while thresholds[-1] <= RADIUS_MAX:
         thresholds.append(cubic._power_ceiling(len(thresholds)))
     exact = cubic.compare_power_to_int
     proved = [exact(k, t) <= 0 < exact(k, t - 1) for k, t in enumerate(thresholds)]
-    edges = {n for t in thresholds for n in (t - 1, t) if RADIUS_EXHAUSTIVE < n <= RADIUS_MAX}
+    edges = sorted({n for t in thresholds for n in (t - 1, t) if RADIUS_EXHAUSTIVE < n <= RADIUS_MAX})
+    points = [*range(1, RADIUS_EXHAUSTIVE + 1), *edges]
+    expected = []  # bracket k adds n = len(expected) + 1 .. T_(k+1) - 1, to RADIUS_EXHAUSTIVE
+    for k, t in enumerate(thresholds[1:]):
+        expected += [k - 1] * (min(t, RADIUS_EXHAUSTIVE + 1) - 1 - len(expected))
+    expected += [bisect_right(thresholds, n) - 2 for n in edges]
     bad = []
-    for n in [*range(1, RADIUS_EXHAUSTIVE + 1), *sorted(edges)]:
-        m = bisect_right(thresholds, n) - 2
-        if not (proved[m + 1] and proved[m + 2]) or cubic.radius_index(n) != m:
-            bad.append(n)
+    if not all(proved) or list(map(cubic.radius_index, points)) != expected:
+        for n in points:
+            m = bisect_right(thresholds, n) - 2
+            if not (proved[m + 1] and proved[m + 2]) or cubic.radius_index(n) != m:
+                bad.append(n)
     lo, hi = cubic.log_lambda_enclosure(4)
     rounded_660 = lo >= Fraction(6595, 1000) and hi <= Fraction(6605, 1000)
     yield CheckReport(

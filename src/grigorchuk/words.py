@@ -125,14 +125,23 @@ def format_word(w: str) -> str:
     return w if w else "1"
 
 
-def cyclically_reduce(w: str) -> str:
-    """Cyclic reduction of a reduced word w; a word that is not reduced
-    raises PreconditionError.  The matching ends that cancel are the common
-    prefix of w and its reverse, stripped by one slice; if both ends left
-    are letters of {b, c, d}, conjugating by the last one merges it into
-    the first, and the merged letter then meets an a."""
+def _checked(w) -> str:
+    """w, once it is a str (else TypeError) and reduced (else PreconditionError)."""
+    check_type(w, str, "word")
     if not is_reduced(w):
         raise PreconditionError(f"cyclic reduction needs a reduced word: {w!r}")
+    return w
+
+
+def cyclically_reduce(w: str) -> str:
+    """Cyclic reduction of a reduced word w (``_checked``).  The matching
+    ends that cancel, the common prefix of w and its reverse, go in one
+    slice; if both ends left are letters of {b, c, d}, conjugating by the
+    last one merges it into the first, which then meets an a."""
+    return _cyclically_reduce(_checked(w))
+
+
+def _cyclically_reduce(w: str) -> str:
     n, i = len(w), 0
     while 2 * i + 2 <= n and w[i] == w[n - 1 - i]:
         i += 1
@@ -143,22 +152,24 @@ def cyclically_reduce(w: str) -> str:
 
 
 def min_conjugate(w: str) -> str:
-    """Conjugate of minimal weighted length, deterministically chosen.
+    """The conjugate of minimal weighted length of a reduced word w
+    (``_checked``).  In a free product those are the cyclic rotations of the
+    cyclic reduction, which tie in weighted and in word length (they permute
+    the same letters); the least in lexicographic order (a < b < c < d) is
+    chosen."""
+    return _min_conjugate(_checked(w))
 
-    Minimal conjugates in a free product are the cyclic rotations of the
-    cyclic reduction.  Rotations permute the same letter multiset, so they
-    tie in weighted length and in word length; the lexicographic tie-break
-    (a < b < c < d) picks the representative.
 
-    A cyclically reduced word of length >= 2 alternates a with a letter of
-    {b, c, d}, so its least rotation starts with a and is fixed by the least
-    rotation of the inactive letters s.  s is q copies of its least period
-    u, the prefix of s up to the first index > 0 where s occurs in s + s,
-    so the least rotation of s is r * q, for r the least rotation of u; the
-    candidates for r start at min(u) and are compared one at a time, so a
-    periodic word costs one period.  Unreduced words raise PreconditionError.
-    """
-    w = cyclically_reduce(w)
+def _min_conjugate(w: str) -> str:
+    """``min_conjugate`` of a word w that is already reduced.  A cyclically
+    reduced word of length >= 2 alternates a with a letter of {b, c, d}, so
+    its least rotation starts with a and is fixed by the least rotation of
+    the inactive letters s.  s is q copies of its least period u, the prefix
+    of s up to the first index > 0 where s occurs in s + s, so the least
+    rotation of s is r * q, for r the least rotation of u; the candidates
+    for r start at min(u) and are compared one at a time, so a periodic word
+    costs one period."""
+    w = _cyclically_reduce(w)
     if len(w) <= 1:
         return w
     s = w[1::2] if w[0] == "a" else w[::2]

@@ -17,8 +17,8 @@ The memos are ``functools.cache`` on pure functions (``_is_trivial``,
 ``_order``, ``_letter_action``, ``_in_open_ball``, ``_class_exponent``,
 and ``_section_table`` of ``_SPLIT_IMAGE``), each with ``cache_info()``
 and ``cache_clear()``.  A write to ``_SPLIT_IMAGE`` clears every memo
-derived from it.  Each exhaustive sweep also keeps its child steps in a
-``functools.cache`` of its own, dropped when the sweep returns.
+derived from it.  Each exhaustive sweep also keeps its child steps,
+``_certify``, in a ``functools.cache`` of its own, dropped when it returns.
 """
 
 from __future__ import annotations
@@ -35,19 +35,20 @@ from .cubic import (
     triple_compare_power,
     triple_sign,
 )
-from .errors import CapExceeded, GrigError, PreconditionError, check_int, check_type
+from .errors import CapExceeded, GrigError, PreconditionError, check_int
 from .permgrp import pmul
 from .words import (
     BCD,
     NUCLEUS,
     _bracelet_walk,
+    _checked,
     _join,
     _letter_classes,
+    _min_conjugate,
     _rotation_words,
     a_parity,
     format_word,
     iter_ball_free,
-    min_conjugate,
     reduce_word,
 )
 
@@ -136,7 +137,7 @@ def _is_trivial(w: str) -> bool:
 
 def order(w: str) -> int:
     """Exact order (a power of two) of the image of w in the limit group."""
-    return _order(min_conjugate(reduce_word(w)))
+    return _order(_min_conjugate(reduce_word(w)))
 
 
 @functools.cache
@@ -150,7 +151,7 @@ def _order(m: str) -> int:
     _rule, added, children = _class_step(m, 1)
     t = length_triple(m)
     result = 1
-    for k in map(min_conjugate, children):
+    for k in map(_min_conjugate, children):
         if triple_sign(*(x - y for x, y in zip(length_triple(k), t))) >= 0:
             raise CapExceeded(f"order recursion guard tripped at {m!r}", partial=(m, k))
         result = max(result, _order(k))
@@ -313,14 +314,14 @@ def _ball_class(w: str, n: int) -> str:
     checked n.
     """
     if n <= 0:
-        m = min_conjugate(w)
+        m = _min_conjugate(w)
         if m not in _BASE_EXPONENT or (n == -1 and m not in NUCLEUS):
             bound = "L^-1" if n == 0 else "L^-2"
             raise RadiusViolation(CertificateFailure(w, n, lambda_length(w), bound))
         return m
     if not _in_open_ball(w.count("a"), w.count("b"), w.count("c"), w.count("d"), n - 1):
         raise RadiusViolation(CertificateFailure(w, n, lambda_length(w), f"L^{n - 1}"))
-    return min_conjugate(w)
+    return _min_conjugate(w)
 
 
 def _class_step(m: str, n: int) -> tuple[str, int, tuple[str, ...]]:
@@ -347,25 +348,21 @@ def _class_step(m: str, n: int) -> tuple[str, int, tuple[str, ...]]:
 
 def certify_exponent(w: str, n: int) -> tuple[int, int]:
     """(exponent, tree depth) of the certificate for the reduced word w at
-    level n; the order of w divides 2**exponent at this level.
-
-    The radius test runs on w's letter counts (cached by ``_in_open_ball``);
-    everything after it depends only on the minimal conjugate m of w, so
-    ``_class_exponent`` caches it under (m, n), once per conjugacy class.
-
-    Raises RadiusViolation, whose ``failure`` is the CertificateFailure
-    that ``certify_torsion`` returns for the same input, TypeError for a
-    word that is not a str or a level that is not an int, and ValueError
-    for levels below -1, the last level the ball argument defines.
-    """
+    level n; the order of w divides 2**exponent at this level.  A word that
+    is not a str or a level that is not an int raises TypeError, a word that
+    is not reduced PreconditionError, and a level below -1, the last level
+    the ball argument defines, ValueError; then ``_certify`` runs."""
     if type(n) is not int or n < -1:
         check_int(n, "level", -1)
-    try:
-        m = _ball_class(w, n)
-    except AttributeError:
-        check_type(w, str, "word")
-        raise
-    return _class_exponent(m, n)
+    return _certify(_checked(w), n)
+
+
+def _certify(w: str, n: int) -> tuple[int, int]:
+    """The child step, ``certify_exponent`` unchecked: the radius test on
+    w's letter counts (``_in_open_ball``), whose RadiusViolation carries the
+    failure ``certify_torsion`` returns, then the class of the minimal
+    conjugate m of w, cached by ``_class_exponent`` under (m, n)."""
+    return _class_exponent(_ball_class(w, n), n)
 
 
 @functools.cache
@@ -374,7 +371,7 @@ def _class_exponent(m: str, n: int) -> tuple[int, int]:
     _rule, added, children = _class_step(m, n)
     exponent = depth = 0
     for child in children:
-        e, d = certify_exponent(child, n - 1)
+        e, d = _certify(child, n - 1)
         exponent = max(exponent, e)
         depth = max(depth, d)
     return exponent + added, depth + 1
@@ -509,28 +506,24 @@ def _class_sweep(n: int, level: int) -> NBallReport | None:
     distinct piece of work runs once per sweep.  The walk reads the
     sections of ``_SPLIT_IMAGE`` when the sweep starts and hands each
     bracelet r over with the reduced sides (s0, s1) of m = "a" + "a".join(r),
-    built one letter at a time along the prenecklace tree, so no m is built
-    or split.  For k = len(r) even they are the children of
-    ``_class_step(m, n)``; for k odd the one child, side 0 of m.m, is s0
-    joined with s1, since the second copy of r has the opposite a-parity
-    (one more factor of two).  The child step ``certify_exponent(child,
-    level - 1)`` is kept per child word in a ``functools.cache`` that lives
-    as long as the call; a child that fails ends the sweep and is never
-    kept.  A class's
-    words are counted by ``_rotation_words`` and added up by (exponent,
-    depth), so the report is filled once per pair at the end.
+    so no m is built or split.  For k = len(r) even they are the children
+    of ``_class_step(m, n)``; for k odd the one child, side 0 of m.m, is s0
+    joined with s1 (the second copy of r has the opposite a-parity), and
+    one more factor of two.  The children are built reduced, so the child
+    step is the kernel ``_certify(child, level - 1)``, kept per child word
+    in a ``functools.cache`` that lives as long as the call; a child that
+    fails ends the sweep and is never kept.  A class's words are counted by
+    ``_rotation_words`` and added up by (exponent, depth).
     """
     if level <= 0 or not _in_open_ball(n // 2, (n + 1) // 2, 0, 0, level - 1):
         return None
     sections = {x: tuple(map(reduce_word, _SPLIT_IMAGE[x])) for x in BCD}
     per_rotation = [_rotation_words(n, k) for k in range(n // 2 + 1)]
-    certified = functools.cache(functools.partial(certify_exponent, n=level - 1))
+    certified = functools.cache(functools.partial(_certify, n=level - 1))
     counts = {}  # (exponent, depth) -> words certified with them
     try:
         for m, words in _letter_classes(n):
-            # a letter has no children
-            _rule, added, _kids = _class_step(m, level)
-            key = (added, 1)
+            key = (_class_step(m, level)[1], 1)  # a letter has no children
             counts[key] = counts.get(key, 0) + words
         for r, p, self_inverse, s0, s1 in _bracelet_walk(n, sections):
             k = len(r)

@@ -362,6 +362,18 @@ def test_negative_control_radius_index_one_off(monkeypatch):
     assert rep.witnesses["violations"] == list(range(1, 11))
 
 
+def test_radius_index_check_evaluates_each_point_once(monkeypatch):
+    """A passing check compares its RADIUS_EXHAUSTIVE + 44 points in one
+    pass: a level list that disagreed with a correct radius_index would
+    still pass through the fallback scan, but pay for every point twice."""
+    real = cubic.radius_index
+    points = []
+    monkeypatch.setattr(cubic, "radius_index", lambda n: points.append(n) or real(n))
+    (rep,) = check_radius_index()
+    assert rep.status == "pass"
+    assert len(points) == len(set(points)) == reports.RADIUS_EXHAUSTIVE + 44 == 10_044
+
+
 def test_radius_edge_beyond_exhaustive_is_checked(monkeypatch):
     """i(n) + 1 at the single n = T_60 = ceil(L^60) = 297 626, far past the
     exhaustive range, fails: every threshold's two ends are checked up to

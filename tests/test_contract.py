@@ -31,6 +31,7 @@ from grigorchuk import (
     wreath,
 )
 from grigorchuk.cosets import close_normally, maps_onto, quotient_group
+from grigorchuk.errors import PreconditionError
 
 # modules without an ``__all__``: every public callable defined in them is drawn
 _MODULES = (words, wreath, growth, permgrp, presentations, cosets, snf)
@@ -141,6 +142,10 @@ def test_public_calls_return_or_reject_within_a_second(call):
         (cosets.relation_matrix, (None,)),
         (snf.smith_normal_form, (b"ab",)),
         (permgrp.cyclic(2).is_subgroup_of, (None,)),
+        (words.min_conjugate, (None,)),
+        (words.min_conjugate, (b"ab",)),
+        (words.cyclically_reduce, (None,)),
+        (words.cyclically_reduce, (b"ab",)),
     ],
     ids=lambda v: v.__name__ if callable(v) else None,
 )
@@ -149,6 +154,35 @@ def test_an_argument_of_the_wrong_type_is_a_type_error(fn, args):
     type is named in a TypeError before it is used."""
     with pytest.raises(TypeError, match="must be a"):
         fn(*args)
+
+
+@pytest.mark.parametrize(
+    "fn, args, outcome",
+    [
+        (wreath.certify_exponent, ("aa", 3), PreconditionError),
+        (wreath.certify_exponent, ("abx", 3), PreconditionError),
+        (wreath.certify_exponent, ("ab" * 40, 3), wreath.RadiusViolation),
+        (wreath.certify_exponent, (None, 3), TypeError),
+        (wreath.certify_exponent, ("ab", True), TypeError),
+        (wreath.certify_exponent, ("ab", 0), wreath.RadiusViolation),
+        # unreduced and outside the L^2-ball: the word is checked first
+        (wreath.certify_exponent, ("aa" * 40, 3), PreconditionError),
+        (wreath.certify_exponent, ("abx" * 40, 3), PreconditionError),
+        (words.min_conjugate, ("dad",), "a"),
+        (words.min_conjugate, ("cabac",), "b"),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else None,
+)
+def test_the_word_entry_points_raise_and_return_as_pinned(fn, args, outcome):
+    """The public checks in front of the certification and conjugation
+    kernels: an argument of the wrong type is a TypeError, a word that is
+    not reduced a PreconditionError, whatever its length, and only then is
+    the radius tested."""
+    if isinstance(outcome, type):
+        with pytest.raises(outcome):
+            fn(*args)
+    else:
+        assert fn(*args) == outcome
 
 
 @pytest.mark.parametrize(

@@ -470,10 +470,11 @@ def test_sweep_sides_are_the_class_step_children(monkeypatch):
 
 
 def test_sweep_certifies_each_child_word_once(monkeypatch):
-    # 9 123 children of the 5 301 classes, 1 003 of them distinct words
+    # 9 123 children of the 5 301 classes, 1 003 of them distinct words,
+    # each given once to the child step ``_certify``
     level = radius_index(20)
     children = []
-    real_certify = wreath.certify_exponent
+    real_certify = wreath._certify
 
     def certify(w, n):
         if n == level - 1:
@@ -482,7 +483,7 @@ def test_sweep_certifies_each_child_word_once(monkeypatch):
 
     wreath._class_exponent.cache_clear()
     top = _record_sweep_steps(monkeypatch, level)
-    monkeypatch.setattr(wreath, "certify_exponent", certify)
+    monkeypatch.setattr(wreath, "_certify", certify)
     assert verify_nball_proposition(20).ok
     assert len(top) == 5301
     assert len(children) == len(set(children)) == 1003
