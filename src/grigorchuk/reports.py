@@ -385,8 +385,10 @@ def check_radius_index() -> Iterator[CheckReport]:
     wrong comparison or threshold first shows.  L^k <= n iff the threshold
     T_k = ``cubic._power_ceiling(k)`` <= n, and each T_k is proved once,
     exactly in Q(L) (L^k <= T_k < L^k + 1), so i(n) = k - 1 on T_k <= n <
-    T_(k+1), laid out bracket by bracket and compared in one pass; only a
-    failed comparison runs the scan by bisection that names the violations."""
+    T_(k+1), laid out bracket by bracket and compared with every i(n) in
+    one pass; only a failed comparison walks the points to name the
+    violations.
+    """
     thresholds = [cubic._power_ceiling(0)]
     while thresholds[-1] <= RADIUS_MAX:
         thresholds.append(cubic._power_ceiling(len(thresholds)))
@@ -398,12 +400,10 @@ def check_radius_index() -> Iterator[CheckReport]:
     for k, t in enumerate(thresholds[1:]):
         expected += [k - 1] * (min(t, RADIUS_EXHAUSTIVE + 1) - 1 - len(expected))
     expected += [bisect_right(thresholds, n) - 2 for n in edges]
+    got = list(map(cubic.radius_index, points))
     bad = []
-    if not all(proved) or list(map(cubic.radius_index, points)) != expected:
-        for n in points:
-            m = bisect_right(thresholds, n) - 2
-            if not (proved[m + 1] and proved[m + 2]) or cubic.radius_index(n) != m:
-                bad.append(n)
+    if not all(proved) or got != expected:
+        bad = [n for n, m, g in zip(points, expected, got) if g != m or not (proved[m + 1] and proved[m + 2])]
     lo, hi = cubic.log_lambda_enclosure(4)
     rounded_660 = lo >= Fraction(6595, 1000) and hi <= Fraction(6605, 1000)
     yield CheckReport(

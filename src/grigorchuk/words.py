@@ -134,14 +134,16 @@ def _checked(w) -> str:
 
 
 def cyclically_reduce(w: str) -> str:
-    """Cyclic reduction of a reduced word w (``_checked``).  The matching
-    ends that cancel, the common prefix of w and its reverse, go in one
+    """Cyclic reduction of a reduced word w; a non-str raises TypeError, and
+    a word that is not reduced PreconditionError.  The matching ends that
+    cancel are the common prefix of w and its reverse, stripped by one
     slice; if both ends left are letters of {b, c, d}, conjugating by the
-    last one merges it into the first, which then meets an a."""
+    last one merges it into the first, and the merged letter then meets an a."""
     return _cyclically_reduce(_checked(w))
 
 
 def _cyclically_reduce(w: str) -> str:
+    """``cyclically_reduce`` of a word known to be reduced, unchecked."""
     n, i = len(w), 0
     while 2 * i + 2 <= n and w[i] == w[n - 1 - i]:
         i += 1
@@ -152,23 +154,27 @@ def _cyclically_reduce(w: str) -> str:
 
 
 def min_conjugate(w: str) -> str:
-    """The conjugate of minimal weighted length of a reduced word w
-    (``_checked``).  In a free product those are the cyclic rotations of the
-    cyclic reduction, which tie in weighted and in word length (they permute
-    the same letters); the least in lexicographic order (a < b < c < d) is
-    chosen."""
+    """Conjugate of minimal weighted length, deterministically chosen.
+
+    Minimal conjugates in a free product are the cyclic rotations of the
+    cyclic reduction.  Rotations permute the same letter multiset, so they
+    tie in weighted length and in word length; the lexicographic tie-break
+    (a < b < c < d) picks the representative.
+
+    A cyclically reduced word of length >= 2 alternates a with a letter of
+    {b, c, d}, so its least rotation starts with a and is fixed by the least
+    rotation of the inactive letters s.  s is q copies of its least period
+    u, the prefix of s up to the first index > 0 where s occurs in s + s,
+    so the least rotation of s is r * q, for r the least rotation of u; the
+    candidates for r start at min(u) and are compared one at a time, so a
+    periodic word costs one period.  A non-str raises TypeError, and a word
+    that is not reduced PreconditionError.
+    """
     return _min_conjugate(_checked(w))
 
 
 def _min_conjugate(w: str) -> str:
-    """``min_conjugate`` of a word w that is already reduced.  A cyclically
-    reduced word of length >= 2 alternates a with a letter of {b, c, d}, so
-    its least rotation starts with a and is fixed by the least rotation of
-    the inactive letters s.  s is q copies of its least period u, the prefix
-    of s up to the first index > 0 where s occurs in s + s, so the least
-    rotation of s is r * q, for r the least rotation of u; the candidates
-    for r start at min(u) and are compared one at a time, so a periodic word
-    costs one period."""
+    """``min_conjugate`` of a word known to be reduced, unchecked."""
     w = _cyclically_reduce(w)
     if len(w) <= 1:
         return w

@@ -348,20 +348,26 @@ def _class_step(m: str, n: int) -> tuple[str, int, tuple[str, ...]]:
 
 def certify_exponent(w: str, n: int) -> tuple[int, int]:
     """(exponent, tree depth) of the certificate for the reduced word w at
-    level n; the order of w divides 2**exponent at this level.  A word that
-    is not a str or a level that is not an int raises TypeError, a word that
-    is not reduced PreconditionError, and a level below -1, the last level
-    the ball argument defines, ValueError; then ``_certify`` runs."""
+    level n; the order of w divides 2**exponent at this level.
+
+    The radius test runs on w's letter counts (cached by ``_in_open_ball``);
+    everything after it depends only on the minimal conjugate m of w, so
+    ``_class_exponent`` caches it under (m, n), once per conjugacy class.
+
+    Raises RadiusViolation, whose ``failure`` is the CertificateFailure
+    that ``certify_torsion`` returns for the same input, TypeError for a
+    word that is not a str or a level that is not an int, PreconditionError
+    for a word that is not reduced (checked before the radius test), and
+    ValueError for levels below -1, the last level the ball argument defines.
+    """
     if type(n) is not int or n < -1:
         check_int(n, "level", -1)
     return _certify(_checked(w), n)
 
 
 def _certify(w: str, n: int) -> tuple[int, int]:
-    """The child step, ``certify_exponent`` unchecked: the radius test on
-    w's letter counts (``_in_open_ball``), whose RadiusViolation carries the
-    failure ``certify_torsion`` returns, then the class of the minimal
-    conjugate m of w, cached by ``_class_exponent`` under (m, n)."""
+    """``certify_exponent`` of a word known to be reduced, unchecked: the
+    child step of certification, radius test included."""
     return _class_exponent(_ball_class(w, n), n)
 
 
@@ -506,14 +512,16 @@ def _class_sweep(n: int, level: int) -> NBallReport | None:
     distinct piece of work runs once per sweep.  The walk reads the
     sections of ``_SPLIT_IMAGE`` when the sweep starts and hands each
     bracelet r over with the reduced sides (s0, s1) of m = "a" + "a".join(r),
-    so no m is built or split.  For k = len(r) even they are the children
-    of ``_class_step(m, n)``; for k odd the one child, side 0 of m.m, is s0
-    joined with s1 (the second copy of r has the opposite a-parity), and
-    one more factor of two.  The children are built reduced, so the child
-    step is the kernel ``_certify(child, level - 1)``, kept per child word
-    in a ``functools.cache`` that lives as long as the call; a child that
-    fails ends the sweep and is never kept.  A class's words are counted by
-    ``_rotation_words`` and added up by (exponent, depth).
+    built one letter at a time along the prenecklace tree, so no m is built
+    or split.  For k = len(r) even they are the children of
+    ``_class_step(m, n)``; for k odd the one child, side 0 of m.m, is s0
+    joined with s1, since the second copy of r has the opposite a-parity
+    (one more factor of two).  The children are built reduced, so the child
+    step is the unchecked kernel ``_certify(child, level - 1)``, kept per
+    child word in a ``functools.cache`` that lives as long as the call; a
+    child that fails ends the sweep and is never kept.  A class's words are
+    counted by ``_rotation_words`` and added up by (exponent, depth), so
+    the report is filled once per pair at the end.
     """
     if level <= 0 or not _in_open_ball(n // 2, (n + 1) // 2, 0, 0, level - 1):
         return None
@@ -523,7 +531,9 @@ def _class_sweep(n: int, level: int) -> NBallReport | None:
     counts = {}  # (exponent, depth) -> words certified with them
     try:
         for m, words in _letter_classes(n):
-            key = (_class_step(m, level)[1], 1)  # a letter has no children
+            # a letter has no children
+            _rule, added, _kids = _class_step(m, level)
+            key = (added, 1)
             counts[key] = counts.get(key, 0) + words
         for r, p, self_inverse, s0, s1 in _bracelet_walk(n, sections):
             k = len(r)

@@ -363,15 +363,16 @@ def test_negative_control_radius_index_one_off(monkeypatch):
 
 
 def test_radius_index_check_evaluates_each_point_once(monkeypatch):
-    """A passing check compares its RADIUS_EXHAUSTIVE + 44 points in one
-    pass: a level list that disagreed with a correct radius_index would
-    still pass through the fallback scan, but pay for every point twice."""
+    """The check evaluates radius_index once at each of its
+    RADIUS_EXHAUSTIVE + 44 points, whether it passes or fails: a failed
+    comparison names the violations from the same results."""
     real = cubic.radius_index
-    points = []
-    monkeypatch.setattr(cubic, "radius_index", lambda n: points.append(n) or real(n))
-    (rep,) = check_radius_index()
-    assert rep.status == "pass"
-    assert len(points) == len(set(points)) == reports.RADIUS_EXHAUSTIVE + 44 == 10_044
+    for off, status in ((0, "pass"), (1, "fail")):
+        points = []
+        monkeypatch.setattr(cubic, "radius_index", lambda n: points.append(n) or real(n) + off * (n == 777))
+        (rep,) = check_radius_index()
+        assert rep.status == status
+        assert len(points) == len(set(points)) == reports.RADIUS_EXHAUSTIVE + 44 == 10_044
 
 
 def test_radius_edge_beyond_exhaustive_is_checked(monkeypatch):

@@ -162,7 +162,6 @@ def test_an_argument_of_the_wrong_type_is_a_type_error(fn, args):
         (wreath.certify_exponent, ("aa", 3), PreconditionError),
         (wreath.certify_exponent, ("abx", 3), PreconditionError),
         (wreath.certify_exponent, ("ab" * 40, 3), wreath.RadiusViolation),
-        (wreath.certify_exponent, (None, 3), TypeError),
         (wreath.certify_exponent, ("ab", True), TypeError),
         (wreath.certify_exponent, ("ab", 0), wreath.RadiusViolation),
         # unreduced and outside the L^2-ball: the word is checked first
