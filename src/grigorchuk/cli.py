@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 
@@ -51,6 +52,14 @@ def _flatten(v):
     if isinstance(v, (dict, list, tuple)):
         return json.dumps(v)
     return v
+
+
+def _float_enclosure(lo, hi) -> tuple[float, float]:
+    """The largest float <= lo and the least float >= hi, for rationals lo
+    and hi; a float and a Fraction compare exactly."""
+    f, g = float(lo), float(hi)
+    f = math.nextafter(f, -math.inf) if f > lo else f
+    return f, math.nextafter(g, math.inf) if g < hi else g
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -114,16 +123,10 @@ def cmd_growth(args) -> int:
         table = growth.growth_table_free(args.maxn)
     else:
         table = growth.ball_grigorchuk(args.maxn, budget=args.budget)
-    rows = [
-        {
-            "radius": r.radius,
-            "ball": r.ball,
-            "sphere": r.sphere,
-            "entropy_lo": float(r.entropy_enclosure[0]),
-            "entropy_hi": float(r.entropy_enclosure[1]),
-        }
-        for r in table.rows
-    ]
+    rows = []
+    for r in table.rows:
+        lo, hi = _float_enclosure(*r.entropy_enclosure)
+        rows.append(dict(radius=r.radius, ball=r.ball, sphere=r.sphere, entropy_lo=lo, entropy_hi=hi))
     _emit(rows, args.format)
     return EXIT_OK if table.complete else EXIT_CAP
 

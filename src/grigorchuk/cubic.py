@@ -383,9 +383,11 @@ def ln_enclosure(y) -> tuple[Fraction, Fraction]:
     fixed-point integers of 2**-(_LN_BITS + 16) (see _atanh_fixed).  With
     atanh(1/3) held to 2 units and atanh(t) to at most 30, the enclosure
     is at most 4|k| + 60 units wide before the outward rounding, so the
-    result is at most 2 * 2**-_LN_BITS wide for |k| <= 16 000.
+    result is at most 2 * 2**-_LN_BITS wide for |k| <= 16 000.  A y that
+    is not an int or a Fraction raises TypeError, one <= 0 ValueError.
     """
-    y = Fraction(y)
+    if not isinstance(y, (int, Fraction)):
+        raise TypeError(f"ln needs an int or Fraction, not {type(y).__name__}")
     if y <= 0:
         raise ValueError("ln needs y > 0")
     num, den = y.numerator, y.denominator
@@ -404,7 +406,8 @@ def ln_enclosure(y) -> tuple[Fraction, Fraction]:
 
 def log_lambda_enclosure(y) -> tuple[Fraction, Fraction]:
     """Rational enclosure of log base L of y (y rational > 0): an enclosure
-    of ln(y) divided outward by one of ln(L) over L's bounds at _LN_BITS."""
+    of ln(y) divided outward by one of ln(L) over L's bounds at _LN_BITS.
+    Rejects y as ``ln_enclosure`` does."""
     lo, hi = _lambda_bounds(_LN_BITS)
     q = 1 << _LN_BITS
     den = (ln_enclosure(Fraction(lo, q))[0], ln_enclosure(Fraction(hi, q))[1])  # ln(L) > 0

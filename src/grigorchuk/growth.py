@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import reduce
-from operator import itemgetter
 from sys import maxsize
 from typing import NamedTuple
 
@@ -25,7 +24,8 @@ from .errors import CapExceeded, check_int
 from .words import BCD, FOLLOWERS, LETTERS, NUCLEUS, _join, multiply
 from .wreath import _SPLIT_IMAGE, is_trivial, level_action
 
-# depth of the tree action that buckets the word-problem oracle's candidates
+# depth of the tree action that buckets the word-problem oracle's candidates;
+# at most 8, so that a vertex fits in a byte
 _BUCKET_DEPTH = 5
 
 
@@ -65,16 +65,18 @@ class _SignatureEquality:
     An element g = (g0, g1)·a^p is the triple (p, id(g0), id(g1)), where an
     id is an interned triple of a section.  Right multiplication by a flips
     p; by x in {b, c, d}, with sections (x0, x1), it multiplies the sections,
-    g·x = (g0·x_p, g1·x_(1-p))·a^p, each through a memo (id, letter) -> id.
-    The memo is seeded with the nucleus 1, a, b, c, d (ids 0..4) and its
-    products that stay in it (1·x = x, x·x = 1, x·y = the third of b, c,
-    d), so the recursion, which otherwise descends to sections of smaller
-    id, ends there.  The splitting is injective, so equal elements get
-    equal ids and equal triples.
+    g·x = (g0·x_p, g1·x_(1-p))·a^p, each through a memo: one row per
+    letter, indexed by id, holding the product's id or -1 while unknown,
+    and grown by a -1 in every row when an id is interned.  The rows are
+    seeded with the nucleus 1, a, b, c, d (ids 0..4) and its products that
+    stay in it (1·x = x, x·x = 1, x·y = the third of b, c, d), so the
+    recursion, which otherwise descends to sections of smaller id, ends
+    there.  The splitting is injective, so equal elements get equal ids
+    and equal triples.
 
     The BFS packs an element's triple into the int key p | id0 << 1 |
     id1 << 33 and multiplies keys by letters in ``extend``, calling
-    ``_mul`` only on a memo miss; a candidate rep·g with rep in S(k) lies
+    ``_mul`` only on a -1; a candidate rep·g with rep in S(k) lies
     in S(k-1), S(k) or S(k+1), so only those keys are kept.  Only sections
     get ids, a ball of about half the radius (271 ids at radius 16), far
     below 2^32.  With ``words`` False a representative's tag is its last
@@ -86,9 +88,9 @@ class _SignatureEquality:
         self.triples = [(0, 0, 0), (1, 0, 0)]
         self.triples += [(0, *map(NUCLEUS.index, _SPLIT_IMAGE[x])) for x in BCD]
         self.ids = {t: i for i, t in enumerate(self.triples)}
-        self.products = {
-            (i, g): NUCLEUS.index(multiply(x, g))
-            for i, x in enumerate(NUCLEUS) for g in LETTERS if multiply(x, g) in NUCLEUS
+        self.rows = {
+            g: [NUCLEUS.index(y) if (y := multiply(x, g)) in NUCLEUS else -1 for x in NUCLEUS]
+            for g in LETTERS
         }
         self.identity = 0  # the packed key of (0, 0, 0)
         self.words = words
@@ -98,8 +100,8 @@ class _SignatureEquality:
         """Id of the section i times the letter g (or the empty word)."""
         if not g:
             return i
-        k = self.products.get((i, g))
-        if k is None:
+        k = self.rows[g][i]
+        if k < 0:
             p, i0, i1 = self.triples[i]
             if g == "a":
                 t = (1 - p, i0, i1)
@@ -110,7 +112,9 @@ class _SignatureEquality:
             if k is None:
                 k = self.ids[t] = len(self.triples)
                 self.triples.append(t)
-            self.products[i, g] = k
+                for row in self.rows.values():
+                    row.append(-1)
+            self.rows[g][i] = k
         return k
 
     def key(self, w: str) -> int:
@@ -119,7 +123,7 @@ class _SignatureEquality:
 
     def extend(self, sphere: list[str], keys: list[int], room: int) -> tuple[list, list]:
         """``_PureEquality.extend`` on packed keys."""
-        get, mul, words = self.products.get, self._mul, self.words
+        rows, mul, words = self.rows, self._mul, self.words
         prev, cur, nxt = *self.spheres, set()
         steps = [[(x, *_SPLIT_IMAGE[x][:: 1 - 2 * p]) for x in BCD] for p in (0, 1)]
         new, new_keys = [], []
@@ -137,9 +141,12 @@ class _SignatureEquality:
             if last in "a":
                 p, i0, i1 = key & 1, key >> 1 & 0xFFFFFFFF, key >> 33
                 for g, x0, x1 in steps[p]:
-                    # an identity product, id 0, reads the memo through _mul
-                    j0 = (get((i0, x0)) or mul(i0, x0)) if x0 else i0
-                    j1 = (get((i1, x1)) or mul(i1, x1)) if x1 else i1
+                    j0 = rows[x0][i0] if x0 else i0
+                    if j0 < 0:
+                        j0 = mul(i0, x0)
+                    j1 = rows[x1][i1] if x1 else i1
+                    if j1 < 0:
+                        j1 = mul(i1, x1)
                     t = p | j0 << 1 | j1 << 33
                     if t not in nxt and t not in cur and t not in prev:
                         nxt.add(t)
@@ -155,23 +162,26 @@ class _PureEquality:
     the independent oracle for the canonical keys.
 
     The action is a homomorphism, so equal elements share a bucket and the
-    word problem alone decides equality.  The BFS carries each
-    representative's image, act(w·g) = act(w) o act(g), so each candidate
-    costs one composition, an ``itemgetter`` of act(g).  Depth 5 is the
-    smallest depth with no false collision at radius 12 (depth 4 leaves
-    454 there): every confirmation then finds a duplicate.
+    word problem alone decides equality.  The key of w is act(w^-1) as
+    bytes, and every letter is an involution, so act((w·g)^-1) = act(g) o
+    act(w^-1): each candidate costs one ``bytes.translate`` of its
+    representative's key by act(g), padded to the 256 bytes of a table,
+    so ``_BUCKET_DEPTH`` is at most 8.  Depth 5 is the smallest depth with
+    no false collision at radius 12 (depth 4 leaves 454 there): every
+    confirmation then finds a duplicate.
     """
 
     def __init__(self):
-        self.compose = {g: itemgetter(*level_action(g, _BUCKET_DEPTH)) for g in LETTERS}
-        self.identity = tuple(range(1 << _BUCKET_DEPTH))
-        self.buckets: dict[tuple[int, ...], list[str]] = {self.identity: [""]}
+        n = 1 << _BUCKET_DEPTH
+        self.tables = {g: bytes(level_action(g, _BUCKET_DEPTH)) + bytes(range(n, 256)) for g in LETTERS}
+        self.identity = bytes(range(n))
+        self.buckets: dict[bytes, list[str]] = {self.identity: [""]}
 
-    def key(self, w: str) -> tuple[int, ...]:
-        """Action of the word w at depth ``_BUCKET_DEPTH``."""
-        return reduce(lambda image, g: self.compose[g](image), w, self.identity)
+    def key(self, w: str) -> bytes:
+        """Action of w^-1 at depth ``_BUCKET_DEPTH``, as bytes."""
+        return reduce(lambda image, g: image.translate(self.tables[g]), w, self.identity)
 
-    def probe(self, w: str, image: tuple[int, ...]) -> bool:
+    def probe(self, w: str, image: bytes) -> bool:
         """True if w is new; records it if so."""
         bucket = self.buckets.setdefault(image, [])
         for rep in bucket:
@@ -184,12 +194,12 @@ class _PureEquality:
     def extend(self, sphere: list[str], keys: list, room: int) -> tuple[list, list]:
         """The words and keys of the sphere after (``sphere``, ``keys``),
         stopped before a representative once more than ``room`` are found."""
-        new, new_keys = [], []
+        new, new_keys, tables = [], [], self.tables
         for rep, key in zip(sphere, keys):
             if len(new) > room:
                 break
             for g in FOLLOWERS[rep[-1:]]:
-                w, t = rep + g, self.compose[g](key)
+                w, t = rep + g, key.translate(tables[g])
                 if self.probe(w, t):
                     new.append(w)
                     new_keys.append(t)
@@ -211,15 +221,15 @@ def iter_spheres(
     candidates rep + g come in sorted order and so do the new ones.  No
     ball of words is kept: only the last sphere and the one being built.
 
-    Each representative travels with its key, and a candidate's key is the
-    representative's key times g.  With ``use_signatures`` the key is the
-    element's section triple packed into one int, and equality is key
-    equality within three spheres; without it, the key is the depth-5 tree
-    action and equality is decided by the word problem within its buckets,
-    the independent oracle.  The private ``_words`` False, which only the
-    signatures honour, yields each representative's last letter instead of
-    its word: all that the search reads of it, and all ``ball_grigorchuk``
-    needs.
+    Each representative travels with its key, and a candidate's key is
+    computed from the representative's key and g.  With ``use_signatures``
+    the key is the element's section triple packed into one int, and
+    equality is key equality within three spheres; without it, the key is
+    the inverse's depth-5 tree action and equality is decided by the word
+    problem within its buckets, the independent oracle.  The private
+    ``_words`` False, which only the signatures honour, yields each
+    representative's last letter instead of its word: all that the search
+    reads of it, and all ``ball_grigorchuk`` needs.
 
     With a ``budget`` the search counts at most ``budget`` elements: once
     it finds one more, it yields the sphere being built cut to the

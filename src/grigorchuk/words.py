@@ -181,7 +181,11 @@ def _min_conjugate(w: str) -> str:
     s = w[1::2] if w[0] == "a" else w[::2]
     u = s[: (s + s).find(s, 1)]
     first = min(u)
-    r = min(u[i:] + u[:i] for i, ch in enumerate(u) if ch == first)
+    i = u.find(first)
+    r = u[i:] + u[:i]
+    while (i := u.find(first, i + 1)) >= 0:
+        if (c := u[i:] + u[:i]) < r:
+            r = c
     return "a" + "a".join(r * (len(s) // len(u)))
 
 

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import time
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -180,6 +181,23 @@ def test_growth_csv(capsys):
     assert lines[0].startswith("radius,ball,sphere")
     assert lines[1].split(",")[:3] == ["0", "1", "1"]
     assert lines[-1].split(",")[:3] == ["3", "23", "12"]
+
+
+@pytest.mark.parametrize("group", ["grig", "free"])
+def test_growth_floats_enclose_the_entropy(capsys, group):
+    code, out, _ = run(capsys, "growth", "--group", group, "--maxn", "10")
+    assert code == 0
+    table = growth.ball_grigorchuk(10) if group == "grig" else growth.growth_table_free(10)
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == len(table.rows) == 11
+    for row, exact in zip(rows, table.rows):
+        assert int(row["radius"]) == exact.radius
+        if exact.radius == 0:
+            continue
+        lo, hi = exact.entropy_enclosure
+        lo_f, hi_f = float(row["entropy_lo"]), float(row["entropy_hi"])
+        assert Fraction(lo_f) <= lo and Fraction(hi_f) >= hi, exact.radius
+        assert lo_f < hi_f, exact.radius
 
 
 @pytest.mark.parametrize("option", [["--maxn", "-1"], ["--maxn", "3", "--budget", "0"]])

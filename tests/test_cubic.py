@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from bisect import bisect_right
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -348,6 +349,14 @@ def test_ln_enclosure_is_additive(p, q):
 def test_ln_enclosure_rejects_nonpositive():
     with pytest.raises(ValueError):
         ln_enclosure(0)
+
+
+@pytest.mark.parametrize("enclosure", [ln_enclosure, log_lambda_enclosure])
+@pytest.mark.parametrize("y", [0.1, 2.0, "3", Decimal(3)], ids=["0.1", "2.0", "str", "Decimal"])
+def test_enclosures_reject_what_is_not_an_int_or_fraction(enclosure, y):
+    # Fraction(y) would take each of these: ln 0.1000000000000000055... for 0.1
+    with pytest.raises(TypeError, match="int or Fraction"):
+        enclosure(y)
 
 
 def _atanh_by_fractions(t: Fraction, bits: int) -> tuple[Fraction, Fraction]:

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import reduced_words
-from grigorchuk import cli
+from grigorchuk import cli, growth
 from grigorchuk.errors import CapExceeded
 from grigorchuk.permgrp import closure, cyclic, dihedral
 from grigorchuk.presentations import index_bounds
@@ -162,8 +162,8 @@ def test_word_free_path_cuts_like_the_word_path(use_signatures):
 def test_bucket_key_is_tree_action(pair):
     u, v = pair
     eq = _PureEquality()
-    assert eq.key(u) == level_action(u, 5)
-    assert eq.key(v) == level_action(v, 5)
+    assert eq.key(u) == bytes(level_action(invert(u), 5))
+    assert eq.key(v) == bytes(level_action(invert(v), 5))
     if is_trivial(multiply(invert(u), v)):
         assert eq.key(u) == eq.key(v)
 
@@ -185,12 +185,19 @@ def test_nucleus_seeds_are_pinned():
     # 1, a = (1, 1)·a, b = (a, c), c = (a, d), d = (1, b) as ids 0..4
     assert eq.triples == [(0, 0, 0), (1, 0, 0), (0, 1, 3), (0, 1, 4), (0, 0, 2)]
     # 1·x = x, x·x = 1 and x·y = the third of b, c, d
-    assert eq.products == {
-        (0, "a"): 1, (0, "b"): 2, (0, "c"): 3, (0, "d"): 4, (1, "a"): 0,
-        (2, "b"): 0, (2, "c"): 4, (2, "d"): 3,
-        (3, "b"): 4, (3, "c"): 0, (3, "d"): 2,
-        (4, "b"): 3, (4, "c"): 2, (4, "d"): 0,
+    # rows per letter, indexed by id; -1 is a product not yet known
+    assert eq.rows == {
+        "a": [1, 0, -1, -1, -1],
+        "b": [2, -1, 0, 4, 3],
+        "c": [3, -1, 4, 0, 2],
+        "d": [4, -1, 3, 2, 0],
     }
+
+
+def test_bucket_depth_fits_a_byte():
+    # a translate table has 256 entries, one per byte value
+    assert 1 << growth._BUCKET_DEPTH <= 256
+    assert all(len(t) == 256 for t in _PureEquality().tables.values())
 
 
 def test_canonical_key_nucleus():
